@@ -2,7 +2,8 @@
 compensator curves, and the full verification suite.
 
 All randomness derives from the configured seed, so repeated runs with the
-same inputs produce byte-identical outputs.
+same inputs produce byte-identical outputs.  Without a seed, ``verify``
+runs the suite's master seed and the other commands seed 0.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import compensator as comp
 from . import filtering, localtime, paths, verify
-from .kernels import DEFAULT_QUADRATURE, QuadratureConfig
+from .kernels import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError
 from .laws import ModelSpec
 
 DEFAULT_MODEL = {
@@ -33,7 +34,7 @@ class RunConfig:
     dt: float = 1e-3
     horizon: float = 2.0
     n_paths: int = 1000
-    seed: int = 0
+    seed: int | None = None
     bandwidth_c: float = 2.0
     quadrature: dict | None = None
     out: str = "out"
@@ -61,6 +62,10 @@ class RunConfig:
     def quadrature_config(self):
         return QuadratureConfig(**self.quadrature) if self.quadrature else DEFAULT_QUADRATURE
 
+    def seed_or(self, default):
+        """The configured seed, or ``default`` when none was given."""
+        return default if self.seed is None else self.seed
+
 
 def _ensure_out(cfg):
     os.makedirs(cfg.out, exist_ok=True)
@@ -70,7 +75,7 @@ def _ensure_out(cfg):
 def cmd_simulate(cfg, n_csv=3):
     model = cfg.model_spec()
     out = _ensure_out(cfg)
-    ens = paths.simulate_ensemble(model, cfg.dt, cfg.horizon, cfg.n_paths, cfg.seed,
+    ens = paths.simulate_ensemble(model, cfg.dt, cfg.horizon, cfg.n_paths, cfg.seed_or(0),
                                   chunk=2048)
     paths.save_ensemble(ens, os.path.join(out, "ensemble.bin"))
     for i in range(min(n_csv, len(ens))):
@@ -113,7 +118,7 @@ def cmd_compensator(cfg, probe_times=None):
     rows = []
     first_curve = None
     for ens in paths.iter_ensemble_chunks(model, cfg.dt, cfg.horizon, cfg.n_paths,
-                                          cfg.seed, chunk=1024):
+                                          cfg.seed_or(0), chunk=1024):
         for p in ens:
             lts = [localtime.occupation_local_time(p, z, eps) for z in model.pinning.points]
             curve = comp.compensator_K(model, p, lts, kernel)
@@ -137,7 +142,8 @@ def cmd_verify(cfg, corrupt_kernel=1.0, fast=False):
         scale = {"n_compensator": 600, "n_terminal": 300, "n_bridge": 2000,
                  "n_brownian": 500, "n_quadratic": 100, "n_tower": 600,
                  "dt_fine": 1e-3}
-    reports = verify.run_verification_suite(master_seed=cfg.seed or 20260810,
+    master_seed = cfg.seed_or(verify.VerificationContext.master_seed)
+    reports = verify.run_verification_suite(master_seed=master_seed,
                                             corrupt_factor=corrupt_kernel,
                                             progress=lambda r: print(r.line()),
                                             **scale)
@@ -151,7 +157,10 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="infobridge",
         description="Pinned bridges with random length: simulation, filtering, "
-                    "local time and compensator checks.")
+                    "local time and compensator checks.",
+        epilog="exit codes: 0 success, 1 a verify check failed, 2 configuration or "
+               "arguments rejected, 3 input/output failure, 4 tail quadrature did not "
+               "converge (model state out of reach)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
@@ -206,6 +215,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"io failure: {exc}", file=sys.stderr)
         return 3
+    except QuadratureError as exc:
+        print(f"quadrature failure: {exc}", file=sys.stderr)
+        return 4
     return 2
 
 

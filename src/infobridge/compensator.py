@@ -66,12 +66,12 @@ def intensity_row(model, s, cfg=DEFAULT_QUADRATURE):
     pts = model.pinning.points
     if f == 0.0:
         return np.zeros(len(pts))
-    mass, _, scale = kernels.tail_integrals(model, s, pts, cfg=cfg)
-    den = model.pinning.probs @ mass
+    q = kernels.tail_integrals(model, s, pts, cfg=cfg)
+    den = model.pinning.probs @ q.mass
     if np.any(den <= 0.0):
         bad = int(np.nonzero(den <= 0.0)[0][0])
         raise QuadratureError(f"intensity denominator underflowed at s={s}, pin index {bad}")
-    expo = pts * pts / (2.0 * s) - scale  # >= 0 and O(grid spacing): stable
+    expo = pts * pts / (2.0 * s) - q.scale  # >= 0 and O(grid spacing): stable
     return model.pinning.probs * f * _SQRT_2PI * math.sqrt(s) * np.exp(expo) / den
 
 
@@ -261,10 +261,8 @@ def meyer_approx_Ah(model, path, h, band_fn=None, cfg=GRID_QUADRATURE):
     idx = idx[idx >= 1]
     if idx.size:
         if band_fn is None:
-            sup = model.support_sup
-            band[idx] = [1.0 - filtering.survival_probability(
-                model, float(t[j]), float(path.values[j]), min(float(t[j]) + h, sup), cfg=cfg)
-                for j in idx]
+            band[idx] = [filtering.band_probability(model, float(t[j]), float(path.values[j]),
+                                                    h, cfg=cfg) for j in idx]
         else:
             band[idx] = band_fn(t[idx], path.values[idx])
     out = np.zeros(n_steps + 1)

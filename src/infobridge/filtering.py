@@ -27,6 +27,7 @@ __all__ = [
     "posterior",
     "pin_posterior",
     "survival_probability",
+    "band_probability",
     "transition_law",
     "drift",
     "DriftCache",
@@ -82,13 +83,11 @@ class PosteriorState:
             tau, z = self.point_mass
             return float(np.asarray(g(np.asarray([tau]), z)).ravel()[0])
         model, cfg = self._model, self._cfg
-        num_mass, _, num_scale = kernels.tail_integrals(
-            model, self.t, self.observed_x, extra=lambda r, z: g(r, z), cfg=cfg)
-        den_mass, _, den_scale = kernels.tail_integrals(
-            model, self.t, self.observed_x, cfg=cfg)
-        num = model.pinning.probs @ num_mass
-        den = model.pinning.probs @ den_mass
-        return float((num[0] / den[0]) * np.exp(num_scale[0] - den_scale[0]))
+        num = kernels.tail_integrals(model, self.t, self.observed_x,
+                                     extra=lambda r, z: g(r, z), cfg=cfg)
+        den = kernels.tail_integrals(model, self.t, self.observed_x, cfg=cfg)
+        ratio = (model.pinning.probs @ num.mass) / (model.pinning.probs @ den.mass)
+        return float(ratio[0] * np.exp(num.scale[0] - den.scale[0]))
 
 
 def posterior(model, t, x, absorbed=False, tau=None, cfg=DEFAULT_QUADRATURE):
@@ -119,7 +118,7 @@ def pin_posterior(model, t, x, cfg=DEFAULT_QUADRATURE):
     """Conditional pin weights at ``(t, x)``; vectorized over ``x`` (rows of
     the returned array are pins)."""
     x_arr = _as_row(x)
-    mass, _, _ = kernels.tail_integrals(model, t, x_arr, cfg=cfg)
+    mass = kernels.tail_integrals(model, t, x_arr, cfg=cfg).mass
     weighted = model.pinning.probs[:, None] * mass
     out = weighted / weighted.sum(axis=0, keepdims=True)
     return out[:, 0] if np.ndim(x) == 0 else out
@@ -130,19 +129,23 @@ def survival_probability(model, t, x, u, cfg=DEFAULT_QUADRATURE):
     if u < t:
         raise ValueError("need u >= t")
     x_arr = _as_row(x)
-    if u >= model.support_sup:
-        out = np.zeros(x_arr.size)
-        return out if np.ndim(x) else 0.0
-    den_mass, _, den_scale = kernels.tail_integrals(model, t, x_arr, cfg=cfg)
-    if u == t:
-        out = np.ones(x_arr.size)
-        return out if np.ndim(x) else 1.0
-    num_mass, _, num_scale = kernels.tail_integrals(model, t, x_arr, lower=u, cfg=cfg)
-    num = model.pinning.probs @ num_mass
-    den = model.pinning.probs @ den_mass
-    with np.errstate(under="ignore"):
-        out = np.clip(num / den * np.exp(num_scale - den_scale), 0.0, 1.0)
+    q = kernels.tail_integrals(model, t, x_arr, uppers=(u,), cfg=cfg)
+    probs = model.pinning.probs
+    out = np.clip((probs @ q.tail[0]) / (probs @ q.mass), 0.0, 1.0)
     return out if np.ndim(x) else float(out[0])
+
+
+def band_probability(model, t, x, h, cfg=DEFAULT_QUADRATURE):
+    """P(length in (t, t + h] | path up to t, not yet absorbed), vectorized
+    over ``x``; a sequence of widths ``h`` adds a leading axis.  All widths
+    come from one quadrature pass, and each band is summed over its own
+    panels rather than formed as one minus a survival probability."""
+    x_arr = _as_row(x)
+    q = kernels.tail_integrals(model, t, x_arr, uppers=t + np.atleast_1d(h), cfg=cfg)
+    probs = model.pinning.probs
+    out = np.clip((probs @ q.band) / (probs @ q.mass), 0.0, 1.0)
+    out = out if np.ndim(x) else out[:, 0]
+    return out if np.ndim(h) else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +181,10 @@ class TransitionLaw:
         if self.u >= model.support_sup:
             surv = np.zeros(y_arr.size)
         else:
-            mass_u, _, scale_u = kernels.tail_integrals(model, self.u, y_arr, cfg=cfg)
+            q = kernels.tail_integrals(model, self.u, y_arr, cfg=cfg)
             log_gauss = kernels.log_gaussian_density(self.u - self.t, y_arr, self.x)
             with np.errstate(under="ignore"):
-                surv = (model.pinning.probs @ mass_u) * np.exp(scale_u + log_gauss - self._log_den)
+                surv = (model.pinning.probs @ q.mass) * np.exp(q.scale + log_gauss - self._log_den)
         on_pin = np.isin(y_arr, model.pinning.points)
         out = np.where(on_pin, 0.0, surv)
         return out if np.ndim(y) else float(out[0])
@@ -208,17 +211,10 @@ def transition_law(model, t, x, u, cfg=DEFAULT_QUADRATURE):
         atoms[k] = 1.0
         return TransitionLaw(t=t, u=u, x=float(x), atoms=atoms,
                              _model=model, _cfg=cfg, _log_den=-math.inf)
-    den_mass, _, den_scale = kernels.tail_integrals(model, t, x, cfg=cfg)
-    den = float(model.pinning.probs @ den_mass[:, 0])
-    log_den = math.log(den) + float(den_scale[0])
-    if u >= model.support_sup:
-        tail_mass = np.zeros(len(model.pinning))
-    else:
-        num_mass, _, num_scale = kernels.tail_integrals(model, t, x, lower=u, cfg=cfg)
-        with np.errstate(under="ignore"):
-            tail_mass = num_mass[:, 0] * np.exp(num_scale[0] - den_scale[0])
-    band = np.clip(den_mass[:, 0] - tail_mass, 0.0, None)
-    atoms = model.pinning.probs * band / den
+    q = kernels.tail_integrals(model, t, x, uppers=(u,), cfg=cfg)
+    den = float(model.pinning.probs @ q.mass[:, 0])
+    log_den = math.log(den) + float(q.scale[0])
+    atoms = model.pinning.probs * q.band[0, :, 0] / den
     return TransitionLaw(t=t, u=u, x=float(x), atoms=atoms,
                          _model=model, _cfg=cfg, _log_den=log_den)
 
@@ -234,48 +230,33 @@ def drift(model, s, x, cfg=DEFAULT_QUADRATURE):
     if not (0.0 < s < model.support_sup):
         raise ValueError("s must lie strictly inside the support of the length law")
     x_arr = _as_row(x)
-    mass, dri, _ = kernels.tail_integrals(model, s, x_arr, want_drift=True, cfg=cfg)
-    num = model.pinning.probs @ dri
-    den = model.pinning.probs @ mass
-    out = num / den
+    q = kernels.tail_integrals(model, s, x_arr, want_drift=True, cfg=cfg)
+    out = (model.pinning.probs @ q.drift) / (model.pinning.probs @ q.mass)
     return out if np.ndim(x) else float(out[0])
 
 
 class _Bilinear:
-    """Interpolation on a (log-time, space) grid with clamped queries.
+    """Bilinear interpolation on a (log-time, space) grid with clamped
+    queries.  A table ``(..., n_s, n_x)`` stacks several quantities on the
+    same grid; queries then carry the leading axes."""
 
-    Bilinear by default (manual and fast, and safe next to the sign jumps
-    at the pin levels); cubic available for smooth tables where fourth-order
-    local error pays for itself.
-    """
-
-    def __init__(self, s_grid, x_grid, table, method="linear"):
+    def __init__(self, s_grid, x_grid, table):
         self._ls = np.log(s_grid)
         self._x = x_grid
         self._table = table
-        self._cubic = None
-        if method == "cubic":
-            from scipy.interpolate import RegularGridInterpolator
-            self._cubic = RegularGridInterpolator((self._ls, x_grid), table,
-                                                  method="cubic")
 
     def __call__(self, s, x):
         s = np.asarray(s, dtype=float)
         x = np.asarray(x, dtype=float)
         ls = np.log(np.clip(s, np.exp(self._ls[0]), np.exp(self._ls[-1])))
         xc = np.clip(x, self._x[0], self._x[-1])
-        if self._cubic is not None:
-            shape = np.broadcast_shapes(ls.shape, xc.shape)
-            pts = np.column_stack([np.broadcast_to(ls, shape).ravel(),
-                                   np.broadcast_to(xc, shape).ravel()])
-            return self._cubic(pts).reshape(shape)
         i = np.clip(np.searchsorted(self._ls, ls) - 1, 0, len(self._ls) - 2)
         j = np.clip(np.searchsorted(self._x, xc) - 1, 0, len(self._x) - 2)
         ws = (ls - self._ls[i]) / (self._ls[i + 1] - self._ls[i])
         wx = (xc - self._x[j]) / (self._x[j + 1] - self._x[j])
         t = self._table
-        out = ((1 - ws) * (1 - wx) * t[i, j] + ws * (1 - wx) * t[i + 1, j]
-               + (1 - ws) * wx * t[i, j + 1] + ws * wx * t[i + 1, j + 1])
+        out = ((1 - ws) * (1 - wx) * t[..., i, j] + ws * (1 - wx) * t[..., i + 1, j]
+               + (1 - ws) * wx * t[..., i, j + 1] + ws * wx * t[..., i + 1, j + 1])
         return out
 
 
@@ -315,12 +296,13 @@ class _HybridTable:
     the spatial structure has a fixed scale; later times use plain space
     coordinates with refinement at the pin levels.  The switch time is
     chosen so that no nonzero pin enters the scaled window, keeping its
-    jump out of the unrefined small-time table.  Interpolation is bilinear
-    in (log s, coordinate); queries clamp to the tabulated ranges.
+    jump out of the unrefined small-time table.  ``row_fn(s, xs)`` fills
+    one time node and returns ``(n_x,)``, or ``(m, n_x)`` for m quantities
+    tabulated together.  Interpolation is bilinear in (log s, coordinate);
+    queries clamp to the tabulated ranges.
     """
 
-    def __init__(self, model, row_fn, s_min, s_max, n_s=160, n_eta=321, n_x=361,
-                 method="linear"):
+    def __init__(self, model, row_fn, s_min, s_max, n_s=160, n_eta=321, n_x=361):
         hi = min(s_max, model.support_sup * (1.0 - 1e-9))
         nonzero = np.abs(model.pinning.points[model.pinning.points != 0.0])
         cap = np.min(nonzero) ** 2 / (_ETA_MAX + 3.0) ** 2 if nonzero.size else math.inf
@@ -330,18 +312,14 @@ class _HybridTable:
         if s_min < self.s_switch:
             s_nodes = np.geomspace(s_min, self.s_switch, max(n_s // 2, 40))
             etas = _eta_grid(model, n_eta)
-            table = np.empty((s_nodes.size, etas.size))
-            for a, s in enumerate(s_nodes):
-                table[a] = row_fn(s, etas * math.sqrt(s))
-            self._small = _Bilinear(s_nodes, etas, table, method=method)
+            table = np.stack([row_fn(s, etas * math.sqrt(s)) for s in s_nodes], axis=-2)
+            self._small = _Bilinear(s_nodes, etas, table)
         if hi > self.s_switch or self._small is None:
             lo = min(self.s_switch, hi * 0.5) if self._small is not None else s_min
             s_nodes = np.geomspace(lo, hi, n_s)
             xs = _space_grid(model, lo, s_max, n_x)
-            table = np.empty((s_nodes.size, xs.size))
-            for a, s in enumerate(s_nodes):
-                table[a] = row_fn(s, xs)
-            self._large = _Bilinear(s_nodes, xs, table, method=method)
+            table = np.stack([row_fn(s, xs) for s in s_nodes], axis=-2)
+            self._large = _Bilinear(s_nodes, xs, table)
 
     def __call__(self, s, x):
         s = np.asarray(s, dtype=float)
@@ -357,6 +335,21 @@ class _HybridTable:
                         np.clip(x / np.sqrt(np.maximum(s, 1e-300)), -_ETA_MAX, _ETA_MAX)),
             self._large(np.maximum(s, self.s_switch), x))
         return out
+
+
+def _probe_states(model, s_min, s_max, seed, n_probe):
+    """Random states weighted toward where paths actually live: the
+    diffusive sqrt(time) envelope early, the pin neighborhoods later."""
+    rng = np.random.default_rng(seed)
+    s = np.exp(rng.uniform(math.log(s_min), math.log(s_max), n_probe))
+    pts = model.pinning.points
+    lo = min(-1.0, pts.min() - 1.0)
+    hi = max(1.0, pts.max() + 1.0)
+    envelope = 6.0 * np.sqrt(s)
+    diffusive = np.sqrt(s) * rng.uniform(-4.0, 4.0, n_probe)
+    settled = np.clip(rng.uniform(lo, hi, n_probe), -envelope, envelope)
+    x = np.where(rng.uniform(size=n_probe) < 0.6, diffusive, settled)
+    return s, x
 
 
 class DriftCache:
@@ -383,25 +376,11 @@ class DriftCache:
     def __call__(self, s, x):
         return self._table(s, x)
 
-    def _probes(self, seed, n_probe):
-        """Random states weighted toward where paths actually live: the
-        diffusive sqrt(time) envelope early, the pin neighborhoods later."""
-        rng = np.random.default_rng(seed)
-        s = np.exp(rng.uniform(math.log(self.s_min), math.log(self.s_max), n_probe))
-        pts = self.model.pinning.points
-        lo = min(-1.0, pts.min() - 1.0)
-        hi = max(1.0, pts.max() + 1.0)
-        envelope = 6.0 * np.sqrt(s)
-        diffusive = np.sqrt(s) * rng.uniform(-4.0, 4.0, n_probe)
-        settled = np.clip(rng.uniform(lo, hi, n_probe), -envelope, envelope)
-        x = np.where(rng.uniform(size=n_probe) < 0.6, diffusive, settled)
-        return s, x
-
     def max_rel_error(self, seed=0, n_probe=200, floor_quantile=0.5):
         """Interpolation error at random reachable states, relative with an
         absolute floor at the median drift magnitude (the drift crosses
         zero, where a pure relative error is ill-defined)."""
-        s, x = self._probes(seed, n_probe)
+        s, x = _probe_states(self.model, self.s_min, self.s_max, seed, n_probe)
         direct = np.array([drift(self.model, si, xi) for si, xi in zip(s, x)])
         approx = self(s, x)
         scale = np.quantile(np.abs(direct), floor_quantile)
@@ -410,42 +389,36 @@ class DriftCache:
 
 class BandProbabilityCache:
     """Tabulated conditional probability that absorption happens within
-    ``(s, s + h)`` given the observation at ``s``; same layout as
-    :class:`DriftCache`."""
+    ``(s, s + h)`` given the observation at ``s``, for one width ``h`` or a
+    ladder of widths; same layout as :class:`DriftCache`.
+
+    Each table row is one :func:`band_probability` pass that fills every
+    width of the ladder.  Tables are bilinear in (log time, coordinate);
+    with a ladder, values carry a leading axis over it.
+    """
 
     def __init__(self, model, h, s_min, s_max, n_s=220, n_eta=481, n_x=481,
                  cfg=GRID_QUADRATURE):
         self.model = model
-        self.h = float(h)
+        self.h = tuple(map(float, h)) if np.ndim(h) else float(h)
         self.cfg = cfg
         self.s_min = s_min
         self.s_max = min(s_max, model.support_sup * (1.0 - 1e-9))
-
-        def row(s, xs):
-            return 1.0 - survival_probability(model, s, xs,
-                                              min(s + h, model.support_sup), cfg=cfg)
-
-        self._table = _HybridTable(model, row, s_min, s_max,
-                                   n_s=n_s, n_eta=n_eta, n_x=n_x, method="cubic")
+        self._table = _HybridTable(
+            model, lambda s, xs: band_probability(model, s, xs, self.h, cfg=cfg),
+            s_min, s_max, n_s=n_s, n_eta=n_eta, n_x=n_x)
 
     def __call__(self, s, x):
         return np.clip(self._table(s, x), 0.0, 1.0)
 
     def max_rel_error(self, seed=0, n_probe=100):
         """Against direct quadrature at reachable states, relative to the
-        band mass itself."""
-        rng = np.random.default_rng(seed)
-        s = np.exp(rng.uniform(math.log(self.s_min), math.log(self.s_max), n_probe))
-        pts = self.model.pinning.points
-        settled = np.clip(rng.uniform(pts.min() - 1.0, pts.max() + 1.0, n_probe),
-                          -6.0 * np.sqrt(s), 6.0 * np.sqrt(s))
-        x = np.where(rng.uniform(size=n_probe) < 0.6,
-                     np.sqrt(s) * rng.uniform(-4.0, 4.0, n_probe), settled)
-        direct = np.array([
-            1.0 - survival_probability(self.model, si, xi,
-                                       min(si + self.h, self.model.support_sup))
-            for si, xi in zip(s, x)])
-        return float(np.max(np.abs(self(s, x) - direct) / np.maximum(direct, 1e-3)))
+        band mass itself; one value per width of the ladder."""
+        s, x = _probe_states(self.model, self.s_min, self.s_max, seed, n_probe)
+        direct = np.stack([band_probability(self.model, si, xi, self.h)
+                           for si, xi in zip(s, x)], axis=-1)
+        err = np.max(np.abs(self(s, x) - direct) / np.maximum(direct, 1e-3), axis=-1)
+        return err if np.ndim(err) else float(err)
 
 
 def innovation_path(model, path, drift_fn=None, cfg=GRID_QUADRATURE):

@@ -3,16 +3,21 @@ compensator layers.
 
 The central object is the family of integrals
 
-    S_i(s, x; u) = int_u^inf  sqrt(r/(r-s)) * exp(E_i(r)) * f(r) dr,
-    E_i(r)       = z_i^2/(2r) - (z_i - x)^2 / (2(r-s)),
+    S_i(s, x; a, b) = int_a^b  sqrt(r/(r-s)) * exp(E_i(r)) * f(r) dr,
+    E_i(r)          = z_i^2/(2r) - (z_i - x)^2 / (2(r-s)),
 
 one per pinning level z_i, where f is the density of the random bridge
 length.  Every conditional quantity of the model (posterior weights,
-survival probabilities, drift, intensity of absorption) is a ratio of such
-integrals, optionally with an extra weight in the integrand.  The Gaussian
-prefactor p(s, x) common to numerator and denominator is factored out
-analytically, so the integrals stay within floating-point range and ratios
-are exact.
+survival probabilities, band probabilities, transition atoms, drift,
+intensity of absorption) is a ratio of such integrals, optionally with an
+extra weight in the integrand.  The Gaussian prefactor p(s, x) common to
+numerator and denominator is factored out analytically, so the integrals
+stay within floating-point range and ratios are exact.
+
+:func:`tail_integrals` is the one engine for all of them: one pass gives
+``S_i(s, x; s, inf)`` and, for band edges ``u_k``, the bands
+``S_i(s, x; s, u_k)`` and tails ``S_i(s, x; u_k, inf)`` as sums over whole
+panels, so a small band keeps its relative accuracy.
 
 Numerical policy: the integrand carries an integrable (r-s)^(-1/2)
 singularity at the left endpoint; substituting v = sqrt(r - s) removes it
@@ -20,8 +25,10 @@ exactly (the Jacobian 2v cancels the 1/v).  The infinite endpoint is
 truncated where the remaining mass of the length law drops below
 ``truncation_mass``.  Panels are graded geometrically in v and integrated
 with Gauss-Legendre rules; the panel count doubles until two successive
-refinements agree to ``rel_tol``.  Exponents are rescaled by their maximum
-before exponentiation, so intermediate values never overflow.
+refinements agree on every per-pin mass, band and tail returned (to
+``rel_tol`` or ``abs_tol``), and on the pin sums of bands and tails to
+``rel_tol`` alone.  Exponents are rescaled by their maximum before
+exponentiation, so intermediate values never overflow.
 
 All functions here are pure; they can be called from any number of workers
 with no shared mutable state.
@@ -32,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +50,7 @@ __all__ = [
     "gaussian_density",
     "log_gaussian_density",
     "bridge_marginal_density",
+    "TailIntegrals",
     "tail_integrals",
     "mix_weight",
     "log_mix_weight",
@@ -154,62 +163,38 @@ def _panel_rule(edges, n_gauss):
     return nodes.ravel(), weights.ravel()
 
 
-def _tail_edges(law, s, lower, n_panels):
-    """Geometrically graded panel edges in v = sqrt(r - s).
-
-    Returns ``None`` when the integration range is empty (lower at or past
-    the truncation point).
+def _tail_edges(law, s, upper, uppers, n_panels, n_approach):
+    """Geometrically graded panel edges in v = sqrt(r - s) up to the
+    truncation point ``upper``; the density kinks of the length law and the
+    band edges ``uppers`` are among them, and ``n_approach`` edges per band
+    edge grade toward it from below, where a small band concentrates.  An
+    empty range (``s`` at or past ``upper``) has a single edge, no panels.
     """
-    upper = law.support_sup
-    if not math.isfinite(upper):
-        raise AssertionError("caller must truncate an unbounded support")
-    if lower >= upper:
-        return None
+    if s >= upper:
+        return np.zeros(1)
     v_hi = math.sqrt(upper - s)
-    v_lo = math.sqrt(max(lower - s, 0.0))
-    if v_lo >= v_hi:
-        return None
     # Graded ladder resolves boundary layers at any scale >= ~1e-9 * v_hi.
-    v_floor = v_hi * 1e-9
-    edges = np.concatenate(([0.0], np.geomspace(v_floor, v_hi, n_panels)))
-    # Density kinks of the length law become panel edges.
-    extra = [math.sqrt(b - s) for b in getattr(law, "breakpoints", ()) if lower < b < upper]
-    if v_lo > 0.0:
-        extra.append(v_lo)
-    if extra:
-        edges = np.union1d(edges, np.asarray(extra))
-    edges = edges[(edges >= v_lo) & (edges <= v_hi)]
-    if edges.size == 0 or edges[0] > v_lo:
-        edges = np.concatenate(([v_lo], edges))
-    if edges[-1] < v_hi:
-        edges = np.concatenate((edges, [v_hi]))
-    return edges
+    edges = np.concatenate(([0.0], np.geomspace(v_hi * 1e-9, v_hi, n_panels)))
+    kinks = [math.sqrt(b - s) for b in law.breakpoints if s < b < upper]
+    cuts = np.sqrt(uppers[(uppers > s) & (uppers < upper)] - s)
+    approach = np.outer(cuts, 1.0 - np.geomspace(1e-5, 0.5, n_approach))
+    return np.union1d(edges, np.concatenate((kinks, cuts, approach.ravel())))
 
 
-class _TruncatedLaw:
-    """View of a length law with the unbounded tail cut at fixed mass."""
+class TailIntegrals(NamedTuple):
+    """Per-pin tail integrals at one time; the value of an entry at ``x[j]``
+    is the stored one times ``exp(scale[j])``."""
 
-    __slots__ = ("_law", "support_sup", "breakpoints")
-
-    def __init__(self, law, truncation_mass):
-        self._law = law
-        if math.isfinite(law.support_sup):
-            self.support_sup = law.support_sup
-        else:
-            self.support_sup = law.quantile(1.0 - truncation_mass)
-        self.breakpoints = getattr(law, "breakpoints", ())
-
-    def pdf(self, r):
-        return self._law.pdf(r)
+    mass: np.ndarray  #: (n_pins, n_x): over (s, inf)
+    drift: np.ndarray | None  #: (n_pins, n_x): drift-weighted, if requested
+    scale: np.ndarray  #: (n_x,)
+    band: np.ndarray  #: (n_uppers, n_pins, n_x): over (s, u_k)
+    tail: np.ndarray  #: (n_uppers, n_pins, n_x): over (u_k, inf)
 
 
-def _evaluate(law, s, x, v, w, points, want_drift, extra):
-    """Scaled integrals on a fixed node set.
-
-    Returns ``(mass, drift, scale)`` where the true per-pin integrals are
-    ``mass[i] * exp(scale)`` (and likewise for ``drift``), elementwise over
-    the trailing x-axis.
-    """
+def _evaluate(law, s, x, v, w, points, want_drift, extra, cuts):
+    """Scaled integrals on a fixed node set, ascending in ``v``; ``cuts[k]``
+    is the number of nodes below the band edge ``u_k``."""
     r = s + v * v
     f = law.pdf(r)
     base = 2.0 * np.sqrt(r) * f * w  # Jacobian 2v cancels the 1/v
@@ -222,29 +207,45 @@ def _evaluate(law, s, x, v, w, points, want_drift, extra):
     dead = f == 0.0
     for i, z in enumerate(points):
         c = z - x_col
-        expo[i] = np.where(dead, -np.inf, z * z / (2.0 * r) - c * c / (2.0 * v2))
-    scale = expo.max(axis=(0, 2))
+        np.divide(c * c, 2.0 * v2, out=expo[i])
+        np.subtract(z * z / (2.0 * r), expo[i], out=expo[i])
+        expo[i][:, dead] = -np.inf
+    scale = expo.max(axis=(0, 2), initial=-np.inf)
     scale = np.where(np.isfinite(scale), scale, 0.0)
-    mass = np.empty((n_pins, x.size))
+    order = np.argsort(cuts, kind="stable")
+    bounds = np.concatenate(([0], cuts[order], [v.size]))
+    # Node sums over the segments between consecutive band edges.
+    seg = np.empty((bounds.size - 1, n_pins, x.size))
     drift = np.empty((n_pins, x.size)) if want_drift else None
     with np.errstate(under="ignore"):
         for i, z in enumerate(points):
-            g = np.exp(expo[i] - scale[:, None]) * base
+            g = np.subtract(expo[i], scale[:, None], out=expo[i])
+            np.exp(g, out=g)
+            g *= base
             if extra is not None:
                 g = g * extra(r, z)
-            mass[i] = g.sum(axis=1)
+            for k in range(seg.shape[0]):
+                seg[k, i] = g[:, bounds[k]:bounds[k + 1]].sum(axis=1)
             if want_drift:
-                c = z - x_col
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    fac = np.where(v2 > 0.0, c / v2, 0.0)
-                drift[i] = (g * fac).sum(axis=1)
-    return mass, drift, scale
+                drift[i] = (g * ((z - x_col) / v2)).sum(axis=1)
+    # Bands and tails are sums of whole segments, never differences, so a
+    # small band keeps its relative accuracy.
+    above = np.cumsum(seg[::-1], axis=0)[::-1]  # above[k]: segments k and up
+    band = np.empty((cuts.size, n_pins, x.size))
+    tail = np.empty_like(band)
+    band[order] = np.cumsum(seg[:-1], axis=0)
+    tail[order] = above[1:]
+    return TailIntegrals(above[0], drift, scale, band, tail)
 
 
-def tail_integrals(model, s, x, *, lower=None, want_drift=False, extra=None,
+def _agree(new, old, rel_tol, abs_tol):
+    return bool(np.all(np.abs(new - old) <= rel_tol * np.abs(new) + abs_tol))
+
+
+def tail_integrals(model, s, x, *, uppers=(), want_drift=False, extra=None,
                    cfg=DEFAULT_QUADRATURE):
     """Per-pin tail integrals ``S_i`` (and optionally the drift-weighted
-    variant) for a bridge observed at ``(s, x)``.
+    variant) for a bridge observed at ``(s, x)``, split at band edges.
 
     Parameters
     ----------
@@ -254,9 +255,10 @@ def tail_integrals(model, s, x, *, lower=None, want_drift=False, extra=None,
         Observation time, ``0 < s <`` the support supremum of the length law.
     x : float or 1-d array
         Observed value(s); the integrals are evaluated for every entry.
-    lower : float, optional
-        Lower integration limit (defaults to ``s``); used for survival-type
-        integrals over ``(u, inf)``.
+    uppers : sequence of float
+        Band edges ``u_k``: per-pin masses over ``(s, u_k)`` and
+        ``(u_k, inf)`` are returned too.  Edges at or below ``s`` give empty
+        bands; edges past the truncation point give empty tails.
     want_drift : bool
         Also compute the integrals weighted by ``(z_i - x)/(r - s)``.
     extra : callable, optional
@@ -265,46 +267,50 @@ def tail_integrals(model, s, x, *, lower=None, want_drift=False, extra=None,
 
     Returns
     -------
-    mass, drift, scale : ndarray
+    TailIntegrals
         ``mass[i, j] * exp(scale[j])`` is the value of ``S_i`` at ``x[j]``;
         ``drift`` is ``None`` unless requested.  Empty ranges return zero
         mass with zero scale.
     """
     law = model.length
-    points = model.pinning.points
+    points, probs = model.pinning.points, model.pinning.probs
     if s <= 0.0:
         raise ValueError("observation time must be strictly positive")
     if s >= law.support_sup:
         raise ValueError("model exhausted: observation time at or past the "
                          "support supremum of the length law")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    trunc = _TruncatedLaw(law, cfg.truncation_mass)
-    lo = s if lower is None else max(lower, s)
+    uppers = np.atleast_1d(np.asarray(uppers, dtype=float))
+    upper = law.truncation_point(cfg.truncation_mass)
+    v_up = np.sqrt(np.clip(uppers - s, 0.0, None))
 
-    n_panels = cfg.base_panels
+    # The first pass is the plain ladder; refinements double it and grade
+    # toward the band edges.
+    n_panels, n_approach = cfg.base_panels, 0
     prev = None
     for _ in range(cfg.max_subdivisions + 1):
-        edges = _tail_edges(trunc, s, lo, n_panels)
-        if edges is None:
-            zero = np.zeros((len(points), x.size))
-            return zero, (np.zeros_like(zero) if want_drift else None), np.zeros(x.size)
+        edges = _tail_edges(law, s, upper, uppers, n_panels, n_approach)
         v, w = _panel_rule(edges, cfg.gauss_points)
-        mass, drift, scale = _evaluate(trunc, s, x, v, w, points, want_drift, extra)
+        out = _evaluate(law, s, x, v, w, points, want_drift, extra,
+                        np.searchsorted(v, v_up))
         if not cfg.adaptive:
-            return mass, drift, scale
-        total = model.pinning.probs @ mass
+            return out
+        masses = np.concatenate((out.mass[None], out.band, out.tail))
         if prev is not None:
-            p_total, p_scale = prev
+            p_masses, p_scale = prev
             with np.errstate(under="ignore"):
-                rescaled = p_total * np.exp(p_scale - scale)
-            err = np.abs(total - rescaled)
-            tol = cfg.rel_tol * np.abs(total) + cfg.abs_tol
-            if np.all(err <= tol):
-                return mass, drift, scale
-        prev = (total, scale)
+                rescaled = p_masses * np.exp(p_scale - out.scale)
+            # Pin sums of bands and tails are numerators of probabilities
+            # that may be tiny: they agree relative to themselves.
+            if (_agree(masses, rescaled, cfg.rel_tol, cfg.abs_tol)
+                    and _agree(probs @ masses[1:], probs @ rescaled[1:], cfg.rel_tol,
+                               np.finfo(float).tiny)):
+                return out
+        prev = (masses, out.scale)
         n_panels *= 2
+        n_approach = n_panels // 4
     raise QuadratureError(
-        f"tail quadrature did not converge (s={s}, lower={lo}, "
+        f"tail quadrature did not converge (s={s}, uppers={uppers.tolist()}, "
         f"x in [{x.min():.3g}, {x.max():.3g}], panels={n_panels})")
 
 
@@ -316,11 +322,11 @@ def tail_integrals(model, s, x, *, lower=None, want_drift=False, extra=None,
 def log_mix_weight(s, x, model, cfg=DEFAULT_QUADRATURE):
     """Log of :func:`mix_weight`; preferred inside ratios."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    mass, _, scale = tail_integrals(model, s, x_arr, cfg=cfg)
-    total = model.pinning.probs @ mass
+    q = tail_integrals(model, s, x_arr, cfg=cfg)
+    total = model.pinning.probs @ q.mass
     if np.any(total <= 0.0):
         raise QuadratureError(f"mixture weight underflowed at s={s}")
-    out = np.log(total) + scale + log_gaussian_density(s, x_arr)
+    out = np.log(total) + q.scale + log_gaussian_density(s, x_arr)
     return out if np.ndim(x) else out.item()
 
 

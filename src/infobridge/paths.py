@@ -278,16 +278,24 @@ def save_ensemble(ens, fp):
             fh.close()
 
 
+def _read_exactly(fh, n):
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError("truncated ensemble file")
+    return data
+
+
 def load_ensemble(fp):
     own = isinstance(fp, (str, bytes))
     fh = open(fp, "rb") if own else fp
     try:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError("not an ensemble file")
-        dt, n_steps, n_paths, seed = _HEADER.unpack(fh.read(_HEADER.size))
-        values = np.frombuffer(fh.read(8 * n_paths * (n_steps + 1)), dtype="<f8")
+        dt, n_steps, n_paths, seed = _HEADER.unpack(_read_exactly(fh, _HEADER.size))
+        values = np.frombuffer(_read_exactly(fh, 8 * n_paths * (n_steps + 1)), dtype="<f8")
         values = values.reshape(n_paths, n_steps + 1).copy()
-        tz = np.frombuffer(fh.read(8 * 2 * n_paths), dtype="<f8").reshape(n_paths, 2).copy()
+        tz = np.frombuffer(_read_exactly(fh, 8 * 2 * n_paths), dtype="<f8")
+        tz = tz.reshape(n_paths, 2).copy()
     finally:
         if own:
             fh.close()

@@ -217,15 +217,14 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
     idx_frak = _probe_indices(frak_times, dt)
     pins = model.pinning.points
 
-    bands = {}
+    hs, bands = (), None
     if ah_spec is not None:
         hs, ah_t, ah_n = ah_spec
         n_ah = int(round(ah_t / dt))
-        for h in hs:
-            bands[h] = filtering.BandProbabilityCache(model, h, s_min=dt, s_max=ah_t)
+        bands = filtering.BandProbabilityCache(model, hs, s_min=dt, s_max=ah_t)
 
     out = {"K_probe": [], "K_term": [], "taus": [], "zs": [],
-           "frak": [], "mart_m": [], "ah": {h: [] for h in bands},
+           "frak": [], "mart_m": [], "ah": {h: [] for h in hs},
            "K_at_ah_t": [], "tower_x": []}
     done = 0
     for ens in paths.iter_ensemble_chunks(model, dt, horizon, n_paths, seed, chunk=chunk):
@@ -258,17 +257,17 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
                     cols.append((1.0 + lam_m * ens.values[:, j] * absorbed)
                                 * np.exp(-lam_m * frak[:, j]))
                 out["mart_m"].append(np.column_stack(cols))
-        if bands:
+        if bands is not None:
             take = max(0, min(m, ah_n - done))
             if take:
                 t_row = dt * np.arange(n_ah)
                 x = ens.values[:take, :n_ah]
                 alive = t_row[None, :] < ens.taus[:take, None]
-                for h, cache in bands.items():
+                ladder = bands(np.broadcast_to(t_row[1:], (take, n_ah - 1)), x[:, 1:])
+                for h, rows in zip(hs, ladder):
                     band = np.zeros((take, n_ah))
                     band[:, 0] = float(model.length.cdf(h))
-                    band[:, 1:] = cache(np.broadcast_to(t_row[1:], (take, n_ah - 1)),
-                                        x[:, 1:])
+                    band[:, 1:] = rows
                     band *= alive
                     out["ah"][h].append(band.sum(axis=1) * dt / h)
                 out["K_at_ah_t"].append(K[:take, n_ah])

@@ -2,8 +2,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run and carry no deadline:
+# quadrature time varies with the machine, never with correctness.
+settings.register_profile("infobridge", derandomize=True, deadline=None)
+settings.load_profile("infobridge")
 
 from infobridge import ExponentialLaw, ModelSpec, PinningLaw, UniformLaw
 

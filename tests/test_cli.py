@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import riemann
+from infobridge import paths, verify
 from infobridge.cli import main
 
 
@@ -114,8 +115,36 @@ class TestCompensatorCommand:
                            delimiter=",", skiprows=1)
         assert np.all(np.diff(curve[:, 1]) >= 0.0)
 
+    def test_unreachable_horizon_exits_with_quadrature_code(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # The kernel cannot be built past the truncation point of Exp(1)
+        # (about 23); the command must fail there, before simulating.
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(paths, "iter_ensemble_chunks", no_simulation)
+        assert main(["compensator", "--horizon", "30", "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("quadrature failure:") and err.count("\n") == 1
+
 
 class TestVerifyCommand:
+    def test_explicit_seed_zero_is_honoured(self, tmp_path, monkeypatch):
+        # One cheap criterion stands in for the suite: only the seed
+        # plumbing from the command line to the reports is under test.
+        monkeypatch.setattr(verify, "CRITERIA", [
+            ("density_consistency", verify.criterion_density_consistency)])
+        seeds = {}
+        for name, argv in (("zero", ["--seed", "0"]), ("absent", [])):
+            out = tmp_path / name
+            assert main(["verify", "--fast", "--out", str(out), *argv]) == 0
+            (report,) = json.loads((out / "reports.json").read_text())
+            seeds[name] = report["seed"]
+        assert seeds["zero"] == verify.VerificationContext(master_seed=0).seed_for("density", 0)
+        assert seeds["absent"] == verify.VerificationContext(
+            master_seed=20260810).seed_for("density", 0)
+        assert seeds["zero"] != seeds["absent"]
+
     def test_fast_smoke_reports_and_determinism(self, tmp_path):
         cfg = _write_config(tmp_path, seed=20260810)
         code = main(["verify", "--config", str(cfg), "--fast"])

@@ -22,6 +22,7 @@ from infobridge import (
 )
 from infobridge.filtering import BandProbabilityCache
 from infobridge.kernels import log_mix_weight
+from infobridge.verify import VerificationContext
 
 
 class TestPosterior:
@@ -261,6 +262,18 @@ class TestBandProbability:
     def test_cache_tracks_direct(self, single_pin_exp):
         cache = BandProbabilityCache(single_pin_exp, h=0.05, s_min=1e-3, s_max=1.0)
         assert cache.max_rel_error(n_probe=80) <= 3e-2
+
+    def test_ladder_cache_tracks_direct_for_each_width(self, single_pin_exp):
+        # One table for the whole ladder of the Meyer approximation, as the
+        # verification suite builds it; each width keeps the band gate.
+        ladder = VerificationContext.AH_LADDER
+        cache = BandProbabilityCache(single_pin_exp, h=ladder, s_min=1e-3, s_max=1.0)
+        errors = cache.max_rel_error(n_probe=80)
+        assert errors.shape == (len(ladder),)
+        assert np.all(errors <= 3e-2)
+        s, x = np.array([0.01, 0.2, 0.9]), np.array([0.05, -0.3, 0.8])
+        assert cache(s, x).shape == (len(ladder), 3)
+        assert np.all(np.diff(cache(s, x)[::-1], axis=0) >= 0.0)  # wider band, more mass
 
     def test_band_values_are_probabilities(self, single_pin_exp):
         cache = BandProbabilityCache(single_pin_exp, h=0.05, s_min=1e-3, s_max=1.0)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import riemann
 from infobridge import (
@@ -16,7 +18,26 @@ from infobridge import (
     gaussian_density,
     mix_weight,
 )
-from infobridge.kernels import log_gaussian_density, log_mix_weight
+from infobridge.filtering import band_probability, survival_probability
+from infobridge.kernels import log_gaussian_density, log_mix_weight, tail_integrals
+from infobridge.verify import VerificationContext
+
+MODELS = [VerificationContext.model_single_pin(), VerificationContext.model_two_pin_symmetric(),
+          VerificationContext.model_two_pin_asymmetric(),
+          VerificationContext.model_bounded_support()]
+
+
+@st.composite
+def band_states(draw):
+    """A model of the verification suite, an observation time inside its
+    support (clear of the support edge), observed values and a ladder of
+    band edges, some of them past the support."""
+    model = draw(st.sampled_from(MODELS))
+    s_hi = 0.95 * min(model.support_sup, 8.0)
+    s = math.exp(draw(st.floats(math.log(1e-4), math.log(s_hi))))
+    x = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
+    widths = draw(st.lists(st.floats(1e-6, 3.0), min_size=1, max_size=4))
+    return model, s, np.array(x), s + np.sort(widths)
 
 
 class TestGaussianDensity:
@@ -166,3 +187,47 @@ class TestQuadratureConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureConfig(**kwargs)
+
+
+class TestBandEdges:
+    """One engine pass returns the full tail, the band below each edge u
+    and the tail above it, from the same node values."""
+
+    @given(band_states())
+    def test_band_plus_tail_is_total(self, state):
+        model, s, x, uppers = state
+        q = tail_integrals(model, s, x, uppers=uppers)
+        total = np.broadcast_to(q.mass, q.band.shape)
+        # masses below the normal float range compare absolutely
+        np.testing.assert_allclose(q.band + q.tail, total, rtol=1e-12, atol=1e-300)
+
+    @given(band_states())
+    def test_bands_grow_and_survival_falls_with_u(self, state):
+        model, s, x, uppers = state
+        q = tail_integrals(model, s, x, uppers=uppers)
+        assert np.all(np.diff(q.band, axis=0) >= 0.0)
+        survival = (model.pinning.probs @ q.tail) / (model.pinning.probs @ q.mass)
+        assert np.all((survival >= 0.0) & (survival <= 1.0))
+        assert np.all(np.diff(survival, axis=0) <= 0.0)
+        direct = np.array([survival_probability(model, s, x, u) for u in uppers])
+        np.testing.assert_allclose(direct, survival, rtol=1e-8, atol=1e-12)
+
+    @pytest.mark.parametrize("model, s, x, h", [
+        (MODELS[0], 0.5, 1.0, 0.01),
+        (MODELS[1], 0.6, 0.0, 0.005),
+        (MODELS[2], 1.0, 0.5, 0.01),
+        (MODELS[3], 1.2, 0.0, 0.004),
+    ])
+    def test_tiny_band_matches_riemann_oracle(self, model, s, x, h):
+        # Far below 1e-12, where one minus a survival probability carries
+        # no relative accuracy at all.
+        law = model.length
+        pdf = (riemann.exp_pdf() if math.isinf(law.support_sup)
+               else riemann.uniform_pdf(law.a, law.b))
+        r_max = min(law.support_sup, 60.0)
+        pins, probs = model.pinning.points, model.pinning.probs
+        oracle = (riemann.mixture_tail(s, x, pins, probs, pdf, s + h)
+                  / riemann.mixture_tail(s, x, pins, probs, pdf, r_max))
+        assert 1e-200 < oracle < 1e-12
+        assert 1.0 - survival_probability(model, s, x, s + h) < 1e-15
+        assert band_probability(model, s, x, h) == pytest.approx(oracle, rel=1e-6, abs=0.0)

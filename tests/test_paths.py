@@ -166,6 +166,18 @@ class TestSerialization:
         np.testing.assert_array_equal(back.zs, ens.zs)
         np.testing.assert_array_equal(back.absorbed_indices, ens.absorbed_indices)
 
+    def test_rejects_truncated_file(self, two_pin_symmetric, tmp_path):
+        ens = simulate_ensemble(two_pin_symmetric, dt=0.02, horizon=1.0,
+                                n_paths=5, seed=31)
+        fp = tmp_path / "ensemble.bin"
+        save_ensemble(ens, str(fp))
+        data = fp.read_bytes()
+        # cut inside the header, the path values and the (length, pin) pairs
+        for cut in (12, len(data) // 2, len(data) - 8):
+            fp.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match="truncated ensemble file"):
+                load_ensemble(str(fp))
+
     def test_rejects_foreign_file(self, tmp_path):
         fp = tmp_path / "junk.bin"
         fp.write_bytes(b"not an ensemble")
