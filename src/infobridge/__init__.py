@@ -24,9 +24,6 @@ from .laws import (
     CustomLengthLaw,
     PinningLaw,
     ModelSpec,
-    sample_tau,
-    sample_pinning,
-    density_over_variance_ratio,
 )
 from .paths import (
     SamplePath,
@@ -61,7 +58,6 @@ from .localtime import (
 from .compensator import (
     CompensatorCurve,
     IntensityKernel,
-    intensity_kernel,
     compensator_K,
     compensator_frak,
     meyer_approx_Ah,

@@ -44,6 +44,8 @@ class RunConfig:
             raise ValueError("dt, horizon and n_paths must be positive")
         if self.dt >= self.horizon:
             raise ValueError("dt must be smaller than the horizon")
+        if not (math.isfinite(self.bandwidth_c) and self.bandwidth_c > 0.0):
+            raise ValueError("bandwidth_c must be positive and finite")
         self.quadrature_config()  # validate tolerances at load
 
     @classmethod
@@ -109,9 +111,12 @@ def cmd_posterior(cfg, t, x, n_u=200):
 
 
 def cmd_compensator(cfg, probe_times=None):
+    """Plain compensator of every path, reduced one chunk of paths at a time
+    with the left-endpoint occupation estimator at ``bandwidth_c``."""
     model = cfg.model_spec()
     out = _ensure_out(cfg)
     kernel = comp.IntensityKernel(model, cfg.dt, cfg.horizon)
+    kernel_mid = comp.midpoint_kernel(kernel, cfg.dt, int(round(cfg.horizon / cfg.dt)))
     eps = cfg.bandwidth_c * math.sqrt(cfg.dt)
     probes = probe_times or [cfg.horizon * k / 4 for k in (1, 2, 3, 4)]
     idx = [int(round(t / cfg.dt)) for t in probes]
@@ -119,13 +124,15 @@ def cmd_compensator(cfg, probe_times=None):
     first_curve = None
     for ens in paths.iter_ensemble_chunks(model, cfg.dt, cfg.horizon, cfg.n_paths,
                                           cfg.seed_or(0), chunk=1024):
-        for p in ens:
-            lts = [localtime.occupation_local_time(p, z, eps) for z in model.pinning.points]
-            curve = comp.compensator_K(model, p, lts, kernel)
-            rows.append(curve.values[idx])
-            if first_curve is None:
-                first_curve = curve
-    rows = np.asarray(rows)
+        K = comp.compensator_rows(kernel_mid, [
+            localtime.occupation_increments(ens.values, ens.taus, cfg.dt, z, eps)
+            for z in model.pinning.points])
+        rows.append(K[:, idx])
+        if first_curve is None:
+            first_curve = comp.CompensatorCurve(times=ens.times, values=K[0].copy(),
+                                                kind="plain")
+        del K  # freed before the next chunk is simulated
+    rows = np.concatenate(rows)
     comp.save_curve_csv(first_curve, os.path.join(out, "compensator_path0.csv"))
     summary = verify.EnsembleSummary.from_values(rows, probes)
     with open(os.path.join(out, "compensator_summary.json"), "w") as fh:

@@ -19,6 +19,13 @@ absorption indicator) carries the path value inside the integrand; since
 local time only grows where the path sits at the level, the path value may
 equivalently be replaced by the level itself (exposed as a switch, default
 off, to make the discretization error of the literal form measurable).
+
+Every compensator is one reduction, :func:`compensator_rows`, over a block
+of paths on one grid: the kernel is read once per grid at the step
+midpoints (:func:`midpoint_kernel`) and summed against the per-pin
+local-time increments of the block.  A single path is an ensemble of one:
+:func:`compensator_K` and :func:`compensator_frak` return row 0 of a
+one-row block.
 """
 
 from __future__ import annotations
@@ -35,10 +42,13 @@ from .kernels import DEFAULT_QUADRATURE, GRID_QUADRATURE, QuadratureError
 __all__ = [
     "CompensatorCurve",
     "IntensityKernel",
-    "intensity_kernel",
+    "midpoint_kernel",
+    "compensator_rows",
     "compensator_K",
     "compensator_frak",
     "meyer_approx_Ah",
+    "band_integrand",
+    "exp_martingale",
     "martingale_N",
     "martingale_M",
     "save_curve_csv",
@@ -73,13 +83,6 @@ def intensity_row(model, s, cfg=DEFAULT_QUADRATURE):
         raise QuadratureError(f"intensity denominator underflowed at s={s}, pin index {bad}")
     expo = pts * pts / (2.0 * s) - q.scale  # >= 0 and O(grid spacing): stable
     return model.pinning.probs * f * _SQRT_2PI * math.sqrt(s) * np.exp(expo) / den
-
-
-def intensity_kernel(model, k, s, cfg=DEFAULT_QUADRATURE):
-    """Absorption intensity kernel for pin index ``k`` at time ``s``."""
-    if not 0 <= k < len(model.pinning):
-        raise ValueError("pin index out of range")
-    return float(intensity_row(model, s, cfg=cfg)[k])
 
 
 class IntensityKernel:
@@ -165,76 +168,69 @@ def _check_local_times(model, local_times):
                              f"match pin level {z}")
 
 
-def _stieltjes_rows(kernel_mid, d_locals, weights=None):
-    """Cumulative midpoint Stieltjes sums, one row per path.
+def midpoint_kernel(kernel, dt, n_steps):
+    """Kernel at the step midpoints ``dt * (j + 1/2)`` of a grid of
+    ``n_steps`` steps, one row per pin: read once per grid and shared by
+    every path on it."""
+    return np.atleast_2d(kernel(dt * (np.arange(n_steps) + 0.5)))
 
-    ``kernel_mid[k]`` holds kernel values at step midpoints, ``d_locals[k]``
-    the local-time increments at pin ``k``; ``weights`` optionally
-    multiplies the integrand per step (path values for the weighted kind).
+
+def compensator_rows(kernel_mid, d_locals, weights=None):
+    """The Stieltjes reduction: cumulative sums of kernel times local-time
+    increments over a block of paths, one row per path, zero at the origin.
+
+    ``kernel_mid[k]`` is the kernel of pin ``k`` at the step midpoints (see
+    :func:`midpoint_kernel`) and ``d_locals[k]`` the local-time increments
+    at that pin, one row per path and one column per step.  Without
+    ``weights`` the rows are the plain compensator.  ``weights[k]``,
+    broadcastable to the block, multiplies the integrand of pin ``k`` for
+    the weighted kind: the path values at the left endpoints of the steps,
+    or the pin level itself.  Rows do not interact, so a path's row is the
+    same, bit for bit, in any block that contains it.
     """
     n_paths, n_steps = d_locals[0].shape
-    inc = np.zeros((n_paths, n_steps))
-    for k in range(len(d_locals)):
-        term = d_locals[k] * kernel_mid[k][None, :]
-        if weights is not None:
-            term = term * weights[k]
-        inc += term
     out = np.zeros((n_paths, n_steps + 1))
-    np.cumsum(inc, axis=1, out=out[:, 1:])
+    inc = out[:, 1:]
+    for k, d in enumerate(d_locals):
+        term = kernel_mid[k] * d
+        if weights is not None:
+            term *= weights[k]
+        inc += term
+    np.cumsum(inc, axis=1, out=inc)
     return out
 
 
-def _curve_increments(local_times):
-    return [np.diff(c.values)[None, :] for c in local_times]
+def _one_path_row(model, path, local_times, kernel, weights=None):
+    """A single path as an ensemble of one: its row of the reduction."""
+    _check_local_times(model, local_times)
+    d_locals = [np.diff(c.values)[None, :] for c in local_times]
+    kernel_mid = midpoint_kernel(kernel, path.dt, path.n_steps)
+    return compensator_rows(kernel_mid, d_locals, weights)[0]
 
 
 def compensator_K(model, path, local_times, kernel):
     """Compensator of the absorption indicator along one path.
 
     ``local_times`` must supply one curve per pin level; the Stieltjes sum
-    evaluates the kernel at step midpoints against the local-time
-    increments and is flat after absorption.  Steps with zero increment
-    never evaluate the kernel (it is ill-conditioned where irrelevant).
+    reads the kernel at step midpoints against the local-time increments
+    and is flat after absorption, where local time stops growing.
     """
-    _check_local_times(model, local_times)
-    mids = path.times[:-1] + 0.5 * path.dt
-    d_locals = _curve_increments(local_times)
-    kernel_mid = _masked_kernel(kernel, mids, d_locals)
-    values = _stieltjes_rows(kernel_mid, d_locals)[0]
+    values = _one_path_row(model, path, local_times, kernel)
     return CompensatorCurve(times=path.times, values=values, kind="plain")
 
 
 def compensator_frak(model, path, local_times, kernel, use_pin_level=False):
-    """Compensator of (pin value times the absorption indicator).
+    """Compensator of (pin value times the absorption indicator) along one
+    path.
 
     The integrand carries the path value at the step's left endpoint; with
     ``use_pin_level`` it carries the pin level instead (equal in the limit,
     since local time grows only on the level set).
     """
-    _check_local_times(model, local_times)
-    mids = path.times[:-1] + 0.5 * path.dt
-    d_locals = _curve_increments(local_times)
-    kernel_mid = _masked_kernel(kernel, mids, d_locals)
-    if use_pin_level:
-        weights = [np.full((1, len(mids)), z) for z in model.pinning.points]
-    else:
-        weights = [path.values[None, :-1]] * len(model.pinning)
-    values = _stieltjes_rows(kernel_mid, d_locals, weights)[0]
+    pins = model.pinning.points
+    weights = pins if use_pin_level else [path.values[None, :-1]] * len(pins)
+    values = _one_path_row(model, path, local_times, kernel, weights)
     return CompensatorCurve(times=path.times, values=values, kind="weighted")
-
-
-def _masked_kernel(kernel, mids, d_locals):
-    """Evaluate the kernel only where some path has a local-time increment."""
-    active = np.zeros(len(mids), dtype=bool)
-    for d in d_locals:
-        active |= (d != 0.0).any(axis=0)
-    out = [np.zeros(len(mids)) for _ in d_locals]
-    if active.any():
-        vals = kernel(mids[active])
-        vals = np.atleast_2d(vals)
-        for k in range(len(d_locals)):
-            out[k][active] = vals[k]
-    return out
 
 
 def meyer_approx_Ah(model, path, h, band_fn=None, cfg=GRID_QUADRATURE):
@@ -245,29 +241,40 @@ def meyer_approx_Ah(model, path, h, band_fn=None, cfg=GRID_QUADRATURE):
     ``band_fn(s, x)`` may supply the conditional band probability (e.g. a
     :class:`~infobridge.filtering.BandProbabilityCache`); by default it is
     computed by direct quadrature per step, which is slow on long paths.
-    The integrand is zero after absorption; the initial step uses the
-    unconditional band mass.
+    Either is queried only at steps before absorption; the integrand is
+    assembled by :func:`band_integrand`.
     """
     from . import filtering
 
     if h <= 0.0:
         raise ValueError("h must be positive")
-    n_steps = len(path.values) - 1
-    t = path.dt * np.arange(n_steps)
-    alive = t < min(path.tau, path.absorbed_index * path.dt)
-    band = np.zeros(n_steps)
-    band[0] = float(model.length.cdf(h))
-    idx = np.nonzero(alive)[0]
-    idx = idx[idx >= 1]
-    if idx.size:
+    t = path.dt * np.arange(path.n_steps)
+    cond = np.zeros(path.n_steps - 1)
+    live = np.nonzero(t[1:] < path.tau)[0]
+    if live.size:
+        s, x = t[1:][live], path.values[1:][live]
         if band_fn is None:
-            band[idx] = [filtering.band_probability(model, float(t[j]), float(path.values[j]),
-                                                    h, cfg=cfg) for j in idx]
+            cond[live] = [filtering.band_probability(model, float(si), float(xi), h, cfg=cfg)
+                          for si, xi in zip(s, x)]
         else:
-            band[idx] = band_fn(t[idx], path.values[idx])
-    out = np.zeros(n_steps + 1)
+            cond[live] = band_fn(s, x)
+    band = band_integrand(model, h, t, np.array([path.tau]), cond[None, :])[0]
+    out = np.zeros(path.n_steps + 1)
     np.cumsum(band * path.dt / h, out=out[1:])
     return CompensatorCurve(times=path.times, values=out, kind="plain")
+
+
+def band_integrand(model, h, t, taus, cond):
+    """Integrand of the resolvent approximation on the grid times ``t``,
+    one row per path: the unconditional band mass ``F(h)`` at the first
+    step, the conditional band probabilities ``cond`` (one column per later
+    step) after it, and zero on every step that starts at or past the
+    path's length ``taus``."""
+    band = np.zeros((len(taus), t.size))
+    band[:, 0] = float(model.length.cdf(h))
+    band[:, 1:] = cond
+    band *= t[None, :] < taus[:, None]
+    return band
 
 
 def save_curve_csv(curve, fp):
@@ -276,20 +283,25 @@ def save_curve_csv(curve, fp):
     np.savetxt(fp, data, delimiter=",", header="t,K", comments="", fmt="%.12g")
 
 
+def exp_martingale(lam, compensator, absorbed, values=1.0):
+    """``(1 + lam * values * absorbed) * exp(-lam * compensator)``,
+    elementwise: the exponential martingale of the plain compensator
+    (``values`` 1) and the exponential local martingale of the weighted one
+    (``values`` the path, which equals the pin once absorbed)."""
+    return (1.0 + lam * values * absorbed) * np.exp(-lam * compensator)
+
+
 def martingale_N(path, K_curve, lam):
-    """Exponential martingale of the plain compensator:
-    ``(1 + lam * indicator) * exp(-lam * K)``; bounded by ``1 + lam``."""
+    """Exponential martingale of the plain compensator along one path;
+    bounded by ``1 + lam``."""
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
-    k = np.arange(len(path.values))
-    indicator = (k >= path.absorbed_index).astype(float)
-    return (1.0 + lam * indicator) * np.exp(-lam * K_curve.values)
+    absorbed = np.arange(len(path.values)) >= path.absorbed_index
+    return exp_martingale(lam, K_curve.values, absorbed)
 
 
 def martingale_M(path, frak_curve, lam):
-    """Exponential local martingale of the weighted compensator:
-    ``(1 + lam * value * indicator) * exp(-lam * weighted_K)``; after
-    absorption the path value is exactly the pin."""
-    k = np.arange(len(path.values))
-    indicator = (k >= path.absorbed_index).astype(float)
-    return (1.0 + lam * path.values * indicator) * np.exp(-lam * frak_curve.values)
+    """Exponential local martingale of the weighted compensator along one
+    path."""
+    absorbed = np.arange(len(path.values)) >= path.absorbed_index
+    return exp_martingale(lam, frak_curve.values, absorbed, path.values)

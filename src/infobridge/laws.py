@@ -27,13 +27,8 @@ __all__ = [
     "PinningLaw",
     "ModelSpec",
     "length_law_from_dict",
-    "sample_tau",
-    "sample_pinning",
-    "density_over_variance_ratio",
     "validate_length_law",
 ]
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 class LengthLaw:
@@ -319,31 +314,3 @@ class ModelSpec:
 
     def to_dict(self):
         return {"tau": self.length.to_dict(), "pinning": self.pinning.to_dict()}
-
-
-def sample_tau(law, rng, size=None):
-    """Inverse-CDF draw of the bridge length."""
-    return law.sample(rng, size=size)
-
-
-def sample_pinning(law, rng, size=None):
-    """Draw of the pinning point from its discrete law."""
-    return law.sample(rng, size=size)
-
-
-def density_over_variance_ratio(law, s, z):
-    """Ratio of the length density at ``s`` to the Gaussian density with
-    variance ``s`` at ``z``: ``f(s) * sqrt(2 pi s) * exp(z^2 / (2 s))``.
-
-    Computed in log space; diverges as ``s -> 0`` for ``z != 0`` (callers
-    clamp below their resolution).  Returns exactly zero outside the
-    support of the length law.
-    """
-    if s <= 0.0:
-        raise ValueError("s must be strictly positive")
-    f = float(law.pdf(s))
-    if f == 0.0:
-        return 0.0
-    log_out = math.log(f) + 0.5 * (_LOG_2PI + math.log(s)) + z * z / (2.0 * s)
-    with np.errstate(over="ignore"):
-        return float(np.exp(log_out))

@@ -190,6 +190,7 @@ def iter_ensemble_chunks(model, dt, horizon, n_paths, seed, chunk=1024):
             zs[j] = model.pinning.sample(pin_rng)
             normals[j] = noise_rng.standard_normal(n_steps)
         values, absorb = _bridge_rows(taus, zs, dt, n_steps, normals)
+        del normals  # not held while the caller works on the chunk
         yield PathEnsemble(dt=dt, values=values, taus=taus, zs=zs, seed=seed,
                            absorbed_indices=absorb)
         done += m

@@ -33,6 +33,7 @@ __all__ = [
     "martingale_expectation_test",
     "refinement_report",
     "VerificationContext",
+    "run_criterion",
     "run_verification_suite",
     "CRITERIA",
 ]
@@ -203,15 +204,18 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
     resolvent approximations ``ah_spec = (hs, t_eval, n_sub)``, and the
     observation column at ``tower_t``.
 
-    Local time uses the interpolated occupation estimator with a narrow
-    band (quarter of sqrt(dt) by default): the interpolant counts fast
-    within-step crossings exactly, and the narrow band keeps the
-    order-bandwidth end effect at absorption inside the Monte Carlo bands.
+    Each chunk of paths goes through the compensator module's one
+    reduction: :func:`~infobridge.compensator.compensator_rows` for the
+    plain and weighted compensators, ``exp_martingale`` for M and
+    ``band_integrand`` for the resolvent approximations.  Local time uses
+    the interpolated occupation estimator with a narrow band (quarter of
+    sqrt(dt) by default): the interpolant counts fast within-step crossings
+    exactly, and the narrow band keeps the order-bandwidth end effect at
+    absorption inside the Monte Carlo bands.
     """
     n_steps = int(round(horizon / dt))
     kernel = comp.IntensityKernel(model, dt, horizon, corrupt_factor=corrupt_factor)
-    mids = dt * (np.arange(n_steps) + 0.5)
-    lam_mid = np.atleast_2d(kernel(mids))
+    lam_mid = comp.midpoint_kernel(kernel, dt, n_steps)
     eps = bandwidth_c * math.sqrt(dt)
     idx = _probe_indices(probe_times, dt)
     idx_frak = _probe_indices(frak_times, dt)
@@ -221,6 +225,7 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
     if ah_spec is not None:
         hs, ah_t, ah_n = ah_spec
         n_ah = int(round(ah_t / dt))
+        t_ah = dt * np.arange(n_ah)
         bands = filtering.BandProbabilityCache(model, hs, s_min=dt, s_max=ah_t)
 
     out = {"K_probe": [], "K_term": [], "taus": [], "zs": [],
@@ -232,43 +237,27 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
         d_locals = [localtime.occupation_increments(ens.values, ens.taus, dt, z, eps,
                                                     interpolated=True)
                     for z in pins]
-        inc = np.zeros((m, n_steps))
-        for k in range(len(pins)):
-            inc += lam_mid[k][None, :] * d_locals[k]
-        K = np.zeros((m, n_steps + 1))
-        np.cumsum(inc, axis=1, out=K[:, 1:])
+        K = comp.compensator_rows(lam_mid, d_locals)
         out["K_probe"].append(K[:, idx])
         out["K_term"].append(K[:, -1])
         out["taus"].append(ens.taus)
         out["zs"].append(ens.zs)
         if idx_frak or lam_m is not None:
-            winc = np.zeros((m, n_steps))
-            for k in range(len(pins)):
-                w = np.full((m, n_steps), pins[k]) if use_pin_level else ens.values[:, :-1]
-                winc += lam_mid[k][None, :] * d_locals[k] * w
-            frak = np.zeros((m, n_steps + 1))
-            np.cumsum(winc, axis=1, out=frak[:, 1:])
+            weights = pins if use_pin_level else [ens.values[:, :-1]] * len(pins)
+            frak = comp.compensator_rows(lam_mid, d_locals, weights)[:, idx_frak]
             if idx_frak:
-                out["frak"].append(frak[:, idx_frak])
+                out["frak"].append(frak)
             if lam_m is not None:
-                cols = []
-                for j in idx_frak:
-                    absorbed = ens.absorbed_indices <= j
-                    cols.append((1.0 + lam_m * ens.values[:, j] * absorbed)
-                                * np.exp(-lam_m * frak[:, j]))
-                out["mart_m"].append(np.column_stack(cols))
+                absorbed = ens.absorbed_indices[:, None] <= np.asarray(idx_frak)[None, :]
+                out["mart_m"].append(comp.exp_martingale(lam_m, frak, absorbed,
+                                                         ens.values[:, idx_frak]))
         if bands is not None:
             take = max(0, min(m, ah_n - done))
             if take:
-                t_row = dt * np.arange(n_ah)
-                x = ens.values[:take, :n_ah]
-                alive = t_row[None, :] < ens.taus[:take, None]
-                ladder = bands(np.broadcast_to(t_row[1:], (take, n_ah - 1)), x[:, 1:])
-                for h, rows in zip(hs, ladder):
-                    band = np.zeros((take, n_ah))
-                    band[:, 0] = float(model.length.cdf(h))
-                    band[:, 1:] = rows
-                    band *= alive
+                ladder = bands(np.broadcast_to(t_ah[1:], (take, n_ah - 1)),
+                               ens.values[:take, 1:n_ah])
+                for h, cond in zip(hs, ladder):
+                    band = comp.band_integrand(model, h, t_ah, ens.taus[:take], cond)
                     out["ah"][h].append(band.sum(axis=1) * dt / h)
                 out["K_at_ah_t"].append(K[:take, n_ah])
         if tower_t is not None:
@@ -648,23 +637,27 @@ CRITERIA = [
 ]
 
 
+def run_criterion(ctx, fn, max_retries=3):
+    """Run one criterion, at most ``max_retries`` times on fresh,
+    deterministically derived seeds (``fn(ctx, attempt)``), until it
+    passes; the report carries the retry count."""
+    for attempt in range(max_retries):
+        report = fn(ctx, attempt)
+        report.retries = attempt
+        if report.passed:
+            break
+    return report
+
+
 def run_verification_suite(master_seed=20260810, corrupt_factor=1.0,
                            max_retries=3, progress=None, **scale):
-    """Run every criterion with the shared desk-scale context.
-
-    Stochastic criteria retry up to ``max_retries`` times on fresh,
-    deterministically derived seeds; reports carry the retry count.
-    """
+    """Run every criterion with the shared desk-scale context, each through
+    :func:`run_criterion`."""
     ctx = VerificationContext(master_seed=master_seed,
                               corrupt_factor=corrupt_factor, **scale)
     reports = []
     for name, fn in CRITERIA:
-        report = None
-        for attempt in range(max_retries):
-            report = fn(ctx, attempt)
-            report.retries = attempt
-            if report.passed:
-                break
+        report = run_criterion(ctx, fn, max_retries)
         reports.append(report)
         if progress is not None:
             progress(report)

@@ -9,7 +9,7 @@ deterministic seeds.  One pass/fail line is printed per criterion.
 
 import pytest
 
-from infobridge.verify import CRITERIA, VerificationContext
+from infobridge.verify import CRITERIA, VerificationContext, run_criterion
 
 MASTER_SEED = 20260810
 MAX_RETRIES = 3
@@ -21,12 +21,7 @@ def ctx():
 
 
 def _run(ctx, name, fn):
-    report = None
-    for attempt in range(MAX_RETRIES):
-        report = fn(ctx, attempt)
-        report.retries = attempt
-        if report.passed:
-            break
+    report = run_criterion(ctx, fn, MAX_RETRIES)
     print(report.line())
     return report
 

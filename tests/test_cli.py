@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import riemann
-from infobridge import paths, verify
+from infobridge import (IntensityKernel, ModelSpec, compensator_K, occupation_local_time,
+                        paths, verify)
 from infobridge.cli import main
+from infobridge.compensator import save_curve_csv
 
 
 def _write_config(tmp_path, **overrides):
@@ -114,6 +116,44 @@ class TestCompensatorCommand:
         curve = np.loadtxt(tmp_path / "out" / "compensator_path0.csv",
                            delimiter=",", skiprows=1)
         assert np.all(np.diff(curve[:, 1]) >= 0.0)
+
+    def test_matches_per_path_route(self, tmp_path):
+        # The chunked command keeps the per-path estimator: left-endpoint
+        # occupation local time at bandwidth_c * sqrt(dt), summed against
+        # the kernel by compensator_K.  1,100 paths cross a chunk boundary.
+        model_doc = {"tau": {"family": "uniform", "a": 0.5, "b": 2.0},
+                     "pinning": {"points": [-1.0, 1.0], "probs": [0.5, 0.5]}}
+        dt, horizon, n, c = 0.01, 2.0, 1100, 1.5
+        cfg = _write_config(tmp_path, model=model_doc, dt=dt, horizon=horizon,
+                            n_paths=n, bandwidth_c=c)
+        assert main(["compensator", "--config", str(cfg)]) == 0
+
+        model = ModelSpec.from_dict(model_doc)
+        kernel = IntensityKernel(model, dt, horizon)
+        probes = [0.5, 1.0, 1.5, 2.0]
+        idx = [int(round(t / dt)) for t in probes]
+        rows, first = [], None
+        for p in paths.simulate_ensemble(model, dt, horizon, n, seed=7):
+            lts = [occupation_local_time(p, z, c * math.sqrt(dt))
+                   for z in model.pinning.points]
+            curve = compensator_K(model, p, lts, kernel)
+            rows.append(curve.values[idx])
+            first = first or curve
+        expect = verify.EnsembleSummary.from_values(rows, probes)
+        out = tmp_path / "out"
+        summary = json.loads((out / "compensator_summary.json").read_text())
+        assert summary["n"] == n and summary["t"] == probes
+        np.testing.assert_allclose(summary["mean"], expect.means, rtol=1e-12)
+        np.testing.assert_allclose(summary["stderr"], expect.stderrs, rtol=1e-12)
+        save_curve_csv(first, tmp_path / "path0.csv")
+        assert (out / "compensator_path0.csv").read_bytes() == \
+               (tmp_path / "path0.csv").read_bytes()
+
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_nonpositive_bandwidth_rejected(self, tmp_path, capsys, c):
+        cfg = _write_config(tmp_path, bandwidth_c=c)
+        assert main(["compensator", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config rejected:")
 
     def test_unreachable_horizon_exits_with_quadrature_code(self, tmp_path, capsys,
                                                             monkeypatch):

@@ -2,10 +2,13 @@
 exponential martingales, at module scale (acceptance scale lives in
 test_acceptance)."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riemann
 from infobridge import (
@@ -17,7 +20,6 @@ from infobridge import (
     UniformLaw,
     compensator_K,
     compensator_frak,
-    intensity_kernel,
     ks_test_exponential,
     martingale_M,
     martingale_N,
@@ -27,10 +29,10 @@ from infobridge import (
     martingale_expectation_test,
     simulate_ensemble,
 )
-from infobridge.compensator import intensity_row
+from infobridge.compensator import compensator_rows, intensity_row, midpoint_kernel
 from infobridge.kernels import QuadratureError
-from infobridge.localtime import default_bandwidth
-from infobridge.verify import compensator_products
+from infobridge.localtime import default_bandwidth, occupation_increments
+from infobridge.verify import VerificationContext, compensator_products
 
 
 class TestIntensityKernel:
@@ -38,11 +40,11 @@ class TestIntensityKernel:
         oracle = riemann.intensity(0.5, 0, [0.0], [1.0], riemann.exp_pdf(),
                                    math.exp(-0.5), 60.0)
         assert oracle == pytest.approx(1.0440615714, abs=1e-8)
-        assert intensity_kernel(single_pin_exp, 0, 0.5) == pytest.approx(oracle, rel=1e-6)
+        assert intensity_row(single_pin_exp, 0.5)[0] == pytest.approx(oracle, rel=1e-6)
 
     def test_zero_outside_support(self, two_pin_symmetric):
-        assert intensity_kernel(two_pin_symmetric, 0, 0.3) == 0.0
-        assert intensity_kernel(two_pin_symmetric, 1, 0.49) == 0.0
+        assert intensity_row(two_pin_symmetric, 0.3)[0] == 0.0
+        assert intensity_row(two_pin_symmetric, 0.49)[1] == 0.0
 
     def test_symmetric_pins_equal(self, two_pin_symmetric):
         for s in (0.6, 1.0, 1.7):
@@ -56,15 +58,13 @@ class TestIntensityKernel:
         for s in (0.4, 1.0, 2.3):
             f = float(model.length.pdf(s))
             for k, z in enumerate(model.pinning.points):
-                lam = intensity_kernel(model, k, s)
+                lam = intensity_row(model, s)[k]
                 ident = model.pinning.probs[k] * f / mix_weight(s, z, model)
                 assert lam == pytest.approx(ident, rel=1e-9)
 
     def test_domain_errors(self, two_pin_symmetric):
         with pytest.raises(ValueError):
-            intensity_kernel(two_pin_symmetric, 0, 2.5)
-        with pytest.raises(ValueError):
-            intensity_kernel(two_pin_symmetric, 5, 1.0)
+            intensity_row(two_pin_symmetric, 2.5)
 
     def test_tabulation_accuracy(self, two_pin_symmetric):
         kern = IntensityKernel(two_pin_symmetric, dt=1e-3, horizon=2.0)
@@ -117,7 +117,8 @@ class TestCompensatorK:
                           [lt, occupation_local_time(path, 0.5)], kern)
 
     def test_pathwise_matches_ensemble_pipeline(self, single_pin_exp, exp_bundle):
-        # the public per-path operation reproduces the streamed reduction
+        # the public per-path operations reproduce the streamed reduction:
+        # the plain compensator, the weighted one and the martingale M
         from infobridge import paths as paths_mod
 
         dt = 2e-3
@@ -133,6 +134,21 @@ class TestCompensatorK:
             idx = [int(round(t / dt)) for t in EXP_PROBES]
             np.testing.assert_allclose(curve.values[idx], exp_bundle["K_probe"][i],
                                        rtol=1e-10)
+
+        model = ModelSpec(UniformLaw(0.5, 2.0), PinningLaw([-1.0, 2.0], [0.6, 0.4]))
+        times = (0.8, 1.2, 1.8)
+        prod = compensator_products(model, dt=dt, horizon=2.0, n_paths=3, seed=99,
+                                    probe_times=times, frak_times=times, lam_m=0.25)
+        kern = IntensityKernel(model, dt=dt, horizon=2.0)
+        idx = [int(round(t / dt)) for t in times]
+        for i, p in enumerate(simulate_ensemble(model, dt, 2.0, 3, seed=99)):
+            lts = [occupation_local_time(p, z, eps, interpolated=True)
+                   for z in model.pinning.points]
+            frak = compensator_frak(model, p, lts, kern)
+            np.testing.assert_allclose(frak.values[idx], prod["frak"][i],
+                                       rtol=1e-10, atol=1e-14)
+            np.testing.assert_allclose(martingale_M(p, frak, 0.25)[idx],
+                                       prod["mart_m"][i], rtol=1e-10)
 
     def test_curve_shape_invariants(self, two_pin_symmetric):
         dt = 1e-3
@@ -198,6 +214,56 @@ class TestCompensatorK:
                 jumps.append(np.max(np.diff(curve.values), initial=0.0))
             worst.append(np.median(jumps))
         assert worst[0] > worst[1] > worst[2]
+
+
+DT_PROP = 1e-2
+H_PROP = 3.0
+PROP_MODELS = [VerificationContext.model_single_pin(),
+               VerificationContext.model_two_pin_symmetric(),
+               VerificationContext.model_two_pin_asymmetric(),
+               VerificationContext.model_bounded_support()]
+
+
+@functools.lru_cache(maxsize=None)
+def _prop_kernel_mid(i):
+    kern = IntensityKernel(PROP_MODELS[i], dt=DT_PROP, horizon=H_PROP)
+    return midpoint_kernel(kern, DT_PROP, int(round(H_PROP / DT_PROP)))
+
+
+class TestReduction:
+    @given(model_i=st.integers(0, 3), n_paths=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1), interpolated=st.booleans(),
+           pin_level=st.booleans())
+    @settings(max_examples=40)
+    def test_rows_of_small_ensembles(self, model_i, n_paths, seed, interpolated,
+                                     pin_level):
+        # every row starts at 0, the plain rows do not decrease, both are
+        # flat from absorption on, and a one-path block gives that path's
+        # row of the ensemble block bit for bit
+        model = PROP_MODELS[model_i]
+        pins = model.pinning.points
+        kernel_mid = _prop_kernel_mid(model_i)
+        ens = simulate_ensemble(model, DT_PROP, H_PROP, n_paths, seed)
+        eps = default_bandwidth(DT_PROP, c=0.25 if interpolated else 2.0)
+        d = [occupation_increments(ens.values, ens.taus, DT_PROP, z, eps,
+                                   interpolated=interpolated) for z in pins]
+
+        def weights(values):
+            return pins if pin_level else [values[:, :-1]] * len(pins)
+
+        plain = compensator_rows(kernel_mid, d)
+        weighted = compensator_rows(kernel_mid, d, weights(ens.values))
+        assert np.all(plain[:, 0] == 0.0) and np.all(weighted[:, 0] == 0.0)
+        assert np.all(np.diff(plain, axis=1) >= 0.0)
+        for i in range(n_paths):
+            a = min(ens.absorbed_indices[i], ens.n_steps)
+            assert np.all(plain[i, a:] == plain[i, a])
+            assert np.all(weighted[i, a:] == weighted[i, a])
+            one = [x[i:i + 1] for x in d]
+            assert np.array_equal(compensator_rows(kernel_mid, one)[0], plain[i])
+            assert np.array_equal(
+                compensator_rows(kernel_mid, one, weights(ens.values[i:i + 1]))[0],
+                weighted[i])
 
 
 class TestWeightedCompensator:

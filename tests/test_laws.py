@@ -14,10 +14,7 @@ from infobridge import (
     PinningLaw,
     TruncatedExponentialLaw,
     UniformLaw,
-    density_over_variance_ratio,
     ks_test,
-    sample_pinning,
-    sample_tau,
 )
 from infobridge.laws import length_law_from_dict, validate_length_law
 
@@ -50,7 +47,7 @@ def test_sampler_ks(law):
 
 def test_exponential_sample_mean_lln():
     rng = np.random.default_rng(5)
-    draws = sample_tau(ExponentialLaw(1.0), rng, size=100_000)
+    draws = ExponentialLaw(1.0).sample(rng, size=100_000)
     # mean 1, sd 1: three-sigma band for the sample mean
     assert abs(draws.mean() - 1.0) <= 3.0 / math.sqrt(draws.size)
 
@@ -80,7 +77,7 @@ class TestPinningLaw:
     def test_single_point_always_drawn(self):
         law = PinningLaw([2.5], [1.0])
         rng = np.random.default_rng(0)
-        assert np.all(sample_pinning(law, rng, size=50) == 2.5)
+        assert np.all(law.sample(rng, size=50) == 2.5)
 
     def test_frequencies_within_three_sigma(self):
         law = PinningLaw([-1.0, 1.0], [0.3, 0.7])
@@ -107,28 +104,6 @@ class TestPinningLaw:
     def test_invalid_rejected(self, points, probs):
         with pytest.raises(ValueError):
             PinningLaw(points, probs)
-
-
-class TestDensityOverVarianceRatio:
-    def test_closed_form_hand_check(self):
-        # exp(-1) * sqrt(2 pi) at s=1, z=0
-        expected = math.exp(-1.0) * math.sqrt(2.0 * math.pi)
-        assert expected == pytest.approx(0.9221370, abs=5e-8)
-        got = density_over_variance_ratio(ExponentialLaw(1.0), 1.0, 0.0)
-        assert got == pytest.approx(expected, rel=1e-13)
-
-    def test_zero_outside_support(self):
-        assert density_over_variance_ratio(UniformLaw(1.0, 2.0), 0.5, 1.0) == 0.0
-
-    def test_divergence_toward_zero_time(self):
-        law = ExponentialLaw(1.0)
-        small = density_over_variance_ratio(law, 1e-3, 1.0)
-        smaller = density_over_variance_ratio(law, 1e-4, 1.0)
-        assert smaller > small > 1e10
-
-    def test_nonpositive_time_rejected(self):
-        with pytest.raises(ValueError):
-            density_over_variance_ratio(ExponentialLaw(1.0), 0.0, 0.0)
 
 
 class TestModelSpecSerialization:
