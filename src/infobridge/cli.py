@@ -35,7 +35,7 @@ class RunConfig:
     horizon: float = 2.0
     n_paths: int = 1000
     seed: int | None = None
-    bandwidth_c: float = 2.0
+    bandwidth_c: float = localtime.BANDWIDTH_CONSTANT
     quadrature: dict | None = None
     out: str = "out"
 
@@ -111,30 +111,23 @@ def cmd_posterior(cfg, t, x, n_u=200):
 
 
 def cmd_compensator(cfg, probe_times=None):
-    """Plain compensator of every path, reduced one chunk of paths at a time
-    with the left-endpoint occupation estimator at ``bandwidth_c``."""
+    """Plain compensator of every path at the probe times, from the
+    verification suite's ensemble reduction, and the whole curve of path 0,
+    from the per-path route; both read local time with the occupation
+    estimator at ``bandwidth_c``."""
     model = cfg.model_spec()
     out = _ensure_out(cfg)
-    kernel = comp.IntensityKernel(model, cfg.dt, cfg.horizon)
-    kernel_mid = comp.midpoint_kernel(kernel, cfg.dt, int(round(cfg.horizon / cfg.dt)))
-    eps = cfg.bandwidth_c * math.sqrt(cfg.dt)
+    seed = cfg.seed_or(0)
     probes = probe_times or [cfg.horizon * k / 4 for k in (1, 2, 3, 4)]
-    idx = [int(round(t / cfg.dt)) for t in probes]
-    rows = []
-    first_curve = None
-    for ens in paths.iter_ensemble_chunks(model, cfg.dt, cfg.horizon, cfg.n_paths,
-                                          cfg.seed_or(0), chunk=1024):
-        K = comp.compensator_rows(kernel_mid, [
-            localtime.occupation_increments(ens.values, ens.taus, cfg.dt, z, eps)
-            for z in model.pinning.points])
-        rows.append(K[:, idx])
-        if first_curve is None:
-            first_curve = comp.CompensatorCurve(times=ens.times, values=K[0].copy(),
-                                                kind="plain")
-        del K  # freed before the next chunk is simulated
-    rows = np.concatenate(rows)
-    comp.save_curve_csv(first_curve, os.path.join(out, "compensator_path0.csv"))
-    summary = verify.EnsembleSummary.from_values(rows, probes)
+    prod = verify.compensator_products(model, cfg.dt, cfg.horizon, cfg.n_paths, seed,
+                                       probe_times=probes, bandwidth_c=cfg.bandwidth_c)
+    kernel = comp.IntensityKernel(model, cfg.dt, cfg.horizon)
+    path = paths.simulate_information_path(model, cfg.dt, cfg.horizon, seed)
+    eps = cfg.bandwidth_c * math.sqrt(cfg.dt)
+    local_times = [localtime.occupation_local_time(path, z, eps) for z in model.pinning.points]
+    comp.save_curve_csv(comp.compensator_K(model, path, local_times, kernel),
+                        os.path.join(out, "compensator_path0.csv"))
+    summary = verify.EnsembleSummary.from_values(prod["K_probe"], probes)
     with open(os.path.join(out, "compensator_summary.json"), "w") as fh:
         json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

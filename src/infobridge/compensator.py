@@ -93,15 +93,10 @@ class IntensityKernel:
     edge where the kernel blows up like ``(sup - s)^(-1/2)``; on bounded
     supports the tabulated quantity is the kernel times ``sqrt(sup - s)``,
     which stays bounded.  Queries clamp to the tabulated range.
-
-    ``corrupt_factor`` deliberately scales the kernel (diagnostic switch
-    used to prove the statistical tests can detect a biased kernel).
     """
 
-    def __init__(self, model, dt, horizon, n_nodes=320, cfg=GRID_QUADRATURE,
-                 corrupt_factor=1.0):
+    def __init__(self, model, dt, horizon, n_nodes=320, cfg=GRID_QUADRATURE):
         self.model = model
-        self.corrupt_factor = float(corrupt_factor)
         sup = model.length.support_sup
         s_min = max(1e-4, dt)
         self._edge = None
@@ -137,7 +132,7 @@ class IntensityKernel:
         out = np.array([self._splines[i](sc) for i in ks])
         if self._edge is not None:
             out = out / np.sqrt(self._edge - sc)
-        out = np.maximum(out, 0.0) * self.corrupt_factor
+        out = np.maximum(out, 0.0)
         return out if k is None else out[0]
 
     def max_rel_error(self, seed=0, n_probe=60, edge_margin=0.02):
@@ -151,7 +146,7 @@ class IntensityKernel:
         s = np.exp(rng.uniform(math.log(lo), math.log(hi), n_probe))
         worst = 0.0
         for si in s:
-            direct = intensity_row(self.model, float(si)) * self.corrupt_factor
+            direct = intensity_row(self.model, float(si))
             approx = self(float(si))
             scale = np.maximum(np.abs(direct), 1e-12 + 0.0 * direct)
             worst = max(worst, float(np.max(np.abs(approx - direct) / scale)))

@@ -193,7 +193,8 @@ def _probe_indices(times, dt):
 
 def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
                          *, frak_times=(), lam_m=None, ah_spec=None,
-                         tower_t=None, chunk=1000, bandwidth_c=0.25,
+                         tower_t=None, chunk=1000,
+                         bandwidth_c=localtime.BANDWIDTH_CONSTANT,
                          corrupt_factor=1.0, use_pin_level=False):
     """Stream an ensemble and reduce it to the per-path scalars the
     verification program needs.
@@ -202,20 +203,18 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
     at the horizon, absorption data, and optionally the weighted
     compensator, the exponential local martingale at ``lam_m``, the
     resolvent approximations ``ah_spec = (hs, t_eval, n_sub)``, and the
-    observation column at ``tower_t``.
+    observation column at ``tower_t``.  ``corrupt_factor`` scales the
+    kernel (a diagnostic that shows the tests can detect a biased kernel).
 
     Each chunk of paths goes through the compensator module's one
     reduction: :func:`~infobridge.compensator.compensator_rows` for the
     plain and weighted compensators, ``exp_martingale`` for M and
-    ``band_integrand`` for the resolvent approximations.  Local time uses
-    the interpolated occupation estimator with a narrow band (quarter of
-    sqrt(dt) by default): the interpolant counts fast within-step crossings
-    exactly, and the narrow band keeps the order-bandwidth end effect at
-    absorption inside the Monte Carlo bands.
+    ``band_integrand`` for the resolvent approximations.  Local time is
+    the occupation estimator at ``bandwidth_c * sqrt(dt)``.
     """
     n_steps = int(round(horizon / dt))
-    kernel = comp.IntensityKernel(model, dt, horizon, corrupt_factor=corrupt_factor)
-    lam_mid = comp.midpoint_kernel(kernel, dt, n_steps)
+    kernel = comp.IntensityKernel(model, dt, horizon)
+    lam_mid = comp.midpoint_kernel(kernel, dt, n_steps) * corrupt_factor
     eps = bandwidth_c * math.sqrt(dt)
     idx = _probe_indices(probe_times, dt)
     idx_frak = _probe_indices(frak_times, dt)
@@ -234,12 +233,13 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
     done = 0
     for ens in paths.iter_ensemble_chunks(model, dt, horizon, n_paths, seed, chunk=chunk):
         m = len(ens)
-        d_locals = [localtime.occupation_increments(ens.values, ens.taus, dt, z, eps,
-                                                    interpolated=True)
+        d_locals = [localtime.occupation_increments(ens.values, ens.taus, dt, z, eps)
                     for z in pins]
         K = comp.compensator_rows(lam_mid, d_locals)
         out["K_probe"].append(K[:, idx])
-        out["K_term"].append(K[:, -1])
+        # Basic slices are views: copy the columns so that no chunk's block
+        # outlives its pass.
+        out["K_term"].append(K[:, -1].copy())
         out["taus"].append(ens.taus)
         out["zs"].append(ens.zs)
         if idx_frak or lam_m is not None:
@@ -259,10 +259,11 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
                 for h, cond in zip(hs, ladder):
                     band = comp.band_integrand(model, h, t_ah, ens.taus[:take], cond)
                     out["ah"][h].append(band.sum(axis=1) * dt / h)
-                out["K_at_ah_t"].append(K[:take, n_ah])
+                out["K_at_ah_t"].append(K[:take, n_ah].copy())
         if tower_t is not None:
-            out["tower_x"].append(ens.values[:, int(round(tower_t / dt))])
+            out["tower_x"].append(ens.values[:, int(round(tower_t / dt))].copy())
         done += m
+        del K, d_locals  # freed before the next chunk is simulated
     result = {k: (np.concatenate(v) if v else None) for k, v in out.items() if k != "ah"}
     result["ah"] = {h: np.concatenate(a) for h, a in out["ah"].items()}
     return result
@@ -287,7 +288,6 @@ class VerificationContext:
     n_quadratic: int = 1000
     n_tower: int = 5000
     chunk: int = 1000
-    bandwidth_c: float = 0.25
     corrupt_factor: float = 1.0
 
     def __post_init__(self):
@@ -345,8 +345,7 @@ class VerificationContext:
             self.n_compensator, seed,
             probe_times=self.EXP_PROBES,
             ah_spec=(self.AH_LADDER, 1.0, self.n_terminal),
-            chunk=self.chunk, bandwidth_c=self.bandwidth_c,
-            corrupt_factor=self.corrupt_factor) | {"seed": seed})
+            chunk=self.chunk, corrupt_factor=self.corrupt_factor) | {"seed": seed})
 
     def uni_products(self, attempt=0):
         seed = self.seed_for("uniB", attempt)
@@ -354,8 +353,7 @@ class VerificationContext:
             self.model_two_pin_symmetric(), self.dt, 2.0,
             self.n_compensator, seed,
             probe_times=self.UNI_PROBES,
-            chunk=self.chunk, bandwidth_c=self.bandwidth_c,
-            corrupt_factor=self.corrupt_factor) | {"seed": seed})
+            chunk=self.chunk, corrupt_factor=self.corrupt_factor) | {"seed": seed})
 
     def uni_asym_products(self, attempt=0):
         seed = self.seed_for("uniB2", attempt)
@@ -365,15 +363,13 @@ class VerificationContext:
             probe_times=self.FRAK_PROBES,
             frak_times=self.FRAK_PROBES, lam_m=self.LAM_M,
             tower_t=self.TOWER_T,
-            chunk=self.chunk, bandwidth_c=self.bandwidth_c,
-            corrupt_factor=self.corrupt_factor) | {"seed": seed})
+            chunk=self.chunk, corrupt_factor=self.corrupt_factor) | {"seed": seed})
 
     def bounded_products(self, attempt=0):
         seed = self.seed_for("uniC", attempt)
         return self._cached(("uniC", attempt), lambda: compensator_products(
             self.model_bounded_support(), self.dt, 3.0, 500, seed,
             probe_times=(1.5, 3.0), chunk=self.chunk,
-            bandwidth_c=self.bandwidth_c,
             corrupt_factor=self.corrupt_factor) | {"seed": seed})
 
 

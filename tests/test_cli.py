@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import riemann
-from infobridge import (IntensityKernel, ModelSpec, compensator_K, occupation_local_time,
-                        paths, verify)
-from infobridge.cli import main
+from infobridge import (IntensityKernel, ModelSpec, compensator_K, localtime,
+                        occupation_local_time, paths, verify)
+from infobridge.cli import RunConfig, main
 from infobridge.compensator import save_curve_csv
 
 
@@ -118,9 +118,9 @@ class TestCompensatorCommand:
         assert np.all(np.diff(curve[:, 1]) >= 0.0)
 
     def test_matches_per_path_route(self, tmp_path):
-        # The chunked command keeps the per-path estimator: left-endpoint
-        # occupation local time at bandwidth_c * sqrt(dt), summed against
-        # the kernel by compensator_K.  1,100 paths cross a chunk boundary.
+        # The ensemble summary agrees with the per-path route: occupation
+        # local time at bandwidth_c * sqrt(dt), summed against the kernel by
+        # compensator_K.  1,100 paths cross a chunk boundary.
         model_doc = {"tau": {"family": "uniform", "a": 0.5, "b": 2.0},
                      "pinning": {"points": [-1.0, 1.0], "probs": [0.5, 0.5]}}
         dt, horizon, n, c = 0.01, 2.0, 1100, 1.5
@@ -148,6 +148,25 @@ class TestCompensatorCommand:
         save_curve_csv(first, tmp_path / "path0.csv")
         assert (out / "compensator_path0.csv").read_bytes() == \
                (tmp_path / "path0.csv").read_bytes()
+
+    def test_summary_is_the_ensemble_reduction(self, tmp_path):
+        # The command's summary is the verification suite's reduction at the
+        # default bandwidth constant of the occupation estimator.
+        model_doc = {"tau": {"family": "exponential", "rate": 1.0},
+                     "pinning": {"points": [-1.0, 1.0], "probs": [0.3, 0.7]}}
+        dt, horizon, n = 0.01, 2.0, 300
+        assert RunConfig(model=model_doc).bandwidth_c == localtime.BANDWIDTH_CONSTANT
+        cfg = _write_config(tmp_path, model=model_doc, dt=dt, horizon=horizon, n_paths=n)
+        assert main(["compensator", "--config", str(cfg)]) == 0
+
+        probes = [0.5, 1.0, 1.5, 2.0]
+        prod = verify.compensator_products(ModelSpec.from_dict(model_doc), dt, horizon, n,
+                                           seed=7, probe_times=probes)
+        expect = verify.EnsembleSummary.from_values(prod["K_probe"], probes)
+        summary = json.loads((tmp_path / "out" / "compensator_summary.json").read_text())
+        assert summary["n"] == n and summary["t"] == probes
+        np.testing.assert_allclose(summary["mean"], expect.means, rtol=1e-12)
+        np.testing.assert_allclose(summary["stderr"], expect.stderrs, rtol=1e-12)
 
     @pytest.mark.parametrize("c", [0.0, -1.0])
     def test_nonpositive_bandwidth_rejected(self, tmp_path, capsys, c):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infobridge import (
     SamplePath,
@@ -12,7 +14,8 @@ from infobridge import (
     simulate_ensemble,
     tanaka_local_time,
 )
-from infobridge.localtime import default_bandwidth, occupation_formula_check
+from infobridge.localtime import (default_bandwidth, occupation_formula_check,
+                                  occupation_increments)
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -58,6 +61,60 @@ class TestOccupation:
         vals = np.asarray(vals)
         stderr = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - SQRT_2_OVER_PI) <= 3.0 * stderr
+
+
+def _overlap_increments(values, taus, dt, level, eps):
+    """Reference form of the occupation increments: the overlap of the
+    step's [min, max] range with the band over its length, or the in-band
+    indicator on a flat step, times the stopped-clock weight over 2 eps."""
+    n_steps = values.shape[1] - 1
+    w = np.clip(taus[:, None] - dt * np.arange(n_steps)[None, :], 0.0, dt)
+    x0, x1 = values[:, :-1], values[:, 1:]
+    lo, hi = np.minimum(x0, x1), np.maximum(x0, x1)
+    overlap = np.clip(np.minimum(hi, level + eps) - np.maximum(lo, level - eps), 0.0, None)
+    span = hi - lo
+    frac = np.where(span > 0.0, overlap / np.where(span > 0.0, span, 1.0),
+                    (np.abs(x0 - level) <= eps) * 1.0)
+    return (w * frac) / (2.0 * eps)
+
+
+@st.composite
+def occupation_blocks(draw):
+    """A block of paths with flat steps, points exactly on the band edges
+    and lengths that end before, inside or after the grid."""
+    level = draw(st.floats(-2.0, 2.0))
+    eps = draw(st.floats(1e-3, 0.5))
+    dt = draw(st.sampled_from([1e-3, 1e-2, 0.1]))
+    n_paths = draw(st.integers(1, 4))
+    n_steps = draw(st.integers(1, 25))
+    point = st.one_of(st.sampled_from([level, level - eps, level + eps]),
+                      st.floats(level - 3.0 * eps, level + 3.0 * eps),
+                      st.floats(-5.0, 5.0))
+    step = st.one_of(st.none(), point)  # None repeats the previous value
+    rows = []
+    for _ in range(n_paths):
+        row = [draw(point)]
+        for _ in range(n_steps):
+            x = draw(step)
+            row.append(row[-1] if x is None else x)
+        rows.append(row)
+    tau = st.one_of(st.integers(-1, n_steps + 2).map(lambda j: j * dt),
+                    st.floats(-dt, (n_steps + 2) * dt), st.just(math.inf))
+    taus = np.array([draw(tau) for _ in range(n_paths)])
+    return np.array(rows), taus, dt, level, eps
+
+
+class TestOccupationIncrements:
+    @given(occupation_blocks())
+    @settings(max_examples=300)
+    def test_matches_overlap_form_bit_for_bit(self, block):
+        values, taus, dt, level, eps = block
+        inc = occupation_increments(values, taus, dt, level, eps)
+        assert np.array_equal(inc, _overlap_increments(values, taus, dt, level, eps))
+        assert np.all(inc >= 0.0)
+        # nothing accrues on a step that starts at or after the length
+        dead = dt * np.arange(values.shape[1] - 1)[None, :] >= taus[:, None]
+        assert np.all(inc[dead] == 0.0)
 
 
 class TestTanaka:
