@@ -74,13 +74,13 @@ def _ensure_out(cfg):
     return cfg.out
 
 
-def cmd_simulate(cfg, n_csv=3):
+def cmd_simulate(cfg):
     model = cfg.model_spec()
     out = _ensure_out(cfg)
     ens = paths.simulate_ensemble(model, cfg.dt, cfg.horizon, cfg.n_paths, cfg.seed_or(0),
                                   chunk=2048)
     paths.save_ensemble(ens, os.path.join(out, "ensemble.bin"))
-    for i in range(min(n_csv, len(ens))):
+    for i in range(min(3, len(ens))):
         paths.save_path_csv(ens.path(i), os.path.join(out, f"path_{i:04d}.csv"))
     absorbed = ens.taus <= cfg.horizon
     freq = {float(z): float(np.mean(ens.zs == z)) for z in model.pinning.points}
@@ -90,13 +90,13 @@ def cmd_simulate(cfg, n_csv=3):
     return 0
 
 
-def cmd_posterior(cfg, t, x, n_u=200):
+def cmd_posterior(cfg, t, x):
     model = cfg.model_spec()
     quad = cfg.quadrature_config()
     out = _ensure_out(cfg)
     sup = model.support_sup
     u_hi = sup if math.isfinite(sup) else model.length.quantile(0.999)
-    u = np.linspace(t, u_hi, n_u)
+    u = np.linspace(t, u_hi, 200)
     surv = np.array([filtering.survival_probability(model, t, x, float(ui), cfg=quad)
                      for ui in u])
     data = np.column_stack([u, surv])
@@ -110,22 +110,21 @@ def cmd_posterior(cfg, t, x, n_u=200):
     return 0
 
 
-def cmd_compensator(cfg, probe_times=None):
-    """Plain compensator of every path at the probe times, from the
-    verification suite's ensemble reduction, and the whole curve of path 0,
-    from the per-path route; both read local time with the occupation
-    estimator at ``bandwidth_c``."""
+def cmd_compensator(cfg):
+    """Plain compensator of every path at the quarters of the horizon, from
+    the verification suite's ensemble reduction, and the whole curve of
+    path 0, from the per-path route with the kernel that reduction built;
+    both read local time with the occupation estimator at ``bandwidth_c``."""
     model = cfg.model_spec()
     out = _ensure_out(cfg)
     seed = cfg.seed_or(0)
-    probes = probe_times or [cfg.horizon * k / 4 for k in (1, 2, 3, 4)]
+    probes = [cfg.horizon * k / 4 for k in (1, 2, 3, 4)]
     prod = verify.compensator_products(model, cfg.dt, cfg.horizon, cfg.n_paths, seed,
                                        probe_times=probes, bandwidth_c=cfg.bandwidth_c)
-    kernel = comp.IntensityKernel(model, cfg.dt, cfg.horizon)
     path = paths.simulate_information_path(model, cfg.dt, cfg.horizon, seed)
     eps = cfg.bandwidth_c * math.sqrt(cfg.dt)
     local_times = [localtime.occupation_local_time(path, z, eps) for z in model.pinning.points]
-    comp.save_curve_csv(comp.compensator_K(model, path, local_times, kernel),
+    comp.save_curve_csv(comp.compensator_K(model, path, local_times, prod["kernel"]),
                         os.path.join(out, "compensator_path0.csv"))
     summary = verify.EnsembleSummary.from_values(prod["K_probe"], probes)
     with open(os.path.join(out, "compensator_summary.json"), "w") as fh:

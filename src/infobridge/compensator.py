@@ -88,27 +88,27 @@ def intensity_row(model, s, cfg=DEFAULT_QUADRATURE):
 class IntensityKernel:
     """Per-pin kernel tabulated in time with monotone cubic interpolation.
 
-    The grid is geometric from ``max(1e-4, dt)`` and, when the length law
-    has bounded support, a second geometric ladder approaches the support
-    edge where the kernel blows up like ``(sup - s)^(-1/2)``; on bounded
-    supports the tabulated quantity is the kernel times ``sqrt(sup - s)``,
-    which stays bounded.  Queries clamp to the tabulated range.
+    The grid has 320 geometric nodes from ``max(1e-4, dt)``.  With bounded
+    support, 80 more approach the support edge, where the kernel blows up
+    like ``(sup - s)^(-1/2)``, and the tabulated quantity is the kernel
+    times ``sqrt(sup - s)``, which stays bounded.  Queries clamp to the
+    tabulated range.
     """
 
-    def __init__(self, model, dt, horizon, n_nodes=320, cfg=GRID_QUADRATURE):
+    def __init__(self, model, dt, horizon):
         self.model = model
         sup = model.length.support_sup
         s_min = max(1e-4, dt)
         self._edge = None
         if math.isfinite(sup):
             s_hi = sup - 0.25 * dt
-            base = np.geomspace(s_min, s_hi, n_nodes)
-            approach = sup - np.geomspace(0.25 * dt, (sup - s_min) * 0.5, n_nodes // 4)
+            base = np.geomspace(s_min, s_hi, 320)
+            approach = sup - np.geomspace(0.25 * dt, (sup - s_min) * 0.5, 80)
             grid = np.union1d(base, approach)
             self._edge = sup
         else:
             s_hi = max(horizon, 2 * s_min)
-            grid = np.geomspace(s_min, s_hi, n_nodes)
+            grid = np.geomspace(s_min, s_hi, 320)
         for b in model.length.breakpoints:
             if s_min < b < s_hi:
                 near = b * (1.0 + np.concatenate((-np.geomspace(1e-9, 0.2, 10),
@@ -117,7 +117,7 @@ class IntensityKernel:
         self.s_grid = grid
         rows = np.empty((len(model.pinning), grid.size))
         for j, s in enumerate(grid):
-            rows[:, j] = intensity_row(model, float(s), cfg=cfg)
+            rows[:, j] = intensity_row(model, float(s), cfg=GRID_QUADRATURE)
         if self._edge is not None:
             rows = rows * np.sqrt(self._edge - grid)[None, :]
         self._splines = [PchipInterpolator(grid, rows[k], extrapolate=False)
@@ -135,14 +135,14 @@ class IntensityKernel:
         out = np.maximum(out, 0.0)
         return out if k is None else out[0]
 
-    def max_rel_error(self, seed=0, n_probe=60, edge_margin=0.02):
+    def max_rel_error(self, seed=0, n_probe=60):
         """Tabulation error against direct quadrature at random interior
-        times (the divergent edge is excluded up to ``edge_margin``)."""
+        times (the last 2 % before a divergent support edge are excluded)."""
         rng = np.random.default_rng(seed)
         lo = self.s_grid[0]
         hi = self.s_grid[-1]
         if self._edge is not None:
-            hi = self._edge * (1.0 - edge_margin)
+            hi = self._edge * 0.98
         s = np.exp(rng.uniform(math.log(lo), math.log(hi), n_probe))
         worst = 0.0
         for si in s:
@@ -228,16 +228,16 @@ def compensator_frak(model, path, local_times, kernel, use_pin_level=False):
     return CompensatorCurve(times=path.times, values=values, kind="weighted")
 
 
-def meyer_approx_Ah(model, path, h, band_fn=None, cfg=GRID_QUADRATURE):
+def meyer_approx_Ah(model, path, h, band_fn=None):
     """Resolvent-style approximation of the compensator at scale ``h``:
     the running time average of the conditional probability that absorption
     falls within ``(s, s + h)``, divided by ``h``.
 
     ``band_fn(s, x)`` may supply the conditional band probability (e.g. a
     :class:`~infobridge.filtering.BandProbabilityCache`); by default it is
-    computed by direct quadrature per step, which is slow on long paths.
-    Either is queried only at steps before absorption; the integrand is
-    assembled by :func:`band_integrand`.
+    computed by direct quadrature per step (grid rule), which is slow on
+    long paths.  Either is queried only at steps before absorption; the
+    integrand is assembled by :func:`band_integrand`.
     """
     from . import filtering
 
@@ -249,7 +249,8 @@ def meyer_approx_Ah(model, path, h, band_fn=None, cfg=GRID_QUADRATURE):
     if live.size:
         s, x = t[1:][live], path.values[1:][live]
         if band_fn is None:
-            cond[live] = [filtering.band_probability(model, float(si), float(xi), h, cfg=cfg)
+            cond[live] = [filtering.band_probability(model, float(si), float(xi), h,
+                                                    cfg=GRID_QUADRATURE)
                           for si, xi in zip(s, x)]
         else:
             cond[live] = band_fn(s, x)

@@ -290,7 +290,8 @@ def _eta_grid(model, n_base):
 
 
 class _HybridTable:
-    """Two-regime tabulation of a conditional quantity q(s, x).
+    """Two-regime tabulation of a conditional quantity q(s, x) over
+    ``[s_min, s_max]``, with ``s_max`` clamped just inside the support.
 
     Small times use the self-similar coordinate eta = x / sqrt(s), where
     the spatial structure has a fixed scale; later times use plain space
@@ -298,12 +299,16 @@ class _HybridTable:
     chosen so that no nonzero pin enters the scaled window, keeping its
     jump out of the unrefined small-time table.  ``row_fn(s, xs)`` fills
     one time node and returns ``(n_x,)``, or ``(m, n_x)`` for m quantities
-    tabulated together.  Interpolation is bilinear in (log s, coordinate);
-    queries clamp to the tabulated ranges.
+    tabulated together; ``n_s``, ``n_eta`` and ``n_x`` size the tables.
+    Interpolation is bilinear in (log s, coordinate); queries clamp to the
+    tabulated ranges.
     """
 
-    def __init__(self, model, row_fn, s_min, s_max, n_s=160, n_eta=321, n_x=361):
-        hi = min(s_max, model.support_sup * (1.0 - 1e-9))
+    def __init__(self, model, row_fn, s_min, s_max, n_s, n_eta, n_x):
+        if not (0.0 < s_min < s_max <= model.support_sup):
+            raise ValueError("need 0 < s_min < s_max within the length support")
+        self.s_min = s_min
+        self.s_max = hi = min(s_max, model.support_sup * (1.0 - 1e-9))
         nonzero = np.abs(model.pinning.points[model.pinning.points != 0.0])
         cap = np.min(nonzero) ** 2 / (_ETA_MAX + 3.0) ** 2 if nonzero.size else math.inf
         self.s_switch = min(0.1, cap, hi)
@@ -337,11 +342,12 @@ class _HybridTable:
         return out
 
 
-def _probe_states(model, s_min, s_max, seed, n_probe):
-    """Random states weighted toward where paths actually live: the
-    diffusive sqrt(time) envelope early, the pin neighborhoods later."""
+def _probe_states(model, table, seed, n_probe):
+    """Random states over the time range of ``table``, weighted toward where
+    paths actually live: the diffusive sqrt(time) envelope early, the pin
+    neighborhoods later."""
     rng = np.random.default_rng(seed)
-    s = np.exp(rng.uniform(math.log(s_min), math.log(s_max), n_probe))
+    s = np.exp(rng.uniform(math.log(table.s_min), math.log(table.s_max), n_probe))
     pts = model.pinning.points
     lo = min(-1.0, pts.min() - 1.0)
     hi = max(1.0, pts.max() + 1.0)
@@ -362,51 +368,42 @@ class DriftCache:
     interpolation against direct quadrature at random probe points.
     """
 
-    def __init__(self, model, s_min, s_max, n_s=160, n_eta=321, n_x=361,
-                 cfg=GRID_QUADRATURE):
-        if not (0.0 < s_min < s_max <= model.support_sup):
-            raise ValueError("need 0 < s_min < s_max within the length support")
+    def __init__(self, model, s_min, s_max):
         self.model = model
-        self.cfg = cfg
-        self.s_min = s_min
-        self.s_max = min(s_max, model.support_sup * (1.0 - 1e-9))
-        self._table = _HybridTable(model, lambda s, xs: drift(model, s, xs, cfg=cfg),
-                                   s_min, s_max, n_s=n_s, n_eta=n_eta, n_x=n_x)
+        self._table = _HybridTable(
+            model, lambda s, xs: drift(model, s, xs, cfg=GRID_QUADRATURE),
+            s_min, s_max, 160, 321, 361)
 
     def __call__(self, s, x):
         return self._table(s, x)
 
-    def max_rel_error(self, seed=0, n_probe=200, floor_quantile=0.5):
+    def max_rel_error(self, seed=0, n_probe=200):
         """Interpolation error at random reachable states, relative with an
         absolute floor at the median drift magnitude (the drift crosses
         zero, where a pure relative error is ill-defined)."""
-        s, x = _probe_states(self.model, self.s_min, self.s_max, seed, n_probe)
+        s, x = _probe_states(self.model, self._table, seed, n_probe)
         direct = np.array([drift(self.model, si, xi) for si, xi in zip(s, x)])
         approx = self(s, x)
-        scale = np.quantile(np.abs(direct), floor_quantile)
+        scale = np.quantile(np.abs(direct), 0.5)
         return float(np.max(np.abs(approx - direct) / np.maximum(np.abs(direct), scale)))
 
 
 class BandProbabilityCache:
     """Tabulated conditional probability that absorption happens within
     ``(s, s + h)`` given the observation at ``s``, for one width ``h`` or a
-    ladder of widths; same layout as :class:`DriftCache`.
+    ladder of widths; same layout and time range as :class:`DriftCache`.
 
     Each table row is one :func:`band_probability` pass that fills every
     width of the ladder.  Tables are bilinear in (log time, coordinate);
     with a ladder, values carry a leading axis over it.
     """
 
-    def __init__(self, model, h, s_min, s_max, n_s=220, n_eta=481, n_x=481,
-                 cfg=GRID_QUADRATURE):
+    def __init__(self, model, h, s_min, s_max):
         self.model = model
         self.h = tuple(map(float, h)) if np.ndim(h) else float(h)
-        self.cfg = cfg
-        self.s_min = s_min
-        self.s_max = min(s_max, model.support_sup * (1.0 - 1e-9))
         self._table = _HybridTable(
-            model, lambda s, xs: band_probability(model, s, xs, self.h, cfg=cfg),
-            s_min, s_max, n_s=n_s, n_eta=n_eta, n_x=n_x)
+            model, lambda s, xs: band_probability(model, s, xs, self.h, cfg=GRID_QUADRATURE),
+            s_min, s_max, 220, 481, 481)
 
     def __call__(self, s, x):
         return np.clip(self._table(s, x), 0.0, 1.0)
@@ -414,23 +411,22 @@ class BandProbabilityCache:
     def max_rel_error(self, seed=0, n_probe=100):
         """Against direct quadrature at reachable states, relative to the
         band mass itself; one value per width of the ladder."""
-        s, x = _probe_states(self.model, self.s_min, self.s_max, seed, n_probe)
+        s, x = _probe_states(self.model, self._table, seed, n_probe)
         direct = np.stack([band_probability(self.model, si, xi, self.h)
                            for si, xi in zip(s, x)], axis=-1)
         err = np.max(np.abs(self(s, x) - direct) / np.maximum(direct, 1e-3), axis=-1)
         return err if np.ndim(err) else float(err)
 
 
-def innovation_path(model, path, drift_fn=None, cfg=GRID_QUADRATURE):
+def innovation_path(model, path, drift_fn):
     """Remove the cumulative drift from a path: the result is a Brownian
-    motion stopped at the absorption time.
+    motion stopped at the absorption time.  ``drift_fn(s, x)`` supplies the
+    drift, usually a :class:`DriftCache` built once for many paths.
 
     Left-point Riemann sum; drift terms stop one step before the grid
     absorption index (the landing step is pinned exactly, not diffused), so
     the output is constant after absorption.
     """
-    if drift_fn is None:
-        drift_fn = DriftCache(model, s_min=path.dt, s_max=max(path.horizon, 2 * path.dt), cfg=cfg)
     values = path.values
     n_steps = len(values) - 1
     last = min(path.absorbed_index - 1, n_steps)  # steps carrying drift

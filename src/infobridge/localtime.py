@@ -38,8 +38,8 @@ __all__ = [
 BANDWIDTH_CONSTANT = 0.25
 
 
-def default_bandwidth(dt, c=BANDWIDTH_CONSTANT):
-    return c * math.sqrt(dt)
+def default_bandwidth(dt):
+    return BANDWIDTH_CONSTANT * math.sqrt(dt)
 
 
 @dataclass(eq=False)

@@ -111,12 +111,12 @@ def ks_statistic(samples, cdf):
     return float(max(np.max(steps - f), np.max(f - (steps - 1.0 / n))))
 
 
-def kolmogorov_pvalue(d, n, terms=100):
+def kolmogorov_pvalue(d, n):
     """Asymptotic p-value of the KS statistic via the Kolmogorov series."""
     lam = math.sqrt(n) * d
     if lam <= 0.0:
         return 1.0
-    k = np.arange(1, terms + 1)
+    k = np.arange(1, 101)
     p = 2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * (k * lam) ** 2))
     return float(min(max(p, 0.0), 1.0))
 
@@ -193,9 +193,8 @@ def _probe_indices(times, dt):
 
 def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
                          *, frak_times=(), lam_m=None, ah_spec=None,
-                         tower_t=None, chunk=1000,
-                         bandwidth_c=localtime.BANDWIDTH_CONSTANT,
-                         corrupt_factor=1.0, use_pin_level=False):
+                         tower_t=None, bandwidth_c=localtime.BANDWIDTH_CONSTANT,
+                         corrupt_factor=1.0):
     """Stream an ensemble and reduce it to the per-path scalars the
     verification program needs.
 
@@ -203,10 +202,11 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
     at the horizon, absorption data, and optionally the weighted
     compensator, the exponential local martingale at ``lam_m``, the
     resolvent approximations ``ah_spec = (hs, t_eval, n_sub)``, and the
-    observation column at ``tower_t``.  ``corrupt_factor`` scales the
-    kernel (a diagnostic that shows the tests can detect a biased kernel).
+    observation column at ``tower_t``; ``"kernel"`` is the unscaled
+    intensity kernel it built.  ``corrupt_factor`` scales the summed kernel
+    row (a diagnostic that shows the tests can detect a biased kernel).
 
-    Each chunk of paths goes through the compensator module's one
+    Each chunk of 1,000 paths goes through the compensator module's one
     reduction: :func:`~infobridge.compensator.compensator_rows` for the
     plain and weighted compensators, ``exp_martingale`` for M and
     ``band_integrand`` for the resolvent approximations.  Local time is
@@ -231,7 +231,7 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
            "frak": [], "mart_m": [], "ah": {h: [] for h in hs},
            "K_at_ah_t": [], "tower_x": []}
     done = 0
-    for ens in paths.iter_ensemble_chunks(model, dt, horizon, n_paths, seed, chunk=chunk):
+    for ens in paths.iter_ensemble_chunks(model, dt, horizon, n_paths, seed, chunk=1000):
         m = len(ens)
         d_locals = [localtime.occupation_increments(ens.values, ens.taus, dt, z, eps)
                     for z in pins]
@@ -243,7 +243,7 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
         out["taus"].append(ens.taus)
         out["zs"].append(ens.zs)
         if idx_frak or lam_m is not None:
-            weights = pins if use_pin_level else [ens.values[:, :-1]] * len(pins)
+            weights = [ens.values[:, :-1]] * len(pins)
             frak = comp.compensator_rows(lam_mid, d_locals, weights)[:, idx_frak]
             if idx_frak:
                 out["frak"].append(frak)
@@ -266,6 +266,7 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
         del K, d_locals  # freed before the next chunk is simulated
     result = {k: (np.concatenate(v) if v else None) for k, v in out.items() if k != "ah"}
     result["ah"] = {h: np.concatenate(a) for h, a in out["ah"].items()}
+    result["kernel"] = kernel
     return result
 
 
@@ -287,7 +288,6 @@ class VerificationContext:
     n_brownian: int = 10000
     n_quadratic: int = 1000
     n_tower: int = 5000
-    chunk: int = 1000
     corrupt_factor: float = 1.0
 
     def __post_init__(self):
@@ -345,7 +345,7 @@ class VerificationContext:
             self.n_compensator, seed,
             probe_times=self.EXP_PROBES,
             ah_spec=(self.AH_LADDER, 1.0, self.n_terminal),
-            chunk=self.chunk, corrupt_factor=self.corrupt_factor) | {"seed": seed})
+            corrupt_factor=self.corrupt_factor) | {"seed": seed})
 
     def uni_products(self, attempt=0):
         seed = self.seed_for("uniB", attempt)
@@ -353,7 +353,7 @@ class VerificationContext:
             self.model_two_pin_symmetric(), self.dt, 2.0,
             self.n_compensator, seed,
             probe_times=self.UNI_PROBES,
-            chunk=self.chunk, corrupt_factor=self.corrupt_factor) | {"seed": seed})
+            corrupt_factor=self.corrupt_factor) | {"seed": seed})
 
     def uni_asym_products(self, attempt=0):
         seed = self.seed_for("uniB2", attempt)
@@ -363,13 +363,13 @@ class VerificationContext:
             probe_times=self.FRAK_PROBES,
             frak_times=self.FRAK_PROBES, lam_m=self.LAM_M,
             tower_t=self.TOWER_T,
-            chunk=self.chunk, corrupt_factor=self.corrupt_factor) | {"seed": seed})
+            corrupt_factor=self.corrupt_factor) | {"seed": seed})
 
     def bounded_products(self, attempt=0):
         seed = self.seed_for("uniC", attempt)
         return self._cached(("uniC", attempt), lambda: compensator_products(
             self.model_bounded_support(), self.dt, 3.0, 500, seed,
-            probe_times=(1.5, 3.0), chunk=self.chunk,
+            probe_times=(1.5, 3.0),
             corrupt_factor=self.corrupt_factor) | {"seed": seed})
 
 

@@ -168,6 +168,20 @@ class TestCompensatorCommand:
         np.testing.assert_allclose(summary["mean"], expect.means, rtol=1e-12)
         np.testing.assert_allclose(summary["stderr"], expect.stderrs, rtol=1e-12)
 
+    def test_builds_one_kernel(self, tmp_path, monkeypatch):
+        # the path-0 curve reuses the kernel of the ensemble reduction
+        builds = []
+        init = IntensityKernel.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(IntensityKernel, "__init__", counting_init)
+        cfg = _write_config(tmp_path, n_paths=20, dt=0.01, horizon=1.0)
+        assert main(["compensator", "--config", str(cfg)]) == 0
+        assert len(builds) == 1
+
     @pytest.mark.parametrize("c", [0.0, -1.0])
     def test_nonpositive_bandwidth_rejected(self, tmp_path, capsys, c):
         cfg = _write_config(tmp_path, bandwidth_c=c)

@@ -30,6 +30,7 @@ from infobridge import (
     simulate_ensemble,
 )
 from infobridge.compensator import compensator_rows, intensity_row, midpoint_kernel
+from infobridge.filtering import BandProbabilityCache
 from infobridge.kernels import QuadratureError
 from infobridge.localtime import default_bandwidth, occupation_increments
 from infobridge.verify import VerificationContext, compensator_products
@@ -323,6 +324,23 @@ class TestMeyerApproximation:
             target = np.trapezoid(f(s + h) - f(s), s) / h
             stderr = a1.std(ddof=1) / math.sqrt(a1.size)
             assert abs(a1.mean() - target) <= 3.5 * stderr + 0.01 * target
+
+    def test_cache_route_matches_ensemble_pipeline(self, single_pin_exp, exp_bundle):
+        # per path with a band table from the same ladder, the resolvent
+        # approximation at t = 1 is the streamed reduction's row
+        from infobridge import paths as paths_mod
+
+        dt, ladder = 2e-3, (0.1, 0.03)
+        ens = next(paths_mod.iter_ensemble_chunks(single_pin_exp, dt, 7.0, 3,
+                                                  seed=314, chunk=3))
+        bands = BandProbabilityCache(single_pin_exp, ladder, s_min=dt, s_max=1.0)
+        n_ah = int(round(1.0 / dt))
+        for k, h in enumerate(ladder):
+            for i in range(3):
+                curve = meyer_approx_Ah(single_pin_exp, ens.path(i), h,
+                                        band_fn=lambda s, x: bands(s, x)[k])
+                np.testing.assert_allclose(curve.values[n_ah], exp_bundle["ah"][h][i],
+                                           rtol=1e-12)
 
     def test_approaches_compensator(self, exp_bundle):
         k1 = exp_bundle["K_at_ah_t"]

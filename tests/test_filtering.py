@@ -207,6 +207,17 @@ class TestDriftCache:
         assert np.isfinite(cache(1e-6, 0.1))
         assert np.isfinite(cache(5.0, 0.1))
 
+    @pytest.mark.parametrize("make", [
+        lambda model, s_min, s_max: DriftCache(model, s_min, s_max),
+        lambda model, s_min, s_max: BandProbabilityCache(model, 0.1, s_min, s_max),
+    ], ids=["drift", "band"])
+    @pytest.mark.parametrize("s_min,s_max", [(1.0, 0.5), (0.0, 1.0), (0.5, 2.5)])
+    def test_time_range_checked(self, two_pin_symmetric, make, s_min, s_max):
+        # a descending range, a zero start and an end past the support
+        # (sup 2) are rejected by both tables before any row is filled
+        with pytest.raises(ValueError, match="need 0 < s_min < s_max"):
+            make(two_pin_symmetric, s_min, s_max)
+
 
 class TestInnovation:
     def test_brownian_statistics(self, single_pin_exp):
