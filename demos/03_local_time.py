@@ -1,11 +1,12 @@
 """Estimate pathwise local time and test the occupation identity.
 
-The occupation estimator, the library's one estimator of local time,
-counts the time the linear interpolant of the path spends in a narrow band
-(half-width 0.25 * sqrt(dt)) against the stopped clock; the discrete Tanaka
-estimator telescopes the semimartingale identity and serves as an
-independent cross-check.  Both target the same curve and agree as the grid
-refines.
+The occupation estimator, the library's one estimator of local time, is
+the exact conditional expectation of the local time given the grid
+values: between two grid points the path is a Brownian bridge, whose
+expected local time at a level has a closed form, so there is no bandwidth
+to choose.  The discrete Tanaka estimator telescopes the semimartingale
+identity and serves as an independent cross-check.  Both target the same
+curve and agree as the grid refines.
 Run:  python demos/03_local_time.py
 """
 

@@ -35,7 +35,6 @@ class RunConfig:
     horizon: float = 2.0
     n_paths: int = 1000
     seed: int | None = None
-    bandwidth_c: float = localtime.BANDWIDTH_CONSTANT
     quadrature: dict | None = None
     out: str = "out"
 
@@ -44,8 +43,6 @@ class RunConfig:
             raise ValueError("dt, horizon and n_paths must be positive")
         if self.dt >= self.horizon:
             raise ValueError("dt must be smaller than the horizon")
-        if not (math.isfinite(self.bandwidth_c) and self.bandwidth_c > 0.0):
-            raise ValueError("bandwidth_c must be positive and finite")
         self.quadrature_config()  # validate tolerances at load
 
     @classmethod
@@ -114,16 +111,16 @@ def cmd_compensator(cfg):
     """Plain compensator of every path at the quarters of the horizon, from
     the verification suite's ensemble reduction, and the whole curve of
     path 0, from the per-path route with the kernel that reduction built;
-    both read local time with the occupation estimator at ``bandwidth_c``."""
+    both read local time with the occupation estimator, the expected local
+    time given the grid values, which has no bandwidth."""
     model = cfg.model_spec()
     out = _ensure_out(cfg)
     seed = cfg.seed_or(0)
     probes = [cfg.horizon * k / 4 for k in (1, 2, 3, 4)]
     prod = verify.compensator_products(model, cfg.dt, cfg.horizon, cfg.n_paths, seed,
-                                       probe_times=probes, bandwidth_c=cfg.bandwidth_c)
+                                       probe_times=probes)
     path = paths.simulate_information_path(model, cfg.dt, cfg.horizon, seed)
-    eps = cfg.bandwidth_c * math.sqrt(cfg.dt)
-    local_times = [localtime.occupation_local_time(path, z, eps) for z in model.pinning.points]
+    local_times = [localtime.occupation_local_time(path, z) for z in model.pinning.points]
     comp.save_curve_csv(comp.compensator_K(model, path, local_times, prod["kernel"]),
                         os.path.join(out, "compensator_path0.csv"))
     summary = verify.EnsembleSummary.from_values(prod["K_probe"], probes)

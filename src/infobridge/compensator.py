@@ -15,10 +15,10 @@ analytically (see :mod:`.kernels`), so the computation is stable wherever
 the value itself is representable.
 
 The pin-value-weighted variant (compensating the pin value times the
-absorption indicator) carries the path value inside the integrand; since
-local time only grows where the path sits at the level, the path value may
-equivalently be replaced by the level itself (exposed as a switch, default
-off, to make the discretization error of the literal form measurable).
+absorption indicator) carries the path value inside the integrand.  Local
+time at a level grows only where the path sits at that level, and so does
+its expectation given the grid values, so the integrand of pin ``k``
+carries the pin level ``z_k`` itself.
 
 Every compensator is one reduction, :func:`compensator_rows`, over a block
 of paths on one grid: the kernel is read once per grid at the step
@@ -88,17 +88,17 @@ def intensity_row(model, s, cfg=DEFAULT_QUADRATURE):
 class IntensityKernel:
     """Per-pin kernel tabulated in time with monotone cubic interpolation.
 
-    The grid has 320 geometric nodes from ``max(1e-4, dt)``.  With bounded
-    support, 80 more approach the support edge, where the kernel blows up
-    like ``(sup - s)^(-1/2)``, and the tabulated quantity is the kernel
-    times ``sqrt(sup - s)``, which stays bounded.  Queries clamp to the
-    tabulated range.
+    The grid has 320 geometric nodes from ``dt / 2``, the first step
+    midpoint.  With bounded support, 80 more approach the support edge,
+    where the kernel blows up like ``(sup - s)^(-1/2)``, and the tabulated
+    quantity is the kernel times ``sqrt(sup - s)``, which stays bounded.
+    Queries clamp to the tabulated range.
     """
 
     def __init__(self, model, dt, horizon):
         self.model = model
         sup = model.length.support_sup
-        s_min = max(1e-4, dt)
+        s_min = dt / 2
         self._edge = None
         if math.isfinite(sup):
             s_hi = sup - 0.25 * dt
@@ -177,20 +177,20 @@ def compensator_rows(kernel_mid, d_locals, weights=None):
     ``kernel_mid[k]`` is the kernel of pin ``k`` at the step midpoints (see
     :func:`midpoint_kernel`) and ``d_locals[k]`` the local-time increments
     at that pin, one row per path and one column per step.  Without
-    ``weights`` the rows are the plain compensator.  ``weights[k]``,
-    broadcastable to the block, multiplies the integrand of pin ``k`` for
-    the weighted kind: the path values at the left endpoints of the steps,
-    or the pin level itself.  Rows do not interact, so a path's row is the
-    same, bit for bit, in any block that contains it.
+    ``weights`` the rows are the plain compensator; the weighted kind
+    passes the pin levels, and ``weights[k]`` multiplies the integrand of
+    pin ``k``.  Rows do not interact, so a path's row is the same, bit for
+    bit, in any block that contains it.
     """
     n_paths, n_steps = d_locals[0].shape
     out = np.zeros((n_paths, n_steps + 1))
     inc = out[:, 1:]
     for k, d in enumerate(d_locals):
-        term = kernel_mid[k] * d
-        if weights is not None:
-            term *= weights[k]
-        inc += term
+        row = kernel_mid[k] if weights is None else kernel_mid[k] * weights[k]
+        if k == 0:
+            np.multiply(d, row, out=inc)  # no block-sized temporary
+        else:
+            inc += d * row
     np.cumsum(inc, axis=1, out=inc)
     return out
 
@@ -214,17 +214,12 @@ def compensator_K(model, path, local_times, kernel):
     return CompensatorCurve(times=path.times, values=values, kind="plain")
 
 
-def compensator_frak(model, path, local_times, kernel, use_pin_level=False):
+def compensator_frak(model, path, local_times, kernel):
     """Compensator of (pin value times the absorption indicator) along one
-    path.
-
-    The integrand carries the path value at the step's left endpoint; with
-    ``use_pin_level`` it carries the pin level instead (equal in the limit,
-    since local time grows only on the level set).
+    path: the integrand of each pin carries its level, where local time
+    grows.
     """
-    pins = model.pinning.points
-    weights = pins if use_pin_level else [path.values[None, :-1]] * len(pins)
-    values = _one_path_row(model, path, local_times, kernel, weights)
+    values = _one_path_row(model, path, local_times, kernel, model.pinning.points)
     return CompensatorCurve(times=path.times, values=values, kind="weighted")
 
 

@@ -1,18 +1,18 @@
 """Pathwise local-time estimation at fixed space levels.
 
-Two estimators are provided.  The occupation estimator counts the time the
-linear interpolant of the path spends in a band of half-width ``eps``
-around the level, against the clock that stops at absorption: step weights
-are the full grid step strictly before the absorption time, the fractional
-remainder on the straddling step, and zero afterwards (so the absorbed tail
-never accrues occupancy, even at the pin level itself).  Counting the
-interpolant rather than a grid endpoint catches fast within-step crossings,
-which keeps the bias small at a narrow band of ``0.25 * sqrt(dt)``.  The
-discrete Tanaka estimator telescopes the driving semimartingale identity
-with the left-continuous sign convention ``sgn(0) = -1`` and is clipped to
-its running maximum, since local time is an increasing process while the
-discrete sum is noisy and can dip; it is the independent cross-check of
-the occupation estimator.
+Two estimators are provided.  The occupation estimator is the exact
+conditional expectation of the local time given the grid values: between
+two grid points the path is a Brownian bridge, and its expected local time
+at a level has a closed form, so the estimator has no bandwidth.  It runs
+against the clock that stops at absorption: step weights are the full grid
+step strictly before the absorption time, the remainder on the straddling
+step (a bridge from the last grid value to the pin over that remainder),
+and zero afterwards, so the absorbed tail never accrues local time, even at
+the pin level itself.  The discrete Tanaka estimator telescopes the driving
+semimartingale identity with the left-continuous sign convention
+``sgn(0) = -1`` and is clipped to its running maximum, since local time is
+an increasing process while the discrete sum is noisy and can dip; it is
+the independent cross-check of the occupation estimator.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfcx
 
 __all__ = [
     "LocalTimeCurve",
@@ -28,18 +29,14 @@ __all__ = [
     "tanaka_local_time",
     "occupation_increments",
     "occupation_formula_check",
-    "default_bandwidth",
     "save_curve_csv",
 ]
 
-#: Bandwidth constant: eps = c * sqrt(dt).  The interpolant counts
-#: within-step crossings exactly, so the band can be narrow, which keeps the
-#: order-eps end effect at absorption small.
-BANDWIDTH_CONSTANT = 0.25
-
-
-def default_bandwidth(dt):
-    return BANDWIDTH_CONSTANT * math.sqrt(dt)
+#: A step whose endpoints both lie more than this many sqrt(dt) from the
+#: level, on one side, adds less than exp(-2 * 6**2) = exp(-72) times
+#: sqrt(dt) and is skipped.
+_SKIP_SIGMAS = 6.0
+_CELLS = 2 ** 17  # steps per pass, so that the temporaries stay small
 
 
 @dataclass(eq=False)
@@ -51,7 +48,6 @@ class LocalTimeCurve:
     times: np.ndarray
     values: np.ndarray
     estimator_kind: str
-    bandwidth: float | None = None
 
 
 def _step_weights(taus, dt, n_steps):
@@ -62,44 +58,50 @@ def _step_weights(taus, dt, n_steps):
     return np.clip(w, 0.0, dt, out=w)
 
 
-def occupation_increments(values, taus, dt, level, eps):
-    """Band-occupancy increments per step, scaled to local-time units;
+def occupation_increments(values, taus, dt, level):
+    """Expected local time at ``level`` of each step given its grid values;
     ``values`` has one row per path.
 
-    A step counts the fraction of its linear interpolant inside the band,
-    ``|d clip(x, level - eps, level + eps)| / |dx|`` (a flat step counts
-    whether it sits in the band), times its clock weight, over ``2 eps``.
-    The work is done in place on two blocks: the increments, and the
-    clipped path, whose buffer then holds the step lengths.
+    A step of clock weight ``w`` from ``a`` to ``b`` (both measured from the
+    level) is a Brownian bridge, whose expected local time is
+
+        int_0^w p(s, a) p(w - s, b) ds / p(w, b - a)
+            = erfcx(u) exp(-(ab + |ab|) / w) sqrt(pi w / 2),
+
+    with ``u = (|a| + |b|) / sqrt(2 w)`` (Borodin and Salminen, *Handbook
+    of Brownian Motion*).  The exponent is ``(d - u)(d + u)`` with
+    ``d = (b - a) / sqrt(2 w)``, written without cancellation.  Only live
+    steps are evaluated, and of these only the ones that come within
+    ``6 sqrt(dt)`` of the level or cross it.
     """
     values = np.atleast_2d(values)
-    x0 = values[:, :-1]
-    clipped = np.clip(values, level - eps, level + eps)
-    inc = clipped[:, 1:] - clipped[:, :-1]
-    np.abs(inc, out=inc)
-    span = np.subtract(values[:, 1:], x0, out=clipped[:, 1:])  # clipped is spent
-    np.abs(span, out=span)
-    flat = span == 0.0
-    np.divide(inc, span, out=inc, where=~flat)
-    del clipped, span
-    w = _step_weights(taus, dt, values.shape[1] - 1)
-    flat &= w > 0.0  # the absorbed tail is flat and weighs nothing either way
-    inc[flat] = np.abs(x0[flat] - level) <= eps
-    inc *= w
-    inc /= 2.0 * eps
+    inc = _step_weights(taus, dt, values.shape[1] - 1)
+    far = _SKIP_SIGMAS * math.sqrt(dt)
+    rows = max(1, _CELLS // (inc.shape[1] + 1))
+    for lo in range(0, len(values), rows):
+        x = values[lo:lo + rows] - level
+        w = inc[lo:lo + rows]
+        above, below = x > far, x < -far
+        skip = (above[:, :-1] & above[:, 1:]) | (below[:, :-1] & below[:, 1:])
+        skip |= w == 0.0
+        w[skip] = 0.0
+        live = np.nonzero(~skip)
+        a, b, wl = x[:, :-1][live], x[:, 1:][live], w[live]
+        u = (np.abs(a) + np.abs(b)) / np.sqrt(2.0 * wl)
+        ab = a * b
+        ab += np.abs(ab)
+        with np.errstate(over="ignore"):  # a subnormal weight: exp(-inf) = 0
+            w[live] = erfcx(u) * np.exp(-ab / wl) * np.sqrt(0.5 * math.pi * wl)
     return inc
 
 
-def occupation_local_time(path, level, eps=None):
-    """Occupation-density estimate of the local time at ``level``."""
-    if eps is None:
-        eps = default_bandwidth(path.dt)
-    if eps <= 0.0:
-        raise ValueError("bandwidth must be positive")
-    inc = occupation_increments(path.values[None, :], [path.tau], path.dt, level, eps)[0]
+def occupation_local_time(path, level):
+    """Occupation estimate of the local time at ``level``: the cumulative
+    expected local time of the path given its grid values."""
+    inc = occupation_increments(path.values[None, :], [path.tau], path.dt, level)[0]
     values = np.concatenate(([0.0], np.cumsum(inc)))
     return LocalTimeCurve(level=float(level), times=path.times, values=values,
-                          estimator_kind="occupation", bandwidth=float(eps))
+                          estimator_kind="occupation")
 
 
 def tanaka_increments(values, taus, dt, level):
@@ -134,7 +136,7 @@ def save_curve_csv(curve, fp):
     np.savetxt(fp, data, delimiter=",", header="t,L", comments="", fmt="%.12g")
 
 
-def occupation_formula_check(path, g, t, eps=None, n_levels=201):
+def occupation_formula_check(path, g, t, n_levels=201):
     """Both sides of the occupation identity up to ``t``: the stopped time
     integral of ``g`` along the path versus the space integral of ``g``
     against the estimated local-time profile.
@@ -142,17 +144,16 @@ def occupation_formula_check(path, g, t, eps=None, n_levels=201):
     Returns the pair (time side, space side); they agree within estimator
     tolerance for continuous ``g``.
     """
-    if eps is None:
-        eps = default_bandwidth(path.dt)
     n_steps = len(path.values) - 1
     k = min(int(math.floor(t / path.dt + 1e-12)), n_steps)
     w = _step_weights([min(path.tau, t)], path.dt, n_steps)[0]
     time_side = float(np.sum(w[:k] * g(path.values[:k])))
 
-    lo = float(np.min(path.values)) - 3 * eps
-    hi = float(np.max(path.values)) + 3 * eps
+    reach = _SKIP_SIGMAS * math.sqrt(path.dt)  # the profile vanishes beyond
+    lo = float(np.min(path.values)) - reach
+    hi = float(np.max(path.values)) + reach
     levels = np.linspace(lo, hi, n_levels)
     profile = np.array([occupation_increments(path.values[None, :k + 1], [min(path.tau, t)],
-                                              path.dt, z, eps).sum() for z in levels])
+                                              path.dt, z).sum() for z in levels])
     space_side = float(np.trapezoid(g(levels) * profile, levels))
     return time_side, space_side

@@ -193,8 +193,7 @@ def _probe_indices(times, dt):
 
 def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
                          *, frak_times=(), lam_m=None, ah_spec=None,
-                         tower_t=None, bandwidth_c=localtime.BANDWIDTH_CONSTANT,
-                         corrupt_factor=1.0):
+                         tower_t=None, corrupt_factor=1.0):
     """Stream an ensemble and reduce it to the per-path scalars the
     verification program needs.
 
@@ -210,12 +209,13 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
     reduction: :func:`~infobridge.compensator.compensator_rows` for the
     plain and weighted compensators, ``exp_martingale`` for M and
     ``band_integrand`` for the resolvent approximations.  Local time is
-    the occupation estimator at ``bandwidth_c * sqrt(dt)``.
+    the occupation estimator, the expected local time of each step given
+    its grid values, and the weighted compensator weights pin ``k``'s term
+    by the pin level, where that local time grows.
     """
     n_steps = int(round(horizon / dt))
     kernel = comp.IntensityKernel(model, dt, horizon)
     lam_mid = comp.midpoint_kernel(kernel, dt, n_steps) * corrupt_factor
-    eps = bandwidth_c * math.sqrt(dt)
     idx = _probe_indices(probe_times, dt)
     idx_frak = _probe_indices(frak_times, dt)
     pins = model.pinning.points
@@ -233,7 +233,7 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
     done = 0
     for ens in paths.iter_ensemble_chunks(model, dt, horizon, n_paths, seed, chunk=1000):
         m = len(ens)
-        d_locals = [localtime.occupation_increments(ens.values, ens.taus, dt, z, eps)
+        d_locals = [localtime.occupation_increments(ens.values, ens.taus, dt, z)
                     for z in pins]
         K = comp.compensator_rows(lam_mid, d_locals)
         out["K_probe"].append(K[:, idx])
@@ -243,8 +243,7 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
         out["taus"].append(ens.taus)
         out["zs"].append(ens.zs)
         if idx_frak or lam_m is not None:
-            weights = [ens.values[:, :-1]] * len(pins)
-            frak = comp.compensator_rows(lam_mid, d_locals, weights)[:, idx_frak]
+            frak = comp.compensator_rows(lam_mid, d_locals, pins)[:, idx_frak]
             if idx_frak:
                 out["frak"].append(frak)
             if lam_m is not None:
@@ -481,31 +480,25 @@ def criterion_filter_tower(ctx, attempt=0):
 
 
 def criterion_brownian_local_time(ctx, attempt=0):
-    """Mean Brownian local time at zero and unit time equals sqrt(2/pi)."""
+    """Mean Brownian local time at zero and unit time equals sqrt(2/pi):
+    the occupation estimator on never-absorbed paths, one child stream of
+    the seed per path."""
     seed = ctx.seed_for("brownian", attempt)
     dt = ctx.dt_fine
-    n_steps = int(round(1.0 / dt))
-    eps = 2.0 * math.sqrt(dt)
     target = math.sqrt(2.0 / math.pi)
-    values = []
     children = np.random.SeedSequence(seed).spawn(ctx.n_brownian)
-    chunk = 1000
-    for start in range(0, ctx.n_brownian, chunk):
-        m = min(chunk, ctx.n_brownian - start)
-        normals = np.empty((m, n_steps))
-        for j in range(m):
-            normals[j] = np.random.default_rng(children[start + j]).standard_normal(n_steps)
-        w = np.cumsum(normals, axis=1) * math.sqrt(dt)
-        levels = np.abs(np.concatenate([np.zeros((m, 1)), w[:, :-1]], axis=1))
-        values.append((levels <= eps).sum(axis=1) * dt / (2.0 * eps))
-    values = np.concatenate(values)
+    values = np.array([
+        localtime.occupation_increments(
+            paths.simulate_brownian_motion(dt, 1.0, np.random.default_rng(child)).values,
+            math.inf, dt, 0.0).sum()
+        for child in children])
     mean = values.mean()
     stderr = values.std(ddof=1) / math.sqrt(values.size)
     stat = abs(mean - target) / stderr
     return TestReport(name="brownian_local_time", statistic=float(stat), threshold=3.0,
                       passed=bool(stat <= 3.0), seed=seed, n=ctx.n_brownian,
                       details={"mean": float(mean), "target": target,
-                               "stderr": float(stderr), "eps": eps})
+                               "stderr": float(stderr)})
 
 
 def criterion_compensator_martingale(ctx, attempt=0, corrupt=1.0, name="compensator_martingale"):
@@ -634,10 +627,10 @@ CRITERIA = [
 
 
 def run_criterion(ctx, fn, max_retries=3):
-    """Run one criterion, at most ``max_retries`` times on fresh,
-    deterministically derived seeds (``fn(ctx, attempt)``), until it
+    """Run one criterion, then retry it at most ``max_retries`` times on
+    fresh, deterministically derived seeds (``fn(ctx, attempt)``), until it
     passes; the report carries the retry count."""
-    for attempt in range(max_retries):
+    for attempt in range(max_retries + 1):
         report = fn(ctx, attempt)
         report.retries = attempt
         if report.passed:

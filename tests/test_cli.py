@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import riemann
-from infobridge import (IntensityKernel, ModelSpec, compensator_K, localtime,
-                        occupation_local_time, paths, verify)
-from infobridge.cli import RunConfig, main
+from infobridge import (IntensityKernel, ModelSpec, compensator_K, occupation_local_time,
+                        paths, verify)
+from infobridge.cli import main
 from infobridge.compensator import save_curve_csv
 
 
@@ -119,13 +119,12 @@ class TestCompensatorCommand:
 
     def test_matches_per_path_route(self, tmp_path):
         # The ensemble summary agrees with the per-path route: occupation
-        # local time at bandwidth_c * sqrt(dt), summed against the kernel by
-        # compensator_K.  1,100 paths cross a chunk boundary.
+        # local time summed against the kernel by compensator_K.  1,100
+        # paths cross a chunk boundary.
         model_doc = {"tau": {"family": "uniform", "a": 0.5, "b": 2.0},
                      "pinning": {"points": [-1.0, 1.0], "probs": [0.5, 0.5]}}
-        dt, horizon, n, c = 0.01, 2.0, 1100, 1.5
-        cfg = _write_config(tmp_path, model=model_doc, dt=dt, horizon=horizon,
-                            n_paths=n, bandwidth_c=c)
+        dt, horizon, n = 0.01, 2.0, 1100
+        cfg = _write_config(tmp_path, model=model_doc, dt=dt, horizon=horizon, n_paths=n)
         assert main(["compensator", "--config", str(cfg)]) == 0
 
         model = ModelSpec.from_dict(model_doc)
@@ -134,8 +133,7 @@ class TestCompensatorCommand:
         idx = [int(round(t / dt)) for t in probes]
         rows, first = [], None
         for p in paths.simulate_ensemble(model, dt, horizon, n, seed=7):
-            lts = [occupation_local_time(p, z, c * math.sqrt(dt))
-                   for z in model.pinning.points]
+            lts = [occupation_local_time(p, z) for z in model.pinning.points]
             curve = compensator_K(model, p, lts, kernel)
             rows.append(curve.values[idx])
             first = first or curve
@@ -150,12 +148,10 @@ class TestCompensatorCommand:
                (tmp_path / "path0.csv").read_bytes()
 
     def test_summary_is_the_ensemble_reduction(self, tmp_path):
-        # The command's summary is the verification suite's reduction at the
-        # default bandwidth constant of the occupation estimator.
+        # The command's summary is the verification suite's reduction.
         model_doc = {"tau": {"family": "exponential", "rate": 1.0},
                      "pinning": {"points": [-1.0, 1.0], "probs": [0.3, 0.7]}}
         dt, horizon, n = 0.01, 2.0, 300
-        assert RunConfig(model=model_doc).bandwidth_c == localtime.BANDWIDTH_CONSTANT
         cfg = _write_config(tmp_path, model=model_doc, dt=dt, horizon=horizon, n_paths=n)
         assert main(["compensator", "--config", str(cfg)]) == 0
 
@@ -182,8 +178,10 @@ class TestCompensatorCommand:
         assert main(["compensator", "--config", str(cfg)]) == 0
         assert len(builds) == 1
 
-    @pytest.mark.parametrize("c", [0.0, -1.0])
+    @pytest.mark.parametrize("c", [0.0, -1.0, 0.25])
     def test_nonpositive_bandwidth_rejected(self, tmp_path, capsys, c):
+        # the local-time estimator has no bandwidth, so the field is unknown
+        # at any value, the nonpositive ones included
         cfg = _write_config(tmp_path, bandwidth_c=c)
         assert main(["compensator", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("config rejected:")

@@ -32,7 +32,7 @@ from infobridge import (
 from infobridge.compensator import compensator_rows, intensity_row, midpoint_kernel
 from infobridge.filtering import BandProbabilityCache
 from infobridge.kernels import QuadratureError
-from infobridge.localtime import default_bandwidth, occupation_increments
+from infobridge.localtime import occupation_increments
 from infobridge.verify import VerificationContext, compensator_products
 
 
@@ -62,6 +62,14 @@ class TestIntensityKernel:
                 lam = intensity_row(model, s)[k]
                 ident = model.pinning.probs[k] * f / mix_weight(s, z, model)
                 assert lam == pytest.approx(ident, rel=1e-9)
+
+    @pytest.mark.parametrize("dt", [1e-3, 1e-2])
+    def test_first_midpoint_read_exactly(self, single_pin_exp, dt):
+        # the grid starts at the first step midpoint, dt / 2, so the first
+        # read is not clamped up to a later time
+        kern = IntensityKernel(single_pin_exp, dt=dt, horizon=2.0)
+        first = midpoint_kernel(kern, dt, int(round(2.0 / dt)))[0, 0]
+        assert first == pytest.approx(intensity_row(single_pin_exp, dt / 2)[0], rel=1e-3)
 
     def test_domain_errors(self, two_pin_symmetric):
         with pytest.raises(ValueError):
@@ -131,10 +139,9 @@ class TestCompensatorK:
         ens = next(paths_mod.iter_ensemble_chunks(single_pin_exp, dt, 7.0, 3,
                                                   seed=314, chunk=3))
         kern = IntensityKernel(single_pin_exp, dt=dt, horizon=7.0)
-        eps = default_bandwidth(dt)
         for i in range(3):
             p = ens.path(i)
-            lts = [occupation_local_time(p, z, eps) for z in single_pin_exp.pinning.points]
+            lts = [occupation_local_time(p, z) for z in single_pin_exp.pinning.points]
             curve = compensator_K(single_pin_exp, p, lts, kern)
             idx = [int(round(t / dt)) for t in EXP_PROBES]
             np.testing.assert_allclose(curve.values[idx], exp_bundle["K_probe"][i],
@@ -147,7 +154,7 @@ class TestCompensatorK:
         kern = IntensityKernel(model, dt=dt, horizon=2.0)
         idx = [int(round(t / dt)) for t in times]
         for i, p in enumerate(simulate_ensemble(model, dt, 2.0, 3, seed=99)):
-            lts = [occupation_local_time(p, z, eps) for z in model.pinning.points]
+            lts = [occupation_local_time(p, z) for z in model.pinning.points]
             frak = compensator_frak(model, p, lts, kern)
             np.testing.assert_allclose(frak.values[idx], prod["frak"][i],
                                        rtol=1e-10, atol=1e-14)
@@ -236,9 +243,9 @@ def _prop_kernel_mid(i):
 
 class TestReduction:
     @given(model_i=st.integers(0, 3), n_paths=st.integers(1, 5),
-           seed=st.integers(0, 2**32 - 1), pin_level=st.booleans())
+           seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40)
-    def test_rows_of_small_ensembles(self, model_i, n_paths, seed, pin_level):
+    def test_rows_of_small_ensembles(self, model_i, n_paths, seed):
         # every row starts at 0, the plain rows do not decrease, both are
         # flat from absorption on, and a one-path block gives that path's
         # row of the ensemble block bit for bit
@@ -246,14 +253,9 @@ class TestReduction:
         pins = model.pinning.points
         kernel_mid = _prop_kernel_mid(model_i)
         ens = simulate_ensemble(model, DT_PROP, H_PROP, n_paths, seed)
-        eps = default_bandwidth(DT_PROP)
-        d = [occupation_increments(ens.values, ens.taus, DT_PROP, z, eps) for z in pins]
-
-        def weights(values):
-            return pins if pin_level else [values[:, :-1]] * len(pins)
-
+        d = [occupation_increments(ens.values, ens.taus, DT_PROP, z) for z in pins]
         plain = compensator_rows(kernel_mid, d)
-        weighted = compensator_rows(kernel_mid, d, weights(ens.values))
+        weighted = compensator_rows(kernel_mid, d, pins)
         assert np.all(plain[:, 0] == 0.0) and np.all(weighted[:, 0] == 0.0)
         assert np.all(np.diff(plain, axis=1) >= 0.0)
         for i in range(n_paths):
@@ -262,9 +264,7 @@ class TestReduction:
             assert np.all(weighted[i, a:] == weighted[i, a])
             one = [x[i:i + 1] for x in d]
             assert np.array_equal(compensator_rows(kernel_mid, one)[0], plain[i])
-            assert np.array_equal(
-                compensator_rows(kernel_mid, one, weights(ens.values[i:i + 1]))[0],
-                weighted[i])
+            assert np.array_equal(compensator_rows(kernel_mid, one, pins)[0], weighted[i])
 
 
 class TestWeightedCompensator:
@@ -272,15 +272,13 @@ class TestWeightedCompensator:
         dt = 1e-3
         ens = simulate_ensemble(single_pin_exp, dt, 2.0, 3, seed=7)
         kern = IntensityKernel(single_pin_exp, dt=dt, horizon=2.0)
-        eps = default_bandwidth(dt)
         for p in ens:
-            lts = [occupation_local_time(p, 0.0, eps)]
+            lts = [occupation_local_time(p, 0.0)]
             plain = compensator_K(single_pin_exp, p, lts, kern)
-            literal = compensator_frak(single_pin_exp, p, lts, kern)
-            exact = compensator_frak(single_pin_exp, p, lts, kern, use_pin_level=True)
-            # integrand weight is the path value inside the eps-band at 0
-            assert np.max(np.abs(literal.values)) <= eps * plain.values[-1] + 1e-12
-            assert np.all(exact.values == 0.0)
+            frak = compensator_frak(single_pin_exp, p, lts, kern)
+            # the integrand carries the pin level, 0
+            assert plain.values[-1] > 0.0
+            assert np.all(frak.values == 0.0)
 
     def test_positive_pins_nondecreasing(self):
         model = ModelSpec(UniformLaw(0.5, 2.0), PinningLaw([0.5, 2.0], [0.5, 0.5]))
@@ -289,7 +287,7 @@ class TestWeightedCompensator:
         kern = IntensityKernel(model, dt=dt, horizon=2.0)
         for p in ens:
             lts = [occupation_local_time(p, z) for z in model.pinning.points]
-            frak = compensator_frak(model, p, lts, kern, use_pin_level=True)
+            frak = compensator_frak(model, p, lts, kern)
             assert np.all(np.diff(frak.values) >= 0.0)
 
     def test_mean_tracks_pin_mean_times_cdf(self):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
+from scipy.special import erfcx
 
 from infobridge import (
     SamplePath,
@@ -14,8 +16,7 @@ from infobridge import (
     simulate_ensemble,
     tanaka_local_time,
 )
-from infobridge.localtime import (default_bandwidth, occupation_formula_check,
-                                  occupation_increments)
+from infobridge.localtime import occupation_formula_check, occupation_increments
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -29,7 +30,7 @@ def _ramp_path(n=100, dt=0.01, slope=1.0):
 class TestOccupation:
     def test_zero_when_never_in_band(self):
         path = _ramp_path()
-        curve = occupation_local_time(path, level=5.0, eps=0.1)
+        curve = occupation_local_time(path, level=5.0)
         assert np.all(curve.values == 0.0)
 
     def test_flat_after_absorption_even_at_pin_level(self, two_pin_symmetric):
@@ -53,42 +54,98 @@ class TestOccupation:
     def test_brownian_level_zero_mean(self):
         # mean local time of Brownian motion at level 0 and unit time
         n, dt = 2000, 1e-3
-        eps = default_bandwidth(dt)
         vals = []
         for i in range(n):
             path = simulate_brownian_motion(dt, 1.0, rng=10_000 + i)
-            vals.append(occupation_local_time(path, 0.0, eps).values[-1])
+            vals.append(occupation_local_time(path, 0.0).values[-1])
         vals = np.asarray(vals)
         stderr = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - SQRT_2_OVER_PI) <= 3.0 * stderr
 
 
-def _overlap_increments(values, taus, dt, level, eps):
-    """Reference form of the occupation increments: the overlap of the
-    step's [min, max] range with the band over its length, or the in-band
-    indicator on a flat step, times the stopped-clock weight over 2 eps."""
+def _dense_increments(values, taus, dt, level):
+    """Reference form of the occupation increments: the closed form of the
+    bridge's expected local time on every step of positive clock weight,
+    nothing skipped."""
     n_steps = values.shape[1] - 1
     w = np.clip(taus[:, None] - dt * np.arange(n_steps)[None, :], 0.0, dt)
-    x0, x1 = values[:, :-1], values[:, 1:]
-    lo, hi = np.minimum(x0, x1), np.maximum(x0, x1)
-    overlap = np.clip(np.minimum(hi, level + eps) - np.maximum(lo, level - eps), 0.0, None)
-    span = hi - lo
-    frac = np.where(span > 0.0, overlap / np.where(span > 0.0, span, 1.0),
-                    (np.abs(x0 - level) <= eps) * 1.0)
-    return (w * frac) / (2.0 * eps)
+    a, b = values[:, :-1] - level, values[:, 1:] - level
+    live = w > 0.0
+    wl = np.where(live, w, 1.0)
+    u = (np.abs(a) + np.abs(b)) / np.sqrt(2.0 * wl)
+    ab = a * b
+    ab += np.abs(ab)
+    return np.where(live, erfcx(u) * np.exp(-ab / wl) * np.sqrt(0.5 * math.pi * wl), 0.0)
+
+
+def _bridge_local_time(a, b, w):
+    """int_0^w p(s, a) p(w - s, b) ds / p(w, b - a) by scipy quadrature,
+    with p the centered Gaussian density of variance s.
+
+    With A = |a|, B = |b| the ratio is exp(-(A (w - s) - B s)^2 /
+    (2 s (w - s) w)) sqrt(w / (2 pi s (w - s))) exp(-(a b + |a b|) / w),
+    the same function with its large exponents cancelled by hand.  It is
+    integrated in phi, s = w sin(phi)^2, which removes the endpoint
+    singularities: ds sqrt(w / (2 pi s (w - s))) = 2 sqrt(w / (2 pi)) dphi.
+    The half above pi / 4 is integrated in pi / 2 - phi, which swaps A and
+    B, so that the variable keeps its precision near either end.
+    """
+    A, B = abs(a), abs(b)
+    tilt = math.exp(-(a * b + abs(a * b)) / w)
+    if tilt == 0.0:
+        return 0.0
+
+    def half(A, B):
+        def ratio(phi):
+            t = math.tan(phi)
+            return math.exp(-(A / t - B * t) ** 2 / (2.0 * w))
+
+        # Break the range where A / tan(phi) - B tan(phi) = c, for c = 0
+        # (the peak) and c = +-10^j sqrt(2 w), j = -6..1 (its flanks, which
+        # can fall off as slowly as c^2): the peak can be far narrower than
+        # the range and sit at one end.
+        def phi_at(c):
+            root = math.sqrt(c * c + 4.0 * A * B)
+            if c > 0.0:
+                return math.atan(2.0 * A / (c + root))
+            return math.atan((root - c) / (2.0 * B)) if B > 0.0 else math.pi
+
+        scales = [0.0] + [sign * 10.0 ** j for j in range(-6, 2) for sign in (-1, 1)]
+        cuts = (phi_at(k * math.sqrt(2.0 * w)) for k in scales)
+        points = sorted({p for p in cuts if 0.0 < p < 0.25 * math.pi}) or None
+        return integrate.quad(ratio, 0.0, 0.25 * math.pi, points=points, epsabs=0.0,
+                              epsrel=1e-11, limit=500)[0]
+
+    return 2.0 * math.sqrt(w / (2.0 * math.pi)) * (half(A, B) + half(B, A)) * tilt
+
+
+@st.composite
+def bridge_steps(draw):
+    """One step (a, b, level, w, dt): a full step (w = dt) or the step that
+    straddles the length (w < dt), whose right end is the pin, sometimes at
+    the level itself."""
+    dt = draw(st.sampled_from([1e-4, 1e-3, 1e-2, 0.1]))
+    level = draw(st.floats(-2.0, 2.0))
+    sd = math.sqrt(dt)
+    near = st.floats(-8.0, 8.0).map(lambda k: level + k * sd)
+    point = st.one_of(st.just(level), near, st.floats(-3.0, 3.0))
+    a = draw(point)
+    straddle = draw(st.booleans())
+    w = dt * draw(st.floats(1e-6, 1.0, exclude_max=True)) if straddle else dt
+    b = draw(st.one_of(st.just(level), point)) if straddle else draw(point)
+    return a, b, level, w, dt
 
 
 @st.composite
 def occupation_blocks(draw):
-    """A block of paths with flat steps, points exactly on the band edges
-    and lengths that end before, inside or after the grid."""
+    """A block of paths with flat steps, points near and on the level and
+    lengths that end before, inside or after the grid."""
     level = draw(st.floats(-2.0, 2.0))
-    eps = draw(st.floats(1e-3, 0.5))
     dt = draw(st.sampled_from([1e-3, 1e-2, 0.1]))
     n_paths = draw(st.integers(1, 4))
     n_steps = draw(st.integers(1, 25))
-    point = st.one_of(st.sampled_from([level, level - eps, level + eps]),
-                      st.floats(level - 3.0 * eps, level + 3.0 * eps),
+    sd = math.sqrt(dt)
+    point = st.one_of(st.just(level), st.floats(-8.0, 8.0).map(lambda k: level + k * sd),
                       st.floats(-5.0, 5.0))
     step = st.one_of(st.none(), point)  # None repeats the previous value
     rows = []
@@ -101,16 +158,35 @@ def occupation_blocks(draw):
     tau = st.one_of(st.integers(-1, n_steps + 2).map(lambda j: j * dt),
                     st.floats(-dt, (n_steps + 2) * dt), st.just(math.inf))
     taus = np.array([draw(tau) for _ in range(n_paths)])
-    return np.array(rows), taus, dt, level, eps
+    return np.array(rows), taus, dt, level
 
 
 class TestOccupationIncrements:
+    @given(bridge_steps())
+    @settings(max_examples=300)
+    def test_one_step_is_the_bridge_expectation(self, step):
+        a, b, level, w, dt = step
+        got = occupation_increments(np.array([[a, b]]), [w], dt, level)[0, 0]
+        want = _bridge_local_time(a - level, b - level, w)
+        far = 6.0 * math.sqrt(dt)
+        if min(a, b) - level > far or max(a, b) - level < -far:
+            # skipped: both ends more than 6 sqrt(dt) away on one side
+            assert got == 0.0 and want < 1e-30 * math.sqrt(dt)
+        elif max(got, want) < 1e-300:
+            assert abs(got - want) <= 1e-300
+        else:
+            assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+
     @given(occupation_blocks())
     @settings(max_examples=300)
-    def test_matches_overlap_form_bit_for_bit(self, block):
-        values, taus, dt, level, eps = block
-        inc = occupation_increments(values, taus, dt, level, eps)
-        assert np.array_equal(inc, _overlap_increments(values, taus, dt, level, eps))
+    def test_matches_dense_form(self, block):
+        values, taus, dt, level = block
+        inc = occupation_increments(values, taus, dt, level)
+        dense = _dense_increments(values, taus, dt, level)
+        computed = inc > 0.0
+        assert np.array_equal(inc[computed], dense[computed])
+        # a skipped step adds below exp(-72) sqrt(dt)
+        assert np.all(dense[~computed] < 1e-30 * math.sqrt(dt))
         assert np.all(inc >= 0.0)
         # nothing accrues on a step that starts at or after the length
         dead = dt * np.arange(values.shape[1] - 1)[None, :] >= taus[:, None]

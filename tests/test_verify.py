@@ -15,7 +15,7 @@ from infobridge import (
     martingale_expectation_test,
     refinement_report,
 )
-from infobridge.verify import kolmogorov_pvalue, ks_statistic
+from infobridge.verify import kolmogorov_pvalue, ks_statistic, run_criterion
 
 
 class TestKSStatistic:
@@ -150,3 +150,30 @@ class TestDeterminism:
         b = VerificationContext(master_seed=99, n_bridge=800)
         for fn in (criterion_density_consistency, criterion_bridge_exactness):
             assert fn(a).to_dict() == fn(b).to_dict()
+
+
+class TestRetries:
+    @staticmethod
+    def _stub(pass_on):
+        """A criterion that passes from attempt ``pass_on`` on (never when
+        None), recording the attempts it was called with."""
+        calls = []
+
+        def criterion(ctx, attempt=0):
+            calls.append(attempt)
+            passed = pass_on is not None and attempt >= pass_on
+            return TestReport(name="stub", statistic=0.0, threshold=0.0,
+                              passed=passed, seed=attempt, n=1)
+        return criterion, calls
+
+    def test_failing_criterion_runs_once_then_three_retries(self):
+        fn, calls = self._stub(None)
+        report = run_criterion(None, fn, max_retries=3)
+        assert calls == [0, 1, 2, 3]
+        assert report.retries == 3 and not report.passed
+
+    def test_stops_at_first_pass(self):
+        fn, calls = self._stub(2)
+        report = run_criterion(None, fn, max_retries=3)
+        assert calls == [0, 1, 2]
+        assert report.retries == 2 and report.passed
