@@ -1,7 +1,7 @@
 """Simulate pinned bridges with random length and check grid exactness.
 
-The sampler draws each step from the exact conditional Gaussian law, so
-the marginal at any grid time matches the closed-form bridge marginal.
+The sampler evaluates the exact conditional Gaussian steps in closed form,
+so the marginal at any grid time matches the closed-form bridge marginal.
 Run:  python demos/01_paths_and_exactness.py
 """
 

@@ -278,10 +278,13 @@ class PinningLaw:
     def __len__(self):
         return self.points.size
 
-    def sample(self, rng, size=None):
-        edges = np.cumsum(self.probs)
-        idx = np.searchsorted(edges, rng.uniform(size=size), side="right")
+    def quantile(self, q):
+        """Pin level at uniform ``q``: the first whose cumulative weight exceeds it."""
+        idx = np.searchsorted(np.cumsum(self.probs), q, side="right")
         return self.points[np.minimum(idx, len(self) - 1)]
+
+    def sample(self, rng, size=None):
+        return self.quantile(rng.uniform(size=size))
 
     def mean(self):
         return float(self.probs @ self.points)

@@ -1,10 +1,10 @@
 """Exact-in-law simulation of the pinned bridge on a uniform grid.
 
-Each step draws from the exact conditional Gaussian law of the bridge, so
-grid marginals carry no discretization bias.  The realized length is kept
-as an exact real in the path record; only the stored trajectory snaps the
-absorption to the grid (first index at or past the length), after which the
-path is held constant at the pin.
+The exact conditional Gaussian step of the bridge is linear, so its closed
+form is evaluated, one cumulative sum per path; grid marginals carry no
+discretization bias.  The realized length is kept as an exact real in the
+path record; only the stored trajectory snaps the absorption to the grid
+(first index at or past the length), after which the path is at the pin.
 
 Simulation is reproducible: a master seed spawns one child stream per path
 and, within a path, separate streams for the length, the pin, and the
@@ -115,31 +115,34 @@ def _absorption_index(taus, dt, n_points):
     return np.maximum(idx, 1)
 
 
-def _bridge_rows(rs, zs, dt, n_steps, normals, out=None):
-    """Sequential conditional sampling, vectorized across paths.
+def _bridge_rows(rs, zs, dt, values):
+    """Turn the standard normals in ``values[:, 1:]`` into bridge rows, in place.
 
-    Given the value x at time t with t + dt inside the bridge, the next
-    value is Normal(x + dt (z - x)/(r - t), dt (r - t - dt)/(r - t)); the
-    step that reaches the length lands exactly on the pin and the path is
-    constant afterwards.
+    With rho_k = r - t_k, the exact step x_{k+1} = x_k + dt (z - x_k)/rho_k
+    + sqrt(dt rho_{k+1}/rho_k) n_k solves to x_k = z t_k/r + rho_k sum_{j<k}
+    sqrt(dt/(rho_j rho_{j+1})) n_j: X_t = z t/r + (r - t) int_0^t dW_s/(r - s)
+    on the grid.  Rows are 0 at column 0 and the pin from absorption on.
     """
-    rs = np.asarray(rs, dtype=float)
-    zs = np.asarray(zs, dtype=float)
-    n = rs.size
-    values = np.zeros((n, n_steps + 1)) if out is None else out
+    n_points = values.shape[1]
+    absorb = _absorption_index(rs, dt, n_points)
+    t = dt * np.arange(n_points)
     values[:, 0] = 0.0
-    absorb = _absorption_index(rs, dt, n_steps + 1)
-    x = values[:, 0]
-    for k in range(n_steps):
-        t = k * dt
-        inside = (k + 1) < absorb
-        rem = np.where(inside, rs - t, 1.0)  # dead lanes get a safe dummy
-        mean = x + dt * (zs - x) / rem
-        var = dt * (rem - dt) / rem
-        step = mean + np.sqrt(np.maximum(var, 0.0)) * normals[:, k]
-        x = np.where(inside, step, zs)
-        values[:, k + 1] = x
-    return values, absorb
+    # rho <= 0 past absorption gives NaN or inf, carried only forward; the pin overwrites it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in range(0, rs.size, 32):  # row blocks whose two temporaries stay in cache
+            rows = slice(lo, lo + 32)
+            r, z, x = rs[rows, None], zs[rows, None], values[rows, 1:]
+            coef = r - t[:-1]
+            # rho_{j+1} as the sequential step rounds it, floored clear of slow subnormals
+            rho_next = np.maximum(coef - dt, 1e-300)
+            coef *= rho_next
+            np.sqrt(np.divide(dt, coef, out=coef), out=coef)
+            x *= coef
+            np.cumsum(x, axis=1, out=x)
+            x *= rho_next
+            x += np.multiply(z / r, t[1:], out=coef)
+            np.copyto(values[rows], z, where=np.arange(n_points) >= absorb[rows, None])
+    return absorb
 
 
 def _spawn_path_generators(seed, n_paths):
@@ -161,9 +164,9 @@ def simulate_deterministic_bridge(r, z, dt, horizon, rng):
         seed, rng = int(rng), np.random.default_rng(rng)
     else:
         seed = -1
-    n_steps = _n_steps(dt, horizon)
-    normals = rng.standard_normal(n_steps)[None, :]
-    values, absorb = _bridge_rows([r], [z], dt, n_steps, normals)
+    values = np.empty((1, _n_steps(dt, horizon) + 1))
+    rng.standard_normal(out=values[0, 1:])
+    absorb = _bridge_rows(np.full(1, float(r)), np.full(1, float(z)), dt, values)
     return SamplePath(dt=dt, values=values[0], tau=float(r), z=float(z),
                       seed=seed, absorbed_index=int(absorb[0]))
 
@@ -181,16 +184,15 @@ def iter_ensemble_chunks(model, dt, horizon, n_paths, seed, chunk=1024):
     done = 0
     while done < n_paths:
         m = min(chunk, n_paths - done)
-        taus = np.empty(m)
-        zs = np.empty(m)
-        normals = np.empty((m, n_steps))
+        uniforms = np.empty((2, m))  # what ``sample`` draws, mapped for the whole chunk
+        values = np.empty((m, n_steps + 1))
         for j in range(m):
             tau_rng, pin_rng, noise_rng = next(gens)
-            taus[j] = model.length.sample(tau_rng)
-            zs[j] = model.pinning.sample(pin_rng)
-            normals[j] = noise_rng.standard_normal(n_steps)
-        values, absorb = _bridge_rows(taus, zs, dt, n_steps, normals)
-        del normals  # not held while the caller works on the chunk
+            uniforms[:, j] = tau_rng.uniform(), pin_rng.uniform()
+            noise_rng.standard_normal(out=values[j, 1:])
+        taus = np.asarray(model.length.quantile(uniforms[0]), dtype=float)
+        zs = model.pinning.quantile(uniforms[1])
+        absorb = _bridge_rows(taus, zs, dt, values)
         yield PathEnsemble(dt=dt, values=values, taus=taus, zs=zs, seed=seed,
                            absorbed_indices=absorb)
         done += m
@@ -216,13 +218,12 @@ def simulate_bridge_ensemble(r, z, dt, horizon, n_paths, seed):
     """Ensemble of bridges with one deterministic length and pin."""
     if not (0.0 < dt < r):
         raise ValueError("need 0 < dt < r")
-    n_steps = _n_steps(dt, horizon)
-    normals = np.empty((n_paths, n_steps))
+    values = np.empty((n_paths, _n_steps(dt, horizon) + 1))
     for j, (_, _, noise_rng) in enumerate(_spawn_path_generators(seed, n_paths)):
-        normals[j] = noise_rng.standard_normal(n_steps)
+        noise_rng.standard_normal(out=values[j, 1:])
     rs = np.full(n_paths, float(r))
     zs = np.full(n_paths, float(z))
-    values, absorb = _bridge_rows(rs, zs, dt, n_steps, normals)
+    absorb = _bridge_rows(rs, zs, dt, values)
     return PathEnsemble(dt=dt, values=values, taus=rs, zs=zs, seed=seed,
                         absorbed_indices=absorb)
 

@@ -45,6 +45,17 @@ def test_sampler_ks(law):
     pytest.fail(f"KS failed three times for {law!r}")
 
 
+@pytest.mark.parametrize("law", ALL_LAWS + [PinningLaw([-1.0, 0.3, 2.0], [0.2, 0.5, 0.3])],
+                         ids=lambda l: repr(l))
+def test_array_quantile_equals_scalar_samples(law):
+    # the simulator maps a chunk's uniforms through one array quantile; each
+    # entry must be the scalar draw ``sample`` makes from the same stream
+    seeds = np.random.SeedSequence(99).spawn(257)
+    scalar = [law.sample(np.random.default_rng(s)) for s in seeds]
+    uniforms = np.array([np.random.default_rng(s).uniform() for s in seeds])
+    assert np.array_equal(law.quantile(uniforms), np.array(scalar, dtype=float))
+
+
 def test_exponential_sample_mean_lln():
     rng = np.random.default_rng(5)
     draws = ExponentialLaw(1.0).sample(rng, size=100_000)

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtr
 
+from infobridge import paths
 from infobridge import (
     ExponentialLaw,
     ModelSpec,
@@ -24,6 +27,85 @@ from infobridge import (
     simulate_ensemble,
     simulate_information_path,
 )
+
+
+def sequential_bridge(rs, zs, dt, n_steps, normals):
+    """Reference: the per-step conditional sampler, one grid step at a time.
+
+    Given x at time t with t + dt inside the bridge, the next value is
+    Normal(x + dt (z - x)/(r - t), dt (r - t - dt)/(r - t)); the step that
+    reaches the length lands on the pin.  Returns (values, absorption indices).
+    """
+    rs = np.asarray(rs, dtype=float)
+    zs = np.asarray(zs, dtype=float)
+    absorb = np.array([min(max(math.ceil(r / dt - 1e-12), 1), n_steps + 1) for r in rs])
+    values = np.zeros((rs.size, n_steps + 1))
+    x = values[:, 0]
+    for k in range(n_steps):
+        t = k * dt
+        inside = (k + 1) < absorb
+        rem = np.where(inside, rs - t, 1.0)
+        mean = x + dt * (zs - x) / rem
+        var = dt * (rem - dt) / rem
+        x = np.where(inside, mean + np.sqrt(np.maximum(var, 0.0)) * normals[:, k], zs)
+        values[:, k + 1] = x
+    return values, absorb
+
+
+@st.composite
+def bridge_rows(draw):
+    """(lengths, pins, dt, n_steps): lengths below dt, inside the horizon,
+    within 1e-12 dt (and up to 1e-9 dt) of a grid point, and past it."""
+    dt = draw(st.floats(1e-3, 0.1))
+    n_steps = draw(st.integers(1, 200))
+    near = st.one_of(st.sampled_from([-1e-12, -5e-13, 0.0, 5e-13, 1e-12]),
+                     st.floats(-1e-9, 1e-9))
+    length = st.one_of(
+        st.floats(1e-6, 1.0, exclude_max=True).map(lambda u: u * dt),
+        st.floats(1.0, n_steps + 1.0).map(lambda u: u * dt),
+        st.tuples(st.integers(1, n_steps + 1), near).map(lambda mo: (mo[0] + mo[1]) * dt),
+        st.floats(1.0, 100.0).map(lambda u: u * n_steps * dt),
+    )
+    rs = draw(st.lists(length, min_size=1, max_size=40))
+    zs = draw(st.lists(st.floats(-5.0, 5.0), min_size=len(rs), max_size=len(rs)))
+    return np.array(rs), np.array(zs), dt, n_steps
+
+
+class TestClosedForm:
+    @given(bridge_rows(), st.integers(0, 2**32 - 1))
+    def test_matches_sequential_steps(self, case, seed):
+        rs, zs, dt, n_steps = case
+        normals = np.random.default_rng(seed).standard_normal((rs.size, n_steps))
+        ref, ref_absorb = sequential_bridge(rs, zs, dt, n_steps, normals)
+        values = np.empty((rs.size, n_steps + 1))
+        values[:, 1:] = normals
+        absorb = paths._bridge_rows(rs, zs, dt, values)
+        np.testing.assert_array_equal(absorb, ref_absorb)
+        assert np.all(np.isfinite(values))
+        assert np.all(values[:, 0] == 0.0)
+        for row, k, z in zip(values, absorb, zs):
+            assert np.all(row[k:] == z)
+        assert np.max(np.abs(values - ref)) <= 1e-12 * math.sqrt(dt)
+
+    @pytest.mark.parametrize("seed", [3, 20260810])
+    @pytest.mark.parametrize("model_name", ["single_pin_exp", "two_pin_symmetric"])
+    def test_draws_follow_the_stream_layout(self, model_name, seed, request):
+        # per path i: SeedSequence(seed).spawn(n)[i].spawn(3) gives the
+        # length, pin and noise streams, each read by its own default_rng
+        model = request.getfixturevalue(model_name)
+        dt, n_steps, n = 0.01, 200, 70
+        ens = simulate_ensemble(model, dt, n_steps * dt, n, seed)
+        taus, zs, normals = [], [], []
+        for child in np.random.SeedSequence(seed).spawn(n):
+            tau_ss, pin_ss, noise_ss = child.spawn(3)
+            taus.append(model.length.sample(np.random.default_rng(tau_ss)))
+            zs.append(model.pinning.sample(np.random.default_rng(pin_ss)))
+            normals.append(np.random.default_rng(noise_ss).standard_normal(n_steps))
+        ref, absorb = sequential_bridge(taus, zs, dt, n_steps, np.array(normals))
+        np.testing.assert_array_equal(ens.taus, np.array(taus, dtype=float))
+        np.testing.assert_array_equal(ens.zs, np.array(zs, dtype=float))
+        np.testing.assert_array_equal(ens.absorbed_indices, absorb)
+        assert np.max(np.abs(ens.values - ref)) <= 1e-12
 
 
 class TestBridgeExactness:
@@ -119,9 +201,13 @@ class TestReproducibility:
 
     def test_chunking_does_not_change_draws(self, two_pin_symmetric):
         a = simulate_ensemble(two_pin_symmetric, dt=0.01, horizon=1.0, n_paths=64, seed=12)
-        b = simulate_ensemble(two_pin_symmetric, dt=0.01, horizon=1.0, n_paths=64,
-                              seed=12, chunk=7)
-        np.testing.assert_array_equal(a.values, b.values)
+        for chunk in (7, 33):  # neither divides the simulator's row block
+            b = simulate_ensemble(two_pin_symmetric, dt=0.01, horizon=1.0, n_paths=64,
+                                  seed=12, chunk=chunk)
+            np.testing.assert_array_equal(a.values, b.values)
+            np.testing.assert_array_equal(a.taus, b.taus)
+            np.testing.assert_array_equal(a.zs, b.zs)
+            np.testing.assert_array_equal(a.absorbed_indices, b.absorbed_indices)
 
 
 class TestQuadraticVariation:
