@@ -9,7 +9,6 @@ harness turns the model's exact identities into seeded pass/fail checks.
 """
 
 from .kernels import (
-    QuadratureConfig,
     QuadratureError,
     gaussian_density,
     log_gaussian_density,

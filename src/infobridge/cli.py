@@ -19,7 +19,7 @@ import numpy as np
 
 from . import compensator as comp
 from . import filtering, localtime, paths, verify
-from .kernels import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError
+from .kernels import QuadratureError
 from .laws import ModelSpec
 
 DEFAULT_MODEL = {
@@ -35,7 +35,6 @@ class RunConfig:
     horizon: float = 2.0
     n_paths: int = 1000
     seed: int | None = None
-    quadrature: dict | None = None
     out: str = "out"
 
     def __post_init__(self):
@@ -43,7 +42,6 @@ class RunConfig:
             raise ValueError("dt, horizon and n_paths must be positive")
         if self.dt >= self.horizon:
             raise ValueError("dt must be smaller than the horizon")
-        self.quadrature_config()  # validate tolerances at load
 
     @classmethod
     def load(cls, path=None, **overrides):
@@ -57,9 +55,6 @@ class RunConfig:
 
     def model_spec(self):
         return ModelSpec.from_dict(self.model)
-
-    def quadrature_config(self):
-        return QuadratureConfig(**self.quadrature) if self.quadrature else DEFAULT_QUADRATURE
 
     def seed_or(self, default):
         """The configured seed, or ``default`` when none was given."""
@@ -89,17 +84,15 @@ def cmd_simulate(cfg):
 
 def cmd_posterior(cfg, t, x):
     model = cfg.model_spec()
-    quad = cfg.quadrature_config()
     out = _ensure_out(cfg)
     sup = model.support_sup
     u_hi = sup if math.isfinite(sup) else model.length.quantile(0.999)
     u = np.linspace(t, u_hi, 200)
-    surv = np.array([filtering.survival_probability(model, t, x, float(ui), cfg=quad)
-                     for ui in u])
+    surv = np.array([filtering.survival_probability(model, t, x, float(ui)) for ui in u])
     data = np.column_stack([u, surv])
     surv_path = os.path.join(out, "survival.csv")
     np.savetxt(surv_path, data, delimiter=",", header="u,probability", comments="", fmt="%.12g")
-    pins = filtering.pin_posterior(model, t, x, cfg=quad)
+    pins = filtering.pin_posterior(model, t, x)
     pin_path = os.path.join(out, "pin_posterior.csv")
     np.savetxt(pin_path, np.column_stack([model.pinning.points, pins]),
                delimiter=",", header="z,probability", comments="", fmt="%.12g")
@@ -131,7 +124,7 @@ def cmd_compensator(cfg):
     return 0
 
 
-def cmd_verify(cfg, corrupt_kernel=1.0, fast=False):
+def cmd_verify(cfg, fast=False):
     out = _ensure_out(cfg)
     scale = {}
     if fast:
@@ -140,7 +133,6 @@ def cmd_verify(cfg, corrupt_kernel=1.0, fast=False):
                  "dt_fine": 1e-3}
     master_seed = cfg.seed_or(verify.VerificationContext.master_seed)
     reports = verify.run_verification_suite(master_seed=master_seed,
-                                            corrupt_factor=corrupt_kernel,
                                             progress=lambda r: print(r.line()),
                                             **scale)
     verify.reports_to_json(reports, os.path.join(out, "reports.json"))
@@ -180,8 +172,6 @@ def build_parser():
 
     p_ver = sub.add_parser("verify", help="run the verification suite")
     add_common(p_ver)
-    p_ver.add_argument("--corrupt-kernel", type=float, default=1.0,
-                       help="scale the intensity kernel (diagnostic)")
     p_ver.add_argument("--fast", action="store_true",
                        help="reduced path counts (smoke test, not acceptance scale)")
     return parser
@@ -207,7 +197,7 @@ def main(argv=None):
         if args.command == "compensator":
             return cmd_compensator(cfg)
         if args.command == "verify":
-            return cmd_verify(cfg, corrupt_kernel=args.corrupt_kernel, fast=args.fast)
+            return cmd_verify(cfg, fast=args.fast)
     except OSError as exc:
         print(f"io failure: {exc}", file=sys.stderr)
         return 3

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from . import kernels
-from .kernels import DEFAULT_QUADRATURE, GRID_QUADRATURE, QuadratureError
+from .kernels import QuadratureError
 
 __all__ = [
     "CompensatorCurve",
@@ -67,8 +67,9 @@ class CompensatorCurve:
     kind: str  # "plain" | "weighted"
 
 
-def intensity_row(model, s, cfg=DEFAULT_QUADRATURE):
-    """Kernel values for all pins at one time, by direct quadrature."""
+def intensity_row(model, s, *, table=False):
+    """Kernel values for all pins at one time, by direct quadrature;
+    ``table`` selects the table pass of :func:`~infobridge.kernels.tail_integrals`."""
     law = model.length
     if not (0.0 < s < law.support_sup):
         raise ValueError("s must lie strictly inside the support of the length law")
@@ -76,7 +77,7 @@ def intensity_row(model, s, cfg=DEFAULT_QUADRATURE):
     pts = model.pinning.points
     if f == 0.0:
         return np.zeros(len(pts))
-    q = kernels.tail_integrals(model, s, pts, cfg=cfg)
+    q = kernels.tail_integrals(model, s, pts, table=table)
     den = model.pinning.probs @ q.mass
     if np.any(den <= 0.0):
         bad = int(np.nonzero(den <= 0.0)[0][0])
@@ -117,7 +118,7 @@ class IntensityKernel:
         self.s_grid = grid
         rows = np.empty((len(model.pinning), grid.size))
         for j, s in enumerate(grid):
-            rows[:, j] = intensity_row(model, float(s), cfg=GRID_QUADRATURE)
+            rows[:, j] = intensity_row(model, float(s), table=True)
         if self._edge is not None:
             rows = rows * np.sqrt(self._edge - grid)[None, :]
         self._splines = [PchipInterpolator(grid, rows[k], extrapolate=False)
@@ -230,7 +231,7 @@ def meyer_approx_Ah(model, path, h, band_fn=None):
 
     ``band_fn(s, x)`` may supply the conditional band probability (e.g. a
     :class:`~infobridge.filtering.BandProbabilityCache`); by default it is
-    computed by direct quadrature per step (grid rule), which is slow on
+    computed by direct quadrature per step (table pass), which is slow on
     long paths.  Either is queried only at steps before absorption; the
     integrand is assembled by :func:`band_integrand`.
     """
@@ -245,7 +246,7 @@ def meyer_approx_Ah(model, path, h, band_fn=None):
         s, x = t[1:][live], path.values[1:][live]
         if band_fn is None:
             cond[live] = [filtering.band_probability(model, float(si), float(xi), h,
-                                                    cfg=GRID_QUADRATURE)
+                                                    table=True)
                           for si, xi in zip(s, x)]
         else:
             cond[live] = band_fn(s, x)

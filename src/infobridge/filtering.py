@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .kernels import DEFAULT_QUADRATURE, GRID_QUADRATURE
 
 __all__ = [
     "PosteriorState",
@@ -69,12 +68,11 @@ class PosteriorState:
     pin_probs: np.ndarray
     point_mass: tuple | None
     _model: object = field(repr=False)
-    _cfg: object = field(repr=False)
 
     def survival(self, u):
         if self.absorbed:
             return 1.0 if u < self.point_mass[0] else 0.0
-        return survival_probability(self._model, self.t, self.observed_x, u, cfg=self._cfg)
+        return survival_probability(self._model, self.t, self.observed_x, u)
 
     def expectation(self, g):
         """Conditional mean of ``g(length, pin)``; ``g`` must broadcast over
@@ -82,15 +80,15 @@ class PosteriorState:
         if self.absorbed:
             tau, z = self.point_mass
             return float(np.asarray(g(np.asarray([tau]), z)).ravel()[0])
-        model, cfg = self._model, self._cfg
+        model = self._model
         num = kernels.tail_integrals(model, self.t, self.observed_x,
-                                     extra=lambda r, z: g(r, z), cfg=cfg)
-        den = kernels.tail_integrals(model, self.t, self.observed_x, cfg=cfg)
+                                     extra=lambda r, z: g(r, z))
+        den = kernels.tail_integrals(model, self.t, self.observed_x)
         ratio = (model.pinning.probs @ num.mass) / (model.pinning.probs @ den.mass)
         return float(ratio[0] * np.exp(num.scale[0] - den.scale[0]))
 
 
-def posterior(model, t, x, absorbed=False, tau=None, cfg=DEFAULT_QUADRATURE):
+def posterior(model, t, x, absorbed=False, tau=None):
     """Posterior of (length, pin) at time ``t`` given observation ``x``.
 
     When ``absorbed`` the observation must sit on a pin level and ``tau``
@@ -107,41 +105,42 @@ def posterior(model, t, x, absorbed=False, tau=None, cfg=DEFAULT_QUADRATURE):
         probs[k] = 1.0
         return PosteriorState(t=t, observed_x=float(x), absorbed=True,
                               pin_probs=probs, point_mass=(t if tau is None else float(tau), float(x)),
-                              _model=model, _cfg=cfg)
-    probs = pin_posterior(model, t, x, cfg=cfg)
+                              _model=model)
+    probs = pin_posterior(model, t, x)
     return PosteriorState(t=t, observed_x=float(x), absorbed=False,
                           pin_probs=np.atleast_1d(probs), point_mass=None,
-                          _model=model, _cfg=cfg)
+                          _model=model)
 
 
-def pin_posterior(model, t, x, cfg=DEFAULT_QUADRATURE):
+def pin_posterior(model, t, x):
     """Conditional pin weights at ``(t, x)``; vectorized over ``x`` (rows of
     the returned array are pins)."""
     x_arr = _as_row(x)
-    mass = kernels.tail_integrals(model, t, x_arr, cfg=cfg).mass
+    mass = kernels.tail_integrals(model, t, x_arr).mass
     weighted = model.pinning.probs[:, None] * mass
     out = weighted / weighted.sum(axis=0, keepdims=True)
     return out[:, 0] if np.ndim(x) == 0 else out
 
 
-def survival_probability(model, t, x, u, cfg=DEFAULT_QUADRATURE):
+def survival_probability(model, t, x, u):
     """P(length > u | path up to t, not yet absorbed); vectorized over ``x``."""
     if u < t:
         raise ValueError("need u >= t")
     x_arr = _as_row(x)
-    q = kernels.tail_integrals(model, t, x_arr, uppers=(u,), cfg=cfg)
+    q = kernels.tail_integrals(model, t, x_arr, uppers=(u,))
     probs = model.pinning.probs
     out = np.clip((probs @ q.tail[0]) / (probs @ q.mass), 0.0, 1.0)
     return out if np.ndim(x) else float(out[0])
 
 
-def band_probability(model, t, x, h, cfg=DEFAULT_QUADRATURE):
+def band_probability(model, t, x, h, *, table=False):
     """P(length in (t, t + h] | path up to t, not yet absorbed), vectorized
     over ``x``; a sequence of widths ``h`` adds a leading axis.  All widths
     come from one quadrature pass, and each band is summed over its own
-    panels rather than formed as one minus a survival probability."""
+    panels rather than formed as one minus a survival probability.
+    ``table`` selects the table pass of :func:`~infobridge.kernels.tail_integrals`."""
     x_arr = _as_row(x)
-    q = kernels.tail_integrals(model, t, x_arr, uppers=t + np.atleast_1d(h), cfg=cfg)
+    q = kernels.tail_integrals(model, t, x_arr, uppers=t + np.atleast_1d(h), table=table)
     probs = model.pinning.probs
     out = np.clip((probs @ q.band) / (probs @ q.mass), 0.0, 1.0)
     out = out if np.ndim(x) else out[:, 0]
@@ -169,7 +168,6 @@ class TransitionLaw:
     x: float
     atoms: np.ndarray
     _model: object = field(repr=False)
-    _cfg: object = field(repr=False)
     _log_den: float = field(repr=False)
 
     def continuous_density(self, y):
@@ -177,11 +175,11 @@ class TransitionLaw:
         if not math.isfinite(self._log_den):
             out = np.zeros(y_arr.size)
             return out if np.ndim(y) else 0.0
-        model, cfg = self._model, self._cfg
+        model = self._model
         if self.u >= model.support_sup:
             surv = np.zeros(y_arr.size)
         else:
-            q = kernels.tail_integrals(model, self.u, y_arr, cfg=cfg)
+            q = kernels.tail_integrals(model, self.u, y_arr)
             log_gauss = kernels.log_gaussian_density(self.u - self.t, y_arr, self.x)
             with np.errstate(under="ignore"):
                 surv = (model.pinning.probs @ q.mass) * np.exp(q.scale + log_gauss - self._log_den)
@@ -200,7 +198,7 @@ class TransitionLaw:
         return float(self.atoms.sum() + np.trapezoid(dens, y))
 
 
-def transition_law(model, t, x, u, cfg=DEFAULT_QUADRATURE):
+def transition_law(model, t, x, u):
     """Transition law of the observed process between times ``t < u``."""
     if not (0.0 < t < u):
         raise ValueError("need 0 < t < u")
@@ -210,13 +208,13 @@ def transition_law(model, t, x, u, cfg=DEFAULT_QUADRATURE):
         # Absorbed states are traps.
         atoms[k] = 1.0
         return TransitionLaw(t=t, u=u, x=float(x), atoms=atoms,
-                             _model=model, _cfg=cfg, _log_den=-math.inf)
-    q = kernels.tail_integrals(model, t, x, uppers=(u,), cfg=cfg)
+                             _model=model, _log_den=-math.inf)
+    q = kernels.tail_integrals(model, t, x, uppers=(u,))
     den = float(model.pinning.probs @ q.mass[:, 0])
     log_den = math.log(den) + float(q.scale[0])
     atoms = model.pinning.probs * q.band[0, :, 0] / den
     return TransitionLaw(t=t, u=u, x=float(x), atoms=atoms,
-                         _model=model, _cfg=cfg, _log_den=log_den)
+                         _model=model, _log_den=log_den)
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +222,14 @@ def transition_law(model, t, x, u, cfg=DEFAULT_QUADRATURE):
 # ---------------------------------------------------------------------------
 
 
-def drift(model, s, x, cfg=DEFAULT_QUADRATURE):
+def drift(model, s, x, *, table=False):
     """Conditional mean displacement rate at ``(s, x)``: the mixture average
-    of the bridge pull ``(z_i - x)/(r - s)``.  Vectorized over ``x``."""
+    of the bridge pull ``(z_i - x)/(r - s)``.  Vectorized over ``x``;
+    ``table`` selects the table pass of :func:`~infobridge.kernels.tail_integrals`."""
     if not (0.0 < s < model.support_sup):
         raise ValueError("s must lie strictly inside the support of the length law")
     x_arr = _as_row(x)
-    q = kernels.tail_integrals(model, s, x_arr, want_drift=True, cfg=cfg)
+    q = kernels.tail_integrals(model, s, x_arr, want_drift=True, table=table)
     out = (model.pinning.probs @ q.drift) / (model.pinning.probs @ q.mass)
     return out if np.ndim(x) else float(out[0])
 
@@ -371,7 +370,7 @@ class DriftCache:
     def __init__(self, model, s_min, s_max):
         self.model = model
         self._table = _HybridTable(
-            model, lambda s, xs: drift(model, s, xs, cfg=GRID_QUADRATURE),
+            model, lambda s, xs: drift(model, s, xs, table=True),
             s_min, s_max, 160, 321, 361)
 
     def __call__(self, s, x):
@@ -402,7 +401,7 @@ class BandProbabilityCache:
         self.model = model
         self.h = tuple(map(float, h)) if np.ndim(h) else float(h)
         self._table = _HybridTable(
-            model, lambda s, xs: band_probability(model, s, xs, self.h, cfg=GRID_QUADRATURE),
+            model, lambda s, xs: band_probability(model, s, xs, self.h, table=True),
             s_min, s_max, 220, 481, 481)
 
     def __call__(self, s, x):

@@ -19,16 +19,24 @@ stay within floating-point range and ratios are exact.
 ``S_i(s, x; s, u_k)`` and tails ``S_i(s, x; u_k, inf)`` as sums over whole
 panels, so a small band keeps its relative accuracy.
 
-Numerical policy: the integrand carries an integrable (r-s)^(-1/2)
-singularity at the left endpoint; substituting v = sqrt(r - s) removes it
-exactly (the Jacobian 2v cancels the 1/v).  The infinite endpoint is
-truncated where the remaining mass of the length law drops below
-``truncation_mass``.  Panels are graded geometrically in v and integrated
-with Gauss-Legendre rules; the panel count doubles until two successive
-refinements agree on every per-pin mass, band and tail returned (to
-``rel_tol`` or ``abs_tol``), and on the pin sums of bands and tails to
-``rel_tol`` alone.  Exponents are rescaled by their maximum before
-exponentiation, so intermediate values never overflow.
+Numerical policy, fixed for the whole library: the integrand carries an
+integrable (r-s)^(-1/2) singularity at the left endpoint; substituting
+v = sqrt(r - s) removes it exactly (the Jacobian 2v cancels the 1/v).  The
+infinite endpoint is truncated where the remaining mass of the length law
+drops below 1e-10.  Panels are graded geometrically in v and integrated
+with Gauss-Legendre rules, by one of two rules:
+
+* the adaptive rule, for direct queries: 30 panels of 10 points, doubled
+  up to six times until two successive passes agree on every per-pin
+  mass, band and tail returned (to 1e-9 relative or 1e-13 absolute), and
+  on the pin sums of bands and tails to 1e-9 relative alone;
+* the table pass (``table=True``), for filling interpolation tables: one
+  pass of 90 panels of 12 points, where one vectorized evaluation per time
+  node beats adaptive re-evaluation and the interpolation error dominates
+  anyway; tables are checked against the adaptive rule afterwards.
+
+Exponents are rescaled by their maximum before exponentiation, so
+intermediate values never overflow.
 
 All functions here are pure; they can be called from any number of workers
 with no shared mutable state.
@@ -37,16 +45,13 @@ with no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "QuadratureConfig",
     "QuadratureError",
-    "DEFAULT_QUADRATURE",
     "gaussian_density",
     "log_gaussian_density",
     "bridge_marginal_density",
@@ -59,42 +64,22 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+# The adaptive rule.
+_REL_TOL = 1e-9
+_ABS_TOL = 1e-13
+_BASE_PANELS = 30
+_GAUSS_POINTS = 10
+_MAX_SUBDIVISIONS = 6
+# The table pass.
+_TABLE_PANELS = 90
+_TABLE_GAUSS_POINTS = 12
+#: Mass of the length law allowed beyond the truncation point when the
+#: support is unbounded; both rules share it.
+_TRUNCATION_MASS = 1e-10
+
+
 class QuadratureError(RuntimeError):
-    """Adaptive refinement failed to reach the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and truncation policy for the improper tail integrals.
-
-    ``truncation_mass`` is the mass of the length law allowed beyond the
-    truncation point when the support is unbounded.
-    """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-13
-    truncation_mass: float = 1e-10
-    max_subdivisions: int = 6
-    gauss_points: int = 10
-    base_panels: int = 30
-    adaptive: bool = True
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be strictly positive")
-        if not (0.0 < self.truncation_mass < 1e-6):
-            raise ValueError("truncation_mass must lie in (0, 1e-6)")
-        if self.max_subdivisions < 1 or self.gauss_points < 2 or self.base_panels < 4:
-            raise ValueError("refinement parameters out of range")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-
-#: Generous single-pass rule for filling interpolation tables, where one
-#: vectorized evaluation per time node beats adaptive re-evaluation and the
-#: interpolation error dominates anyway; tables are validated against the
-#: adaptive rule afterwards.
-GRID_QUADRATURE = QuadratureConfig(base_panels=90, gauss_points=12, adaptive=False)
+    """Adaptive refinement failed to reach its tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +223,12 @@ def _evaluate(law, s, x, v, w, points, want_drift, extra, cuts):
     return TailIntegrals(above[0], drift, scale, band, tail)
 
 
-def _agree(new, old, rel_tol, abs_tol):
-    return bool(np.all(np.abs(new - old) <= rel_tol * np.abs(new) + abs_tol))
+def _agree(new, old, abs_tol):
+    return bool(np.all(np.abs(new - old) <= _REL_TOL * np.abs(new) + abs_tol))
 
 
 def tail_integrals(model, s, x, *, uppers=(), want_drift=False, extra=None,
-                   cfg=DEFAULT_QUADRATURE):
+                   table=False):
     """Per-pin tail integrals ``S_i`` (and optionally the drift-weighted
     variant) for a bridge observed at ``(s, x)``, split at band edges.
 
@@ -264,6 +249,9 @@ def tail_integrals(model, s, x, *, uppers=(), want_drift=False, extra=None,
     extra : callable, optional
         Extra integrand factor ``extra(r, z_i)``; must accept an array of
         ``r`` values and broadcast.
+    table : bool
+        Use the table pass instead of the adaptive rule (see the module
+        docstring).
 
     Returns
     -------
@@ -281,19 +269,20 @@ def tail_integrals(model, s, x, *, uppers=(), want_drift=False, extra=None,
                          "support supremum of the length law")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     uppers = np.atleast_1d(np.asarray(uppers, dtype=float))
-    upper = law.truncation_point(cfg.truncation_mass)
+    upper = law.truncation_point(_TRUNCATION_MASS)
     v_up = np.sqrt(np.clip(uppers - s, 0.0, None))
 
     # The first pass is the plain ladder; refinements double it and grade
     # toward the band edges.
-    n_panels, n_approach = cfg.base_panels, 0
+    n_panels, n_approach = (_TABLE_PANELS if table else _BASE_PANELS), 0
+    n_gauss = _TABLE_GAUSS_POINTS if table else _GAUSS_POINTS
     prev = None
-    for _ in range(cfg.max_subdivisions + 1):
+    for _ in range(_MAX_SUBDIVISIONS + 1):
         edges = _tail_edges(law, s, upper, uppers, n_panels, n_approach)
-        v, w = _panel_rule(edges, cfg.gauss_points)
+        v, w = _panel_rule(edges, n_gauss)
         out = _evaluate(law, s, x, v, w, points, want_drift, extra,
                         np.searchsorted(v, v_up))
-        if not cfg.adaptive:
+        if table:
             return out
         masses = np.concatenate((out.mass[None], out.band, out.tail))
         if prev is not None:
@@ -302,8 +291,8 @@ def tail_integrals(model, s, x, *, uppers=(), want_drift=False, extra=None,
                 rescaled = p_masses * np.exp(p_scale - out.scale)
             # Pin sums of bands and tails are numerators of probabilities
             # that may be tiny: they agree relative to themselves.
-            if (_agree(masses, rescaled, cfg.rel_tol, cfg.abs_tol)
-                    and _agree(probs @ masses[1:], probs @ rescaled[1:], cfg.rel_tol,
+            if (_agree(masses, rescaled, _ABS_TOL)
+                    and _agree(probs @ masses[1:], probs @ rescaled[1:],
                                np.finfo(float).tiny)):
                 return out
         prev = (masses, out.scale)
@@ -319,10 +308,10 @@ def tail_integrals(model, s, x, *, uppers=(), want_drift=False, extra=None,
 # ---------------------------------------------------------------------------
 
 
-def log_mix_weight(s, x, model, cfg=DEFAULT_QUADRATURE):
+def log_mix_weight(s, x, model):
     """Log of :func:`mix_weight`; preferred inside ratios."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    q = tail_integrals(model, s, x_arr, cfg=cfg)
+    q = tail_integrals(model, s, x_arr)
     total = model.pinning.probs @ q.mass
     if np.any(total <= 0.0):
         raise QuadratureError(f"mixture weight underflowed at s={s}")
@@ -330,11 +319,11 @@ def log_mix_weight(s, x, model, cfg=DEFAULT_QUADRATURE):
     return out if np.ndim(x) else out.item()
 
 
-def mix_weight(s, x, model, cfg=DEFAULT_QUADRATURE):
+def mix_weight(s, x, model):
     """Mixture tail weight: the density-weighted mass of bridge lengths
     beyond ``s`` compatible with the observation ``x``.
 
     This is the common normalizer of every conditional formula of the
     model; it is strictly positive for ``0 < s <`` the support supremum.
     """
-    return np.exp(log_mix_weight(s, x, model, cfg=cfg))
+    return np.exp(log_mix_weight(s, x, model))

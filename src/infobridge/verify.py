@@ -33,6 +33,7 @@ __all__ = [
     "martingale_expectation_test",
     "refinement_report",
     "VerificationContext",
+    "MAX_RETRIES",
     "run_criterion",
     "run_verification_suite",
     "CRITERIA",
@@ -193,7 +194,7 @@ def _probe_indices(times, dt):
 
 def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
                          *, frak_times=(), lam_m=None, ah_spec=None,
-                         tower_t=None, corrupt_factor=1.0):
+                         tower_t=None):
     """Stream an ensemble and reduce it to the per-path scalars the
     verification program needs.
 
@@ -201,9 +202,8 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
     at the horizon, absorption data, and optionally the weighted
     compensator, the exponential local martingale at ``lam_m``, the
     resolvent approximations ``ah_spec = (hs, t_eval, n_sub)``, and the
-    observation column at ``tower_t``; ``"kernel"`` is the unscaled
-    intensity kernel it built.  ``corrupt_factor`` scales the summed kernel
-    row (a diagnostic that shows the tests can detect a biased kernel).
+    observation column at ``tower_t``; ``"kernel"`` is the intensity kernel
+    it built.
 
     Each chunk of 1,000 paths goes through the compensator module's one
     reduction: :func:`~infobridge.compensator.compensator_rows` for the
@@ -215,7 +215,7 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
     """
     n_steps = int(round(horizon / dt))
     kernel = comp.IntensityKernel(model, dt, horizon)
-    lam_mid = comp.midpoint_kernel(kernel, dt, n_steps) * corrupt_factor
+    lam_mid = comp.midpoint_kernel(kernel, dt, n_steps)
     idx = _probe_indices(probe_times, dt)
     idx_frak = _probe_indices(frak_times, dt)
     pins = model.pinning.points
@@ -287,7 +287,6 @@ class VerificationContext:
     n_brownian: int = 10000
     n_quadratic: int = 1000
     n_tower: int = 5000
-    corrupt_factor: float = 1.0
 
     def __post_init__(self):
         self._cache = {}
@@ -343,16 +342,14 @@ class VerificationContext:
             self.model_single_pin(), self.dt, self.exp_horizon,
             self.n_compensator, seed,
             probe_times=self.EXP_PROBES,
-            ah_spec=(self.AH_LADDER, 1.0, self.n_terminal),
-            corrupt_factor=self.corrupt_factor) | {"seed": seed})
+            ah_spec=(self.AH_LADDER, 1.0, self.n_terminal)) | {"seed": seed})
 
     def uni_products(self, attempt=0):
         seed = self.seed_for("uniB", attempt)
         return self._cached(("uniB", attempt), lambda: compensator_products(
             self.model_two_pin_symmetric(), self.dt, 2.0,
             self.n_compensator, seed,
-            probe_times=self.UNI_PROBES,
-            corrupt_factor=self.corrupt_factor) | {"seed": seed})
+            probe_times=self.UNI_PROBES) | {"seed": seed})
 
     def uni_asym_products(self, attempt=0):
         seed = self.seed_for("uniB2", attempt)
@@ -361,15 +358,13 @@ class VerificationContext:
             max(self.n_compensator, self.n_tower), seed,
             probe_times=self.FRAK_PROBES,
             frak_times=self.FRAK_PROBES, lam_m=self.LAM_M,
-            tower_t=self.TOWER_T,
-            corrupt_factor=self.corrupt_factor) | {"seed": seed})
+            tower_t=self.TOWER_T) | {"seed": seed})
 
     def bounded_products(self, attempt=0):
         seed = self.seed_for("uniC", attempt)
         return self._cached(("uniC", attempt), lambda: compensator_products(
             self.model_bounded_support(), self.dt, 3.0, 500, seed,
-            probe_times=(1.5, 3.0),
-            corrupt_factor=self.corrupt_factor) | {"seed": seed})
+            probe_times=(1.5, 3.0)) | {"seed": seed})
 
 
 # ---------------------------------------------------------------------------
@@ -626,11 +621,15 @@ CRITERIA = [
 ]
 
 
-def run_criterion(ctx, fn, max_retries=3):
-    """Run one criterion, then retry it at most ``max_retries`` times on
-    fresh, deterministically derived seeds (``fn(ctx, attempt)``), until it
-    passes; the report carries the retry count."""
-    for attempt in range(max_retries + 1):
+#: Retries a failing criterion gets on fresh seeds before it is reported.
+MAX_RETRIES = 3
+
+
+def run_criterion(ctx, fn):
+    """Run one criterion, then retry it at most :data:`MAX_RETRIES` times
+    on fresh, deterministically derived seeds (``fn(ctx, attempt)``), until
+    it passes; the report carries the retry count."""
+    for attempt in range(MAX_RETRIES + 1):
         report = fn(ctx, attempt)
         report.retries = attempt
         if report.passed:
@@ -638,15 +637,13 @@ def run_criterion(ctx, fn, max_retries=3):
     return report
 
 
-def run_verification_suite(master_seed=20260810, corrupt_factor=1.0,
-                           max_retries=3, progress=None, **scale):
+def run_verification_suite(master_seed=20260810, progress=None, **scale):
     """Run every criterion with the shared desk-scale context, each through
     :func:`run_criterion`."""
-    ctx = VerificationContext(master_seed=master_seed,
-                              corrupt_factor=corrupt_factor, **scale)
+    ctx = VerificationContext(master_seed=master_seed, **scale)
     reports = []
     for name, fn in CRITERIA:
-        report = run_criterion(ctx, fn, max_retries)
+        report = run_criterion(ctx, fn)
         reports.append(report)
         if progress is not None:
             progress(report)

@@ -9,6 +9,7 @@ deterministic seeds.  One pass/fail line is printed per criterion.
 
 import pytest
 
+from infobridge import verify
 from infobridge.verify import CRITERIA, VerificationContext, run_criterion
 
 MASTER_SEED = 20260810
@@ -21,7 +22,8 @@ def ctx():
 
 
 def _run(ctx, name, fn):
-    report = run_criterion(ctx, fn, MAX_RETRIES)
+    assert verify.MAX_RETRIES == MAX_RETRIES
+    report = run_criterion(ctx, fn)
     print(report.line())
     return report
 

@@ -98,12 +98,13 @@ class TestPosterior:
         cfg = _write_config(tmp_path)
         assert main(["posterior", "--config", str(cfg), "--t", "0", "--x", "0.0"]) == 2
 
-    def test_quadrature_tolerances_from_config(self, tmp_path):
-        cfg = _write_config(tmp_path, quadrature={"rel_tol": 1e-7,
-                                                  "truncation_mass": 1e-9})
-        assert main(["posterior", "--config", str(cfg), "--t", "0.5", "--x", "0.2"]) == 0
-        bad = _write_config(tmp_path, quadrature={"rel_tol": -1.0})
-        assert main(["posterior", "--config", str(bad), "--t", "0.5", "--x", "0.2"]) == 2
+    @pytest.mark.parametrize("quadrature", [{"rel_tol": 1e-7, "truncation_mass": 1e-9},
+                                            {"rel_tol": -1.0}, {}])
+    def test_quadrature_field_rejected(self, tmp_path, capsys, quadrature):
+        # the quadrature rules are fixed, so the field is unknown at any value
+        cfg = _write_config(tmp_path, quadrature=quadrature)
+        assert main(["posterior", "--config", str(cfg), "--t", "0.5", "--x", "0.2"]) == 2
+        assert capsys.readouterr().err.startswith("config rejected:")
 
 
 class TestCompensatorCommand:
@@ -215,6 +216,14 @@ class TestVerifyCommand:
         assert seeds["absent"] == verify.VerificationContext(
             master_seed=20260810).seed_for("density", 0)
         assert seeds["zero"] != seeds["absent"]
+
+    def test_corrupt_kernel_option_rejected(self, tmp_path, capsys):
+        # kernel corruption is checked by the kernel_sensitivity criterion alone
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--fast", "--corrupt-kernel", "1.1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--corrupt-kernel" in capsys.readouterr().err
+        assert not (tmp_path / "reports.json").exists()
 
     def test_fast_smoke_reports_and_determinism(self, tmp_path):
         cfg = _write_config(tmp_path, seed=20260810)

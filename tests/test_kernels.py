@@ -5,20 +5,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riemann
 from infobridge import (
     ExponentialLaw,
+    GammaLaw,
     ModelSpec,
     PinningLaw,
-    QuadratureConfig,
+    TruncatedExponentialLaw,
+    UniformLaw,
     bridge_marginal_density,
     gaussian_density,
     mix_weight,
 )
-from infobridge.filtering import band_probability, survival_probability
+from infobridge.filtering import band_probability, drift, survival_probability
 from infobridge.kernels import log_gaussian_density, log_mix_weight, tail_integrals
 from infobridge.verify import VerificationContext
 
@@ -172,21 +174,50 @@ class TestMixWeight:
             assert vi == pytest.approx(mix_weight(0.5, float(xi), single_pin_exp), rel=1e-12)
 
 
-class TestQuadratureConfig:
-    def test_defaults_valid(self):
-        cfg = QuadratureConfig()
-        assert cfg.rel_tol > 0 and 0 < cfg.truncation_mass < 1e-6
+TABLE_MODELS = [
+    ModelSpec(ExponentialLaw(1.0), PinningLaw([0.0], [1.0])),
+    ModelSpec(UniformLaw(0.5, 2.0), PinningLaw([-1.0, 2.0], [0.6, 0.4])),
+    ModelSpec(GammaLaw(2.0), PinningLaw([-1.0, 0.5], [0.3, 0.7])),
+    ModelSpec(TruncatedExponentialLaw(1.0, 3.0), PinningLaw([0.0, 1.0], [0.5, 0.5])),
+]
 
-    @pytest.mark.parametrize("kwargs", [
-        {"rel_tol": 0.0},
-        {"abs_tol": -1.0},
-        {"truncation_mass": 1e-3},
-        {"truncation_mass": 0.0},
-        {"max_subdivisions": 0},
-    ])
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            QuadratureConfig(**kwargs)
+
+@st.composite
+def table_states(draw):
+    """A model, a time log-uniform in [1e-4, 0.9 sup] (sup taken as 3 for an
+    unbounded law) and a value in the reachable envelope |x| <= 3 sqrt(s),
+    moved to 1e-6 from a pin that it comes closer to."""
+    model = draw(st.sampled_from(TABLE_MODELS))
+    sup = model.support_sup if math.isfinite(model.support_sup) else 3.0
+    s = math.exp(draw(st.floats(math.log(1e-4), math.log(0.9 * sup))))
+    x = 3.0 * math.sqrt(s) * draw(st.floats(-1.0, 1.0))
+    for z in model.pinning.points:
+        if abs(x - z) < 1e-6:
+            x = z + math.copysign(1e-6, x - z)
+    return model, s, x
+
+
+class TestTablePass:
+    """The single table pass that fills the interpolation tables agrees
+    with the adaptive rule of direct queries at reachable states, so the
+    tables inherit no quadrature error worth measuring."""
+
+    @given(table_states())
+    @settings(max_examples=1000)
+    def test_matches_adaptive_rule(self, state):
+        model, s, x = state
+        probs = model.pinning.probs
+        fine = tail_integrals(model, s, x)
+        coarse = tail_integrals(model, s, x, table=True)
+        mass = (probs @ fine.mass)[0]
+        rescaled = (probs @ coarse.mass)[0] * math.exp(coarse.scale[0] - fine.scale[0])
+        assert abs(rescaled - mass) <= 1e-9 * mass
+        hs = (0.01, 0.1)
+        band = band_probability(model, s, x, hs)
+        band_table = band_probability(model, s, x, hs, table=True)
+        assert np.all(np.abs(band_table - band) <= 1e-9 * np.maximum(band, 1e-3))
+        mu = drift(model, s, x)
+        assert abs(drift(model, s, x, table=True) - mu) <= 1e-9 * max(abs(mu), 1e-2)
 
 
 class TestBandEdges:

@@ -123,19 +123,24 @@ class TestBridgeExactness:
                 return
         pytest.fail("bridge marginal KS failed three times")
 
+    @staticmethod
+    def _midpoints(z, seed, n=100_000):
+        # 4-step rows of length 1 from one generator's normals; the stream
+        # layout is covered by test_draws_follow_the_stream_layout
+        values = np.empty((n, 5))
+        values[:, 1:] = np.random.default_rng(seed).standard_normal((n, 4))
+        paths._bridge_rows(np.ones(n), np.full(n, z), 0.25, values)
+        return values[:, 2]  # t = 0.5
+
     def test_midpoint_variance(self):
-        ens = simulate_bridge_ensemble(1.0, 0.0, dt=0.25, horizon=1.0,
-                                       n_paths=100_000, seed=7)
-        mid = ens.values[:, 2]  # t = 0.5, Var = t(r-t)/r = 0.25
+        mid = self._midpoints(0.0, seed=7)  # Var = t(r-t)/r = 0.25
         var = mid.var(ddof=1)
-        sigma = 0.25 * math.sqrt(2.0 / (len(ens) - 1))  # sd of a chi^2 variance estimate
+        sigma = 0.25 * math.sqrt(2.0 / (mid.size - 1))  # sd of a chi^2 variance estimate
         assert abs(var - 0.25) <= 3.0 * sigma
 
     def test_midpoint_mean_with_pin(self):
-        ens = simulate_bridge_ensemble(1.0, 5.0, dt=0.25, horizon=1.0,
-                                       n_paths=100_000, seed=8)
-        mid = ens.values[:, 2]
-        stderr = mid.std(ddof=1) / math.sqrt(len(ens))
+        mid = self._midpoints(5.0, seed=8)
+        stderr = mid.std(ddof=1) / math.sqrt(mid.size)
         assert abs(mid.mean() - 2.5) <= 3.0 * stderr
 
     def test_absorption_pins_exactly(self):

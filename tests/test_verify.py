@@ -168,12 +168,12 @@ class TestRetries:
 
     def test_failing_criterion_runs_once_then_three_retries(self):
         fn, calls = self._stub(None)
-        report = run_criterion(None, fn, max_retries=3)
+        report = run_criterion(None, fn)
         assert calls == [0, 1, 2, 3]
         assert report.retries == 3 and not report.passed
 
     def test_stops_at_first_pass(self):
         fn, calls = self._stub(2)
-        report = run_criterion(None, fn, max_retries=3)
+        report = run_criterion(None, fn)
         assert calls == [0, 1, 2]
         assert report.retries == 2 and report.passed
