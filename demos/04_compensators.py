@@ -27,7 +27,7 @@ dt, horizon, n = 1e-3, 9.211, 2000
 print("== intensity kernel at the pin (single pin at the origin) ==")
 kern = IntensityKernel(model, dt, horizon)
 for s in (0.1, 0.5, 1.0, 3.0, 8.0):
-    print(f"  s={s:4.1f}:  lambda(s)={float(kern(s, 0)):.4f}")
+    print(f"  s={s:4.1f}:  lambda(s)={float(kern(s)[0]):.4f}")
 print("  (grows from 0 like sqrt(s), saturates near sqrt(2))")
 
 print("\n== simulating", n, "paths and integrating the kernel against local time ==")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import compensator as comp
-from . import filtering, localtime, paths, verify
+from . import filtering, paths, verify
 from .kernels import QuadratureError
 from .laws import ModelSpec
 
@@ -42,6 +42,9 @@ class RunConfig:
             raise ValueError("dt, horizon and n_paths must be positive")
         if self.dt >= self.horizon:
             raise ValueError("dt must be smaller than the horizon")
+        paths._n_steps(self.dt, self.horizon)
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     @classmethod
     def load(cls, path=None, **overrides):
@@ -101,20 +104,17 @@ def cmd_posterior(cfg, t, x):
 
 
 def cmd_compensator(cfg):
-    """Plain compensator of every path at the quarters of the horizon, from
-    the verification suite's ensemble reduction, and the whole curve of
-    path 0, from the per-path route with the kernel that reduction built;
-    both read local time with the occupation estimator, the expected local
+    """Plain compensator of every path at the quarters of the horizon, and
+    the whole curve of path 0, both from the verification suite's ensemble
+    reduction; local time is the occupation estimator, the expected local
     time given the grid values, which has no bandwidth."""
     model = cfg.model_spec()
     out = _ensure_out(cfg)
-    seed = cfg.seed_or(0)
     probes = [cfg.horizon * k / 4 for k in (1, 2, 3, 4)]
-    prod = verify.compensator_products(model, cfg.dt, cfg.horizon, cfg.n_paths, seed,
-                                       probe_times=probes)
-    path = paths.simulate_information_path(model, cfg.dt, cfg.horizon, seed)
-    local_times = [localtime.occupation_local_time(path, z) for z in model.pinning.points]
-    comp.save_curve_csv(comp.compensator_K(model, path, local_times, prod["kernel"]),
+    prod = verify.compensator_products(model, cfg.dt, cfg.horizon, cfg.n_paths,
+                                       cfg.seed_or(0), probe_times=probes)
+    k0 = prod["K_path0"]
+    comp.save_curve_csv(comp.CompensatorCurve(cfg.dt * np.arange(k0.size), k0, "plain"),
                         os.path.join(out, "compensator_path0.csv"))
     summary = verify.EnsembleSummary.from_values(prod["K_probe"], probes)
     with open(os.path.join(out, "compensator_summary.json"), "w") as fh:
@@ -183,6 +183,11 @@ def main(argv=None):
                  if getattr(args, k, None) is not None}
     try:
         cfg = RunConfig.load(args.config, **overrides)
+        sup = cfg.model_spec().support_sup
+        if args.command == "posterior" and not 0.0 < args.t < sup:
+            raise ValueError("t must lie strictly inside the support of the length law")
+        if args.command == "compensator" and cfg.n_paths < 2:
+            raise ValueError("the compensator summary needs at least two paths")
     except (ValueError, TypeError, KeyError) as exc:
         print(f"config rejected: {exc}", file=sys.stderr)
         return 2
@@ -190,9 +195,6 @@ def main(argv=None):
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "posterior":
-            if args.t <= 0.0:
-                print("config rejected: t must be positive", file=sys.stderr)
-                return 2
             return cmd_posterior(cfg, args.t, args.x)
         if args.command == "compensator":
             return cmd_compensator(cfg)

@@ -124,22 +124,19 @@ class IntensityKernel:
         self._splines = [PchipInterpolator(grid, rows[k], extrapolate=False)
                          for k in range(rows.shape[0])]
 
-    def __call__(self, s, k=None):
-        """Kernel at times ``s`` (clamped to the grid) for pin ``k`` or,
-        when ``k`` is None, for all pins (leading axis)."""
+    def __call__(self, s):
+        """Kernel at times ``s`` (clamped to the grid), one row per pin."""
         s = np.asarray(s, dtype=float)
         sc = np.clip(s, self.s_grid[0], self.s_grid[-1])
-        ks = range(len(self._splines)) if k is None else [k]
-        out = np.array([self._splines[i](sc) for i in ks])
+        out = np.array([spline(sc) for spline in self._splines])
         if self._edge is not None:
             out = out / np.sqrt(self._edge - sc)
-        out = np.maximum(out, 0.0)
-        return out if k is None else out[0]
+        return np.maximum(out, 0.0)
 
-    def max_rel_error(self, seed=0, n_probe=60):
+    def max_rel_error(self, n_probe=60):
         """Tabulation error against direct quadrature at random interior
         times (the last 2 % before a divergent support edge are excluded)."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         lo = self.s_grid[0]
         hi = self.s_grid[-1]
         if self._edge is not None:
@@ -224,32 +221,23 @@ def compensator_frak(model, path, local_times, kernel):
     return CompensatorCurve(times=path.times, values=values, kind="weighted")
 
 
-def meyer_approx_Ah(model, path, h, band_fn=None):
+def meyer_approx_Ah(model, path, h, band_fn):
     """Resolvent-style approximation of the compensator at scale ``h``:
     the running time average of the conditional probability that absorption
     falls within ``(s, s + h)``, divided by ``h``.
 
-    ``band_fn(s, x)`` may supply the conditional band probability (e.g. a
-    :class:`~infobridge.filtering.BandProbabilityCache`); by default it is
-    computed by direct quadrature per step (table pass), which is slow on
-    long paths.  Either is queried only at steps before absorption; the
-    integrand is assembled by :func:`band_integrand`.
+    ``band_fn(s, x)`` supplies the conditional band probability, usually a
+    :class:`~infobridge.filtering.BandProbabilityCache` of width ``h``; it
+    is queried only at steps before absorption, and the integrand is
+    assembled by :func:`band_integrand`.
     """
-    from . import filtering
-
     if h <= 0.0:
         raise ValueError("h must be positive")
     t = path.dt * np.arange(path.n_steps)
     cond = np.zeros(path.n_steps - 1)
     live = np.nonzero(t[1:] < path.tau)[0]
     if live.size:
-        s, x = t[1:][live], path.values[1:][live]
-        if band_fn is None:
-            cond[live] = [filtering.band_probability(model, float(si), float(xi), h,
-                                                    table=True)
-                          for si, xi in zip(s, x)]
-        else:
-            cond[live] = band_fn(s, x)
+        cond[live] = band_fn(t[1:][live], path.values[1:][live])
     band = band_integrand(model, h, t, np.array([path.tau]), cond[None, :])[0]
     out = np.zeros(path.n_steps + 1)
     np.cumsum(band * path.dt / h, out=out[1:])

@@ -80,12 +80,10 @@ class PosteriorState:
         if self.absorbed:
             tau, z = self.point_mass
             return float(np.asarray(g(np.asarray([tau]), z)).ravel()[0])
-        model = self._model
-        num = kernels.tail_integrals(model, self.t, self.observed_x,
-                                     extra=lambda r, z: g(r, z))
-        den = kernels.tail_integrals(model, self.t, self.observed_x)
-        ratio = (model.pinning.probs @ num.mass) / (model.pinning.probs @ den.mass)
-        return float(ratio[0] * np.exp(num.scale[0] - den.scale[0]))
+        t, probs = self.t, self._model.pinning.probs
+        q = kernels.tail_integrals(self._model, t, self.observed_x,
+                                   weight=lambda lag, z: g(t + lag, z))
+        return float((probs @ q.moment)[0] / (probs @ q.mass)[0])
 
 
 def posterior(model, t, x, absorbed=False, tau=None):
@@ -187,13 +185,15 @@ class TransitionLaw:
         out = np.where(on_pin, 0.0, surv)
         return out if np.ndim(y) else float(out[0])
 
-    def total_mass(self, n_grid=4001, pad=6.0):
-        """Numerical normalization check: atom masses plus the integral of
-        the continuous part.  The grid is offset so that no node lands
-        exactly on a pin level, where the density is zero by convention."""
+    def total_mass(self):
+        """Numerical normalization check: atom masses plus the trapezoid
+        integral of the continuous part on 4,001 points over 6 sqrt(u)
+        beyond the pins and the start.  The grid is offset so that no node
+        lands exactly on a pin level, where the density is zero by
+        convention."""
         pts = self._model.pinning.points
-        spread = pad * math.sqrt(self.u) + float(np.max(np.abs(pts))) + abs(self.x)
-        y = np.linspace(-spread, spread, n_grid) + spread * 1.9e-7
+        spread = 6.0 * math.sqrt(self.u) + float(np.max(np.abs(pts))) + abs(self.x)
+        y = np.linspace(-spread, spread, 4001) + spread * 1.9e-7
         dens = self.continuous_density(y)
         return float(self.atoms.sum() + np.trapezoid(dens, y))
 
@@ -229,8 +229,9 @@ def drift(model, s, x, *, table=False):
     if not (0.0 < s < model.support_sup):
         raise ValueError("s must lie strictly inside the support of the length law")
     x_arr = _as_row(x)
-    q = kernels.tail_integrals(model, s, x_arr, want_drift=True, table=table)
-    out = (model.pinning.probs @ q.drift) / (model.pinning.probs @ q.mass)
+    q = kernels.tail_integrals(model, s, x_arr, table=table,
+                               weight=lambda lag, z: (z - x_arr[:, None]) / lag)
+    out = (model.pinning.probs @ q.moment) / (model.pinning.probs @ q.mass)
     return out if np.ndim(x) else float(out[0])
 
 
@@ -299,7 +300,8 @@ class _HybridTable:
     jump out of the unrefined small-time table.  ``row_fn(s, xs)`` fills
     one time node and returns ``(n_x,)``, or ``(m, n_x)`` for m quantities
     tabulated together; ``n_s``, ``n_eta`` and ``n_x`` size the tables.
-    Interpolation is bilinear in (log s, coordinate); queries clamp to the
+    Interpolation is bilinear in (log s, coordinate); each query point is
+    read from the regime of its time alone, and clamps to that regime's
     tabulated ranges.
     """
 
@@ -325,27 +327,27 @@ class _HybridTable:
             table = np.stack([row_fn(s, xs) for s in s_nodes], axis=-2)
             self._large = _Bilinear(s_nodes, xs, table)
 
+    def _scaled(self, s, x):
+        return self._small(s, np.clip(x / np.sqrt(s), -_ETA_MAX, _ETA_MAX))
+
     def __call__(self, s, x):
-        s = np.asarray(s, dtype=float)
-        x = np.asarray(x, dtype=float)
+        s, x = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
         if self._large is None:
-            return self._small(s, np.clip(x / np.sqrt(s), -_ETA_MAX, _ETA_MAX))
+            return self._scaled(s, x)
         if self._small is None:
             return self._large(s, x)
         small = s < self.s_switch
-        out = np.where(
-            small,
-            self._small(np.minimum(s, self.s_switch),
-                        np.clip(x / np.sqrt(np.maximum(s, 1e-300)), -_ETA_MAX, _ETA_MAX)),
-            self._large(np.maximum(s, self.s_switch), x))
+        out = np.empty(self._large._table.shape[:-2] + s.shape)
+        out[..., small] = self._scaled(s[small], x[small])
+        out[..., ~small] = self._large(s[~small], x[~small])
         return out
 
 
-def _probe_states(model, table, seed, n_probe):
+def _probe_states(model, table, n_probe):
     """Random states over the time range of ``table``, weighted toward where
     paths actually live: the diffusive sqrt(time) envelope early, the pin
     neighborhoods later."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     s = np.exp(rng.uniform(math.log(table.s_min), math.log(table.s_max), n_probe))
     pts = model.pinning.points
     lo = min(-1.0, pts.min() - 1.0)
@@ -376,11 +378,11 @@ class DriftCache:
     def __call__(self, s, x):
         return self._table(s, x)
 
-    def max_rel_error(self, seed=0, n_probe=200):
+    def max_rel_error(self, n_probe=200):
         """Interpolation error at random reachable states, relative with an
         absolute floor at the median drift magnitude (the drift crosses
         zero, where a pure relative error is ill-defined)."""
-        s, x = _probe_states(self.model, self._table, seed, n_probe)
+        s, x = _probe_states(self.model, self._table, n_probe)
         direct = np.array([drift(self.model, si, xi) for si, xi in zip(s, x)])
         approx = self(s, x)
         scale = np.quantile(np.abs(direct), 0.5)
@@ -407,10 +409,10 @@ class BandProbabilityCache:
     def __call__(self, s, x):
         return np.clip(self._table(s, x), 0.0, 1.0)
 
-    def max_rel_error(self, seed=0, n_probe=100):
+    def max_rel_error(self, n_probe=100):
         """Against direct quadrature at reachable states, relative to the
         band mass itself; one value per width of the ladder."""
-        s, x = _probe_states(self.model, self._table, seed, n_probe)
+        s, x = _probe_states(self.model, self._table, n_probe)
         direct = np.stack([band_probability(self.model, si, xi, self.h)
                            for si, xi in zip(s, x)], axis=-1)
         err = np.max(np.abs(self(s, x) - direct) / np.maximum(direct, 1e-3), axis=-1)

@@ -9,15 +9,17 @@ The central object is the family of integrals
 one per pinning level z_i, where f is the density of the random bridge
 length.  Every conditional quantity of the model (posterior weights,
 survival probabilities, band probabilities, transition atoms, drift,
-intensity of absorption) is a ratio of such integrals, optionally with an
-extra weight in the integrand.  The Gaussian prefactor p(s, x) common to
-numerator and denominator is factored out analytically, so the integrals
-stay within floating-point range and ratios are exact.
+intensity of absorption) is a ratio of such integrals, or of one of them
+and its moment: the same integral with a weight ``w(r - s, z_i)`` in the
+integrand.  The Gaussian prefactor p(s, x) common to numerator and
+denominator is factored out analytically, so the integrals stay within
+floating-point range and ratios are exact.
 
 :func:`tail_integrals` is the one engine for all of them: one pass gives
-``S_i(s, x; s, inf)`` and, for band edges ``u_k``, the bands
+``S_i(s, x; s, inf)``, for band edges ``u_k`` the bands
 ``S_i(s, x; s, u_k)`` and tails ``S_i(s, x; u_k, inf)`` as sums over whole
-panels, so a small band keeps its relative accuracy.
+panels, so a small band keeps its relative accuracy, and, given
+``weight``, the moment from the same nodes as the mass.
 
 Numerical policy, fixed for the whole library: the integrand carries an
 integrable (r-s)^(-1/2) singularity at the left endpoint; substituting
@@ -28,8 +30,9 @@ with Gauss-Legendre rules, by one of two rules:
 
 * the adaptive rule, for direct queries: 30 panels of 10 points, doubled
   up to six times until two successive passes agree on every per-pin
-  mass, band and tail returned (to 1e-9 relative or 1e-13 absolute), and
-  on the pin sums of bands and tails to 1e-9 relative alone;
+  mass, band, tail and moment returned (to 1e-9 relative or 1e-13
+  absolute), and on the pin sums of bands and tails to 1e-9 relative
+  alone (a moment's pin sum may cancel to zero, so it has no such check);
 * the table pass (``table=True``), for filling interpolation tables: one
   pass of 90 panels of 12 points, where one vectorized evaluation per time
   node beats adaptive re-evaluation and the interpolation error dominates
@@ -171,13 +174,13 @@ class TailIntegrals(NamedTuple):
     is the stored one times ``exp(scale[j])``."""
 
     mass: np.ndarray  #: (n_pins, n_x): over (s, inf)
-    drift: np.ndarray | None  #: (n_pins, n_x): drift-weighted, if requested
+    moment: np.ndarray | None  #: (n_pins, n_x): weighted, given a weight
     scale: np.ndarray  #: (n_x,)
     band: np.ndarray  #: (n_uppers, n_pins, n_x): over (s, u_k)
     tail: np.ndarray  #: (n_uppers, n_pins, n_x): over (u_k, inf)
 
 
-def _evaluate(law, s, x, v, w, points, want_drift, extra, cuts):
+def _evaluate(law, s, x, v, w, points, weight, cuts):
     """Scaled integrals on a fixed node set, ascending in ``v``; ``cuts[k]``
     is the number of nodes below the band edge ``u_k``."""
     r = s + v * v
@@ -201,18 +204,16 @@ def _evaluate(law, s, x, v, w, points, want_drift, extra, cuts):
     bounds = np.concatenate(([0], cuts[order], [v.size]))
     # Node sums over the segments between consecutive band edges.
     seg = np.empty((bounds.size - 1, n_pins, x.size))
-    drift = np.empty((n_pins, x.size)) if want_drift else None
+    moment = None if weight is None else np.empty((n_pins, x.size))
     with np.errstate(under="ignore"):
         for i, z in enumerate(points):
             g = np.subtract(expo[i], scale[:, None], out=expo[i])
             np.exp(g, out=g)
             g *= base
-            if extra is not None:
-                g = g * extra(r, z)
             for k in range(seg.shape[0]):
                 seg[k, i] = g[:, bounds[k]:bounds[k + 1]].sum(axis=1)
-            if want_drift:
-                drift[i] = (g * ((z - x_col) / v2)).sum(axis=1)
+            if weight is not None:
+                moment[i] = (g * weight(v2, z)).sum(axis=1)
     # Bands and tails are sums of whole segments, never differences, so a
     # small band keeps its relative accuracy.
     above = np.cumsum(seg[::-1], axis=0)[::-1]  # above[k]: segments k and up
@@ -220,17 +221,16 @@ def _evaluate(law, s, x, v, w, points, want_drift, extra, cuts):
     tail = np.empty_like(band)
     band[order] = np.cumsum(seg[:-1], axis=0)
     tail[order] = above[1:]
-    return TailIntegrals(above[0], drift, scale, band, tail)
+    return TailIntegrals(above[0], moment, scale, band, tail)
 
 
 def _agree(new, old, abs_tol):
     return bool(np.all(np.abs(new - old) <= _REL_TOL * np.abs(new) + abs_tol))
 
 
-def tail_integrals(model, s, x, *, uppers=(), want_drift=False, extra=None,
-                   table=False):
-    """Per-pin tail integrals ``S_i`` (and optionally the drift-weighted
-    variant) for a bridge observed at ``(s, x)``, split at band edges.
+def tail_integrals(model, s, x, *, uppers=(), weight=None, table=False):
+    """Per-pin tail integrals ``S_i`` for a bridge observed at ``(s, x)``,
+    split at band edges, and optionally their moment.
 
     Parameters
     ----------
@@ -244,11 +244,10 @@ def tail_integrals(model, s, x, *, uppers=(), want_drift=False, extra=None,
         Band edges ``u_k``: per-pin masses over ``(s, u_k)`` and
         ``(u_k, inf)`` are returned too.  Edges at or below ``s`` give empty
         bands; edges past the truncation point give empty tails.
-    want_drift : bool
-        Also compute the integrals weighted by ``(z_i - x)/(r - s)``.
-    extra : callable, optional
-        Extra integrand factor ``extra(r, z_i)``; must accept an array of
-        ``r`` values and broadcast.
+    weight : callable, optional
+        Integrand factor ``weight(lag, z_i)`` of the moment, with
+        ``lag = r - s`` an array over the nodes; it returns values that
+        broadcast against ``(n_x, n_nodes)``.
     table : bool
         Use the table pass instead of the adaptive rule (see the module
         docstring).
@@ -256,9 +255,9 @@ def tail_integrals(model, s, x, *, uppers=(), want_drift=False, extra=None,
     Returns
     -------
     TailIntegrals
-        ``mass[i, j] * exp(scale[j])`` is the value of ``S_i`` at ``x[j]``;
-        ``drift`` is ``None`` unless requested.  Empty ranges return zero
-        mass with zero scale.
+        ``mass[i, j] * exp(scale[j])`` is the value of ``S_i`` at ``x[j]``,
+        and ``moment`` the weighted integral on the same scale (``None``
+        without a weight).  Empty ranges return zero mass with zero scale.
     """
     law = model.length
     points, probs = model.pinning.points, model.pinning.probs
@@ -280,19 +279,20 @@ def tail_integrals(model, s, x, *, uppers=(), want_drift=False, extra=None,
     for _ in range(_MAX_SUBDIVISIONS + 1):
         edges = _tail_edges(law, s, upper, uppers, n_panels, n_approach)
         v, w = _panel_rule(edges, n_gauss)
-        out = _evaluate(law, s, x, v, w, points, want_drift, extra,
-                        np.searchsorted(v, v_up))
+        out = _evaluate(law, s, x, v, w, points, weight, np.searchsorted(v, v_up))
         if table:
             return out
-        masses = np.concatenate((out.mass[None], out.band, out.tail))
+        masses = np.concatenate((out.mass[None], out.band, out.tail)
+                                + (() if weight is None else (out.moment[None],)))
         if prev is not None:
             p_masses, p_scale = prev
             with np.errstate(under="ignore"):
                 rescaled = p_masses * np.exp(p_scale - out.scale)
             # Pin sums of bands and tails are numerators of probabilities
             # that may be tiny: they agree relative to themselves.
+            bands = slice(1, 1 + 2 * uppers.size)
             if (_agree(masses, rescaled, _ABS_TOL)
-                    and _agree(probs @ masses[1:], probs @ rescaled[1:],
+                    and _agree(probs @ masses[bands], probs @ rescaled[bands],
                                np.finfo(float).tiny)):
                 return out
         prev = (masses, out.scale)

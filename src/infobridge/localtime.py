@@ -29,7 +29,6 @@ __all__ = [
     "tanaka_local_time",
     "occupation_increments",
     "occupation_formula_check",
-    "save_curve_csv",
 ]
 
 #: A step whose endpoints both lie more than this many sqrt(dt) from the
@@ -130,16 +129,10 @@ def tanaka_local_time(path, level):
                           estimator_kind="tanaka")
 
 
-def save_curve_csv(curve, fp):
-    """Write ``t, L`` rows for one local-time curve."""
-    data = np.column_stack([curve.times, curve.values])
-    np.savetxt(fp, data, delimiter=",", header="t,L", comments="", fmt="%.12g")
-
-
-def occupation_formula_check(path, g, t, n_levels=201):
+def occupation_formula_check(path, g, t):
     """Both sides of the occupation identity up to ``t``: the stopped time
-    integral of ``g`` along the path versus the space integral of ``g``
-    against the estimated local-time profile.
+    integral of ``g`` along the path versus the trapezoid space integral of
+    ``g`` against the estimated local-time profile at 201 levels.
 
     Returns the pair (time side, space side); they agree within estimator
     tolerance for continuous ``g``.
@@ -152,7 +145,7 @@ def occupation_formula_check(path, g, t, n_levels=201):
     reach = _SKIP_SIGMAS * math.sqrt(path.dt)  # the profile vanishes beyond
     lo = float(np.min(path.values)) - reach
     hi = float(np.max(path.values)) + reach
-    levels = np.linspace(lo, hi, n_levels)
+    levels = np.linspace(lo, hi, 201)
     profile = np.array([occupation_increments(path.values[None, :k + 1], [min(path.tau, t)],
                                               path.dt, z).sum() for z in levels])
     space_side = float(np.trapezoid(g(levels) * profile, levels))

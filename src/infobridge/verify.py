@@ -199,11 +199,11 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
     verification program needs.
 
     Returns a dict with per-path compensator values at ``probe_times`` and
-    at the horizon, absorption data, and optionally the weighted
-    compensator, the exponential local martingale at ``lam_m``, the
-    resolvent approximations ``ah_spec = (hs, t_eval, n_sub)``, and the
-    observation column at ``tower_t``; ``"kernel"`` is the intensity kernel
-    it built.
+    at the horizon, the whole compensator row of path 0 (``"K_path0"``),
+    absorption data, and optionally the weighted compensator, the
+    exponential local martingale at ``lam_m``, the resolvent approximations
+    ``ah_spec = (hs, t_eval, n_sub)``, and the observation column at
+    ``tower_t``.
 
     Each chunk of 1,000 paths goes through the compensator module's one
     reduction: :func:`~infobridge.compensator.compensator_rows` for the
@@ -240,6 +240,8 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
         # Basic slices are views: copy the columns so that no chunk's block
         # outlives its pass.
         out["K_term"].append(K[:, -1].copy())
+        if not done:
+            path0 = K[0].copy()
         out["taus"].append(ens.taus)
         out["zs"].append(ens.zs)
         if idx_frak or lam_m is not None:
@@ -265,7 +267,7 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
         del K, d_locals  # freed before the next chunk is simulated
     result = {k: (np.concatenate(v) if v else None) for k, v in out.items() if k != "ah"}
     result["ah"] = {h: np.concatenate(a) for h, a in out["ah"].items()}
-    result["kernel"] = kernel
+    result["K_path0"] = path0
     return result
 
 
@@ -336,7 +338,7 @@ class VerificationContext:
     TOWER_U = 1.25
     LAM_M = 0.25
 
-    def exp_products(self, attempt=0):
+    def exp_products(self, attempt):
         seed = self.seed_for("expA", attempt)
         return self._cached(("expA", attempt), lambda: compensator_products(
             self.model_single_pin(), self.dt, self.exp_horizon,
@@ -344,14 +346,14 @@ class VerificationContext:
             probe_times=self.EXP_PROBES,
             ah_spec=(self.AH_LADDER, 1.0, self.n_terminal)) | {"seed": seed})
 
-    def uni_products(self, attempt=0):
+    def uni_products(self, attempt):
         seed = self.seed_for("uniB", attempt)
         return self._cached(("uniB", attempt), lambda: compensator_products(
             self.model_two_pin_symmetric(), self.dt, 2.0,
             self.n_compensator, seed,
             probe_times=self.UNI_PROBES) | {"seed": seed})
 
-    def uni_asym_products(self, attempt=0):
+    def uni_asym_products(self, attempt):
         seed = self.seed_for("uniB2", attempt)
         return self._cached(("uniB2", attempt), lambda: compensator_products(
             self.model_two_pin_asymmetric(), self.dt, 2.0,
@@ -360,7 +362,7 @@ class VerificationContext:
             frak_times=self.FRAK_PROBES, lam_m=self.LAM_M,
             tower_t=self.TOWER_T) | {"seed": seed})
 
-    def bounded_products(self, attempt=0):
+    def bounded_products(self, attempt):
         seed = self.seed_for("uniC", attempt)
         return self._cached(("uniC", attempt), lambda: compensator_products(
             self.model_bounded_support(), self.dt, 3.0, 500, seed,
@@ -372,7 +374,7 @@ class VerificationContext:
 # ---------------------------------------------------------------------------
 
 
-def criterion_density_consistency(ctx, attempt=0):
+def criterion_density_consistency(ctx, attempt):
     """Both closed forms of the bridge marginal agree to 1e-12 relative on
     random tuples (values below the normal float range compare absolutely)."""
     seed = ctx.seed_for("density", attempt)
@@ -392,7 +394,7 @@ def criterion_density_consistency(ctx, attempt=0):
                       passed=bool(stat <= 1.0), seed=seed, n=n)
 
 
-def criterion_bridge_exactness(ctx, attempt=0):
+def criterion_bridge_exactness(ctx, attempt):
     """Grid marginals of the fixed-length bridge pass KS against the exact
     Gaussian marginal."""
     seed = ctx.seed_for("bridge", attempt)
@@ -408,7 +410,7 @@ def criterion_bridge_exactness(ctx, attempt=0):
                       details={"D": d, "t": t_eval, "r": r, "z": z})
 
 
-def criterion_quadratic_variation(ctx, attempt=0):
+def criterion_quadratic_variation(ctx, attempt):
     """Mean quadratic variation of the path and of its innovation both track
     the stopped clock within 2% at the fine step."""
     seed = ctx.seed_for("qv", attempt)
@@ -448,7 +450,7 @@ def criterion_quadratic_variation(ctx, attempt=0):
                                "rel_innovation": rel_i.tolist()})
 
 
-def criterion_filter_tower(ctx, attempt=0):
+def criterion_filter_tower(ctx, attempt):
     """The posterior estimate of a fixed functional has the unconditional
     mean: tested for the survival indicator and for the pin value."""
     prod = ctx.uni_asym_products(attempt)
@@ -474,7 +476,7 @@ def criterion_filter_tower(ctx, attempt=0):
     return rep
 
 
-def criterion_brownian_local_time(ctx, attempt=0):
+def criterion_brownian_local_time(ctx, attempt):
     """Mean Brownian local time at zero and unit time equals sqrt(2/pi):
     the occupation estimator on never-absorbed paths, one child stream of
     the seed per path."""
@@ -496,7 +498,7 @@ def criterion_brownian_local_time(ctx, attempt=0):
                                "stderr": float(stderr)})
 
 
-def criterion_compensator_martingale(ctx, attempt=0, corrupt=1.0, name="compensator_martingale"):
+def criterion_compensator_martingale(ctx, attempt, corrupt=1.0, name="compensator_martingale"):
     """Mean compensator equals the length CDF at every probe time, for the
     single-pin unbounded config and the two-pin bounded config."""
     prod_a = ctx.exp_products(attempt)
@@ -516,7 +518,7 @@ def criterion_compensator_martingale(ctx, attempt=0, corrupt=1.0, name="compensa
                       details={"single_pin": rep_a.to_dict(), "two_pin": rep_b.to_dict()})
 
 
-def criterion_terminal_exponential(ctx, attempt=0):
+def criterion_terminal_exponential(ctx, attempt):
     """The terminal compensator is standard exponential: unit mean within
     3 stderr and KS p above 0.01 (censored paths are excluded and counted)."""
     prod = ctx.exp_products(attempt)
@@ -534,7 +536,7 @@ def criterion_terminal_exponential(ctx, attempt=0):
                                "D": d, "censored": int((~absorbed).sum())})
 
 
-def criterion_mgf(ctx, attempt=0):
+def criterion_mgf(ctx, attempt):
     """Moment generating function of the terminal compensator matches the
     unit-rate exponential at several arguments."""
     prod = ctx.exp_products(attempt)
@@ -548,7 +550,7 @@ def criterion_mgf(ctx, attempt=0):
     return rep
 
 
-def criterion_weighted_compensator(ctx, attempt=0):
+def criterion_weighted_compensator(ctx, attempt):
     """Mean weighted compensator equals (mean pin) x (length CDF)."""
     prod = ctx.uni_asym_products(attempt)
     model = ctx.model_two_pin_asymmetric()
@@ -560,7 +562,7 @@ def criterion_weighted_compensator(ctx, attempt=0):
     return rep
 
 
-def criterion_martingale_M(ctx, attempt=0):
+def criterion_martingale_M(ctx, attempt):
     """The exponential local martingale of the weighted compensator has
     unit mean (bounded configuration, small argument)."""
     prod = ctx.uni_asym_products(attempt)
@@ -571,7 +573,7 @@ def criterion_martingale_M(ctx, attempt=0):
     return rep
 
 
-def criterion_meyer_refinement(ctx, attempt=0):
+def criterion_meyer_refinement(ctx, attempt):
     """The resolvent approximation converges to the compensator: the gap of
     the ensemble means shrinks strictly along the h-ladder."""
     prod = ctx.exp_products(attempt)
@@ -581,7 +583,7 @@ def criterion_meyer_refinement(ctx, attempt=0):
                              gaps, seed=prod["seed"], n=int(k1.size))
 
 
-def criterion_constant_beyond_support(ctx, attempt=0):
+def criterion_constant_beyond_support(ctx, attempt):
     """With bounded length support the compensator is exactly constant
     beyond the support supremum, pathwise."""
     prod = ctx.bounded_products(attempt)
@@ -593,7 +595,7 @@ def criterion_constant_beyond_support(ctx, attempt=0):
                       details={"t_inside": 1.5, "t_beyond": 3.0})
 
 
-def criterion_kernel_sensitivity(ctx, attempt=0):
+def criterion_kernel_sensitivity(ctx, attempt):
     """A deliberate 10% kernel corruption must make the compensator
     martingale test fail (guards against vacuous tolerances)."""
     rep = criterion_compensator_martingale(ctx, attempt, corrupt=1.1,
@@ -650,14 +652,7 @@ def run_verification_suite(master_seed=20260810, progress=None, **scale):
     return reports
 
 
-def reports_to_json(reports, fp=None):
-    payload = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
-    if fp is not None:
-        own = isinstance(fp, (str, bytes))
-        fh = open(fp, "w") if own else fp
-        try:
-            fh.write(payload + "\n")
-        finally:
-            if own:
-                fh.close()
-    return payload
+def reports_to_json(reports, path):
+    """Write the reports to the file ``path`` as sorted, indented JSON."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n")

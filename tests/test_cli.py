@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import riemann
-from infobridge import (IntensityKernel, ModelSpec, compensator_K, occupation_local_time,
-                        paths, verify)
+from infobridge import (CompensatorCurve, IntensityKernel, ModelSpec, compensator_K, kernels,
+                        occupation_local_time, paths, verify)
 from infobridge.cli import main
 from infobridge.compensator import save_curve_csv
 
@@ -66,6 +66,29 @@ class TestSimulate:
         cfg = _write_config(tmp_path, dt=1.0, horizon=1.0)
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "config rejected" in capsys.readouterr().err
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", "-1"],
+        ["simulate", "--dt", "0.3", "--horizon", "1"],
+        ["posterior", "--t", "2.5", "--x", "0.0"],
+        ["compensator", "--paths", "1"],
+    ], ids=["negative-seed", "horizon-off-grid", "t-past-support", "one-path"])
+    def test_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+        # U(0.5, 2) puts t = 2.5 past the support supremum
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(paths, "iter_ensemble_chunks", no_work)
+        monkeypatch.setattr(kernels, "tail_integrals", no_work)
+        cfg = _write_config(tmp_path, model={"tau": {"family": "uniform", "a": 0.5, "b": 2.0},
+                                             "pinning": {"points": [-1.0, 1.0],
+                                                         "probs": [0.5, 0.5]}})
+        assert main([*argv, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config rejected:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestPosterior:
@@ -144,9 +167,14 @@ class TestCompensatorCommand:
         assert summary["n"] == n and summary["t"] == probes
         np.testing.assert_allclose(summary["mean"], expect.means, rtol=1e-12)
         np.testing.assert_allclose(summary["stderr"], expect.stderrs, rtol=1e-12)
-        save_curve_csv(first, tmp_path / "path0.csv")
+        # Path 0's curve is row 0 of the ensemble reduction, written as is,
+        # and the per-path route reproduces it to rounding.
+        prod = verify.compensator_products(model, dt, horizon, n, seed=7, probe_times=probes)
+        save_curve_csv(CompensatorCurve(first.times, prod["K_path0"], "plain"),
+                       tmp_path / "row0.csv")
         assert (out / "compensator_path0.csv").read_bytes() == \
-               (tmp_path / "path0.csv").read_bytes()
+               (tmp_path / "row0.csv").read_bytes()
+        np.testing.assert_allclose(prod["K_path0"], first.values, rtol=0.0, atol=1e-12)
 
     def test_summary_is_the_ensemble_reduction(self, tmp_path):
         # The command's summary is the verification suite's reduction.

@@ -295,10 +295,11 @@ class TestMeyerApproximation:
     def test_flat_after_absorption(self, two_pin_symmetric):
         dt = 5e-3
         ens = simulate_ensemble(two_pin_symmetric, dt, 2.0, 4, seed=9)
+        bands = BandProbabilityCache(two_pin_symmetric, 0.1, s_min=dt, s_max=2.0)
         for p in ens:
             if not p.absorbed:
                 continue
-            curve = meyer_approx_Ah(two_pin_symmetric, p, h=0.1)
+            curve = meyer_approx_Ah(two_pin_symmetric, p, 0.1, bands)
             assert np.all(np.diff(curve.values[p.absorbed_index:]) == 0.0)
 
     def test_terminal_mean_fubini(self, single_pin_exp, exp_bundle):

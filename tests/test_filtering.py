@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
 import riemann
@@ -21,7 +23,7 @@ from infobridge import (
     survival_probability,
     transition_law,
 )
-from infobridge.filtering import BandProbabilityCache
+from infobridge.filtering import _ETA_MAX, BandProbabilityCache, _HybridTable
 from infobridge.kernels import log_mix_weight
 from infobridge.verify import VerificationContext
 
@@ -81,6 +83,27 @@ class TestPosterior:
         via_g = state.expectation(lambda r, z: z * np.ones_like(r))
         via_weights = float(state.pin_probs @ two_pin_asymmetric.pinning.points)
         assert via_g == pytest.approx(via_weights, rel=1e-9)
+
+    @pytest.mark.parametrize("model, t, x, pdf, r_max, lower", [
+        (ModelSpec(ExponentialLaw(1.0), PinningLaw([0.0], [1.0])), 0.5, 0.2,
+         riemann.exp_pdf(), 60.0, None),
+        (ModelSpec(ExponentialLaw(1.0), PinningLaw([0.0], [1.0])), 0.05, -0.1,
+         riemann.exp_pdf(), 60.0, None),
+        (ModelSpec(UniformLaw(0.5, 2.0), PinningLaw([-1.0, 2.0], [0.6, 0.4])), 0.8, 0.3,
+         riemann.uniform_pdf(0.5, 2.0), 2.0, None),
+        (ModelSpec(UniformLaw(0.5, 2.0), PinningLaw([-1.0, 2.0], [0.6, 0.4])), 0.2, -0.4,
+         riemann.uniform_pdf(0.5, 2.0), 2.0, 0.5),
+    ])
+    def test_expectation_matches_riemann_oracle(self, model, t, x, pdf, r_max, lower):
+        # one pass gives numerator and normalizer; ``lower`` keeps the
+        # oracle's panels off the density jump at the support's lower edge
+        def g(r, z):
+            return r + z * np.sqrt(r)
+
+        pins, probs = model.pinning.points, model.pinning.probs
+        oracle = (riemann.mixture_tail(t, x, pins, probs, pdf, r_max, lower=lower, weight=g)
+                  / riemann.mixture_tail(t, x, pins, probs, pdf, r_max, lower=lower))
+        assert posterior(model, t, x).expectation(g) == pytest.approx(oracle, rel=1e-8)
 
     def test_survival_through_state(self, single_pin_exp):
         state = posterior(single_pin_exp, t=0.5, x=0.2)
@@ -252,6 +275,73 @@ class TestDriftCache:
         # (sup 2) are rejected by both tables before any row is filled
         with pytest.raises(ValueError, match="need 0 < s_min < s_max"):
             make(two_pin_symmetric, s_min, s_max)
+
+
+def _two_regime_read(table, s, x):
+    """The table read as both regimes evaluated at every point, each clamped
+    to its own side of the switch, with ``np.where`` keeping one of them."""
+    s = np.asarray(s, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if table._large is None:
+        return table._small(s, np.clip(x / np.sqrt(s), -_ETA_MAX, _ETA_MAX))
+    if table._small is None:
+        return table._large(s, x)
+    return np.where(
+        s < table.s_switch,
+        table._small(np.minimum(s, table.s_switch),
+                     np.clip(x / np.sqrt(np.maximum(s, 1e-300)), -_ETA_MAX, _ETA_MAX)),
+        table._large(np.maximum(s, table.s_switch), x))
+
+
+def _synthetic_rows(s, xs):
+    return np.sin(3.0 * xs) * np.log(s) + xs * xs * s
+
+
+_EXP = ModelSpec(ExponentialLaw(1.0), PinningLaw([0.0], [1.0]))
+_UNI = ModelSpec(UniformLaw(0.5, 2.0), PinningLaw([-1.0, 2.0], [0.6, 0.4]))
+# Tables over synthetic rows: two regimes, the scaled regime alone (s_max
+# below the switch), the space regime alone (s_min above the switch at
+# 1/121), and two regimes stacking a ladder of three quantities.
+_READ_TABLES = [
+    _HybridTable(_EXP, _synthetic_rows, 1e-3, 1.0, 20, 41, 41),
+    _HybridTable(_EXP, _synthetic_rows, 1e-3, 0.05, 20, 41, 41),
+    _HybridTable(_UNI, _synthetic_rows, 0.01, 1.9, 20, 41, 41),
+    _HybridTable(_UNI, lambda s, xs: np.stack([_synthetic_rows(s, xs) * k for k in (1, 2, 3)]),
+                 1e-3, 1.9, 20, 41, 41),
+]
+
+
+@st.composite
+def table_reads(draw):
+    """A table and query points below ``s_min``, at the switch, past
+    ``s_max`` and log-uniform in between, with values up to 10 away."""
+    table = draw(st.sampled_from(_READ_TABLES))
+    lo, hi = math.log(table.s_min), math.log(table.s_max)
+    times = st.one_of(st.just(table.s_switch),
+                      st.floats(math.log(table.s_min * 1e-3), lo).map(math.exp),
+                      st.floats(hi, hi + math.log(3.0)).map(math.exp),
+                      st.floats(lo, hi).map(math.exp))
+    n = draw(st.integers(1, 12))
+    s = np.array(draw(st.lists(times, min_size=n, max_size=n)))
+    x = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    return table, s, x
+
+
+class TestHybridTableRead:
+    """Each point is read from its own regime only, bit for bit what
+    reading both regimes everywhere and keeping one gives."""
+
+    @given(table_reads())
+    def test_matches_two_regime_read(self, case):
+        table, s, x = case
+        np.testing.assert_array_equal(table(s, x), _two_regime_read(table, s, x))
+        np.testing.assert_array_equal(table(s[0], x[0]), _two_regime_read(table, s[0], x[0]))
+        np.testing.assert_array_equal(table(s[0], x), _two_regime_read(table, s[0], x))
+
+    def test_tables_cover_each_layout(self):
+        layouts = [(t._small is not None, t._large is not None) for t in _READ_TABLES]
+        assert layouts == [(True, True), (True, False), (False, True), (True, True)]
+        assert _READ_TABLES[3](0.5, 0.2).shape == (3,)
 
 
 class TestInnovation:

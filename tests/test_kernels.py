@@ -21,7 +21,8 @@ from infobridge import (
     mix_weight,
 )
 from infobridge.filtering import band_probability, drift, survival_probability
-from infobridge.kernels import log_gaussian_density, log_mix_weight, tail_integrals
+from infobridge.kernels import (QuadratureError, log_gaussian_density, log_mix_weight,
+                                tail_integrals)
 from infobridge.verify import VerificationContext
 
 MODELS = [VerificationContext.model_single_pin(), VerificationContext.model_two_pin_symmetric(),
@@ -218,6 +219,26 @@ class TestTablePass:
         assert np.all(np.abs(band_table - band) <= 1e-9 * np.maximum(band, 1e-3))
         mu = drift(model, s, x)
         assert abs(drift(model, s, x, table=True) - mu) <= 1e-9 * max(abs(mu), 1e-2)
+
+
+class TestMoment:
+    """The weighted integral comes from the nodes of the mass and must
+    settle like every other quantity the adaptive rule returns."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("table", [False, True])
+    def test_unit_weight_is_the_mass(self, model, table):
+        x = np.array([-0.7, 0.0, 0.4])
+        q = tail_integrals(model, 0.3, x, weight=lambda lag, z: np.ones_like(lag), table=table)
+        np.testing.assert_array_equal(q.moment, q.mass)
+        assert tail_integrals(model, 0.3, x, table=table).moment is None
+
+    def test_unsettled_moment_raises(self, single_pin_exp):
+        # a weight that changes from pass to pass never agrees with itself
+        rng = np.random.default_rng(5)
+        with pytest.raises(QuadratureError):
+            tail_integrals(single_pin_exp, 0.5, 0.2,
+                           weight=lambda lag, z: 1.0 + rng.uniform(0.0, 0.1, lag.shape))
 
 
 class TestBandEdges:

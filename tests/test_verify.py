@@ -149,7 +149,7 @@ class TestDeterminism:
         a = VerificationContext(master_seed=99, n_bridge=800)
         b = VerificationContext(master_seed=99, n_bridge=800)
         for fn in (criterion_density_consistency, criterion_bridge_exactness):
-            assert fn(a).to_dict() == fn(b).to_dict()
+            assert fn(a, 0).to_dict() == fn(b, 0).to_dict()
 
 
 class TestRetries:
