@@ -6,10 +6,13 @@ discretization bias.  The realized length is kept as an exact real in the
 path record; only the stored trajectory snaps the absorption to the grid
 (first index at or past the length), after which the path is at the pin.
 
-Simulation is reproducible: a master seed spawns one child stream per path
-and, within a path, separate streams for the length, the pin, and the
-Gaussian increments.  Ensembles generated in chunks are bitwise identical
-to unchunked runs.
+Simulation is reproducible.  Path i of an ensemble of n draws its length,
+pin and Gaussian increments from three PCG64 streams, seeded by
+``SeedSequence(seed).spawn(n)[i].spawn(3)``.  Their seed words come from a
+vectorized copy of the SeedSequence hash, one chunk of paths at a time, and
+one generator is reset to each stream in turn: the draws are numpy's own for
+that layout, without a SeedSequence or Generator object per path.  Ensembles
+generated in chunks are bitwise identical to unchunked runs.
 """
 
 from __future__ import annotations
@@ -145,14 +148,82 @@ def _bridge_rows(rs, zs, dt, values):
     return absorb
 
 
-def _spawn_path_generators(seed, n_paths):
-    """One (length, pin, noise) stream triple per path, all from one seed."""
-    children = np.random.SeedSequence(seed).spawn(n_paths)
-    for child in children:
-        tau_ss, pin_ss, noise_ss = child.spawn(3)
-        yield (np.random.default_rng(tau_ss),
-               np.random.default_rng(pin_ss),
-               np.random.default_rng(noise_ss))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), fixed across versions
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _stream_words(seed, first, n, leaf):
+    """``SeedSequence(seed).spawn(N)[i].spawn(3)[leaf].generate_state(4, np.uint64)``
+    for i in ``[first, first + n)``, as an (n, 4) uint64 array; with leaf None,
+    the words of ``spawn(N)[i]`` itself.
+
+    Each row hashes the zero-padded run entropy of ``seed`` followed by the
+    spawn key ``(i, leaf)``, in uint32 arithmetic across the block.  A path
+    index of 2**32 or more would take two key words, so it is refused.
+    """
+    seed = int(seed)
+    if seed < 0 or first < 0 or first + n > 2**32:
+        raise ValueError("need seed >= 0 and path indices in [0, 2**32)")
+    n_words = max(1, (seed.bit_length() + 31) // 32)
+    run = [(seed >> 32 * k) & 0xFFFFFFFF for k in range(n_words)]
+    run += [0] * (_POOL_SIZE - len(run))
+    entropy = [np.full(n, w, dtype=np.uint32) for w in run]
+    entropy.append(np.arange(first, first + n, dtype=np.uint32))
+    if leaf is not None:
+        entropy.append(np.full(n, leaf, dtype=np.uint32))
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & 0xFFFFFFFF
+        value *= np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return out ^ (out >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = np.empty((n, 8), dtype=np.uint32)
+    for k in range(8):
+        value = pool[k % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & 0xFFFFFFFF
+        value *= np.uint32(hash_const)
+        state[:, k] = value ^ (value >> 16)
+    # little-endian pairs of 32-bit words, as generate_state views them
+    return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << np.uint64(32)
+
+
+def _streams(gen, seed, first, n, leaf):
+    """Reset ``gen``, a Generator over PCG64, to each path's stream of
+    :func:`_stream_words` in turn and yield it: draw from it before the next.
+
+    This is the state ``PCG64(seed_sequence)`` starts in (pcg64 ``srandom``).
+    """
+    bit_generator = gen.bit_generator
+    for w0, w1, w2, w3 in _stream_words(seed, first, n, leaf).tolist():
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield gen
 
 
 def simulate_deterministic_bridge(r, z, dt, horizon, rng):
@@ -180,22 +251,21 @@ def simulate_information_path(model, dt, horizon, seed):
 def iter_ensemble_chunks(model, dt, horizon, n_paths, seed, chunk=1024):
     """Yield the ensemble in path chunks; chunking does not change draws."""
     n_steps = _n_steps(dt, horizon)
-    gens = _spawn_path_generators(seed, n_paths)
-    done = 0
-    while done < n_paths:
-        m = min(chunk, n_paths - done)
-        uniforms = np.empty((2, m))  # what ``sample`` draws, mapped for the whole chunk
-        values = np.empty((m, n_steps + 1))
-        for j in range(m):
-            tau_rng, pin_rng, noise_rng = next(gens)
-            uniforms[:, j] = tau_rng.uniform(), pin_rng.uniform()
-            noise_rng.standard_normal(out=values[j, 1:])
+    gen = np.random.default_rng(0)  # reset to every stream it reads
+    for first in range(0, n_paths, chunk):
+        m = min(chunk, n_paths - first)
+        # what ``sample`` draws from the length and pin streams; ``random()``
+        # returns the bits of ``uniform()`` without parsing its arguments
+        uniforms = np.array([[g.random() for g in _streams(gen, seed, first, m, leaf)]
+                             for leaf in (0, 1)])
         taus = np.asarray(model.length.quantile(uniforms[0]), dtype=float)
         zs = model.pinning.quantile(uniforms[1])
+        values = np.empty((m, n_steps + 1))
+        for row, g in zip(values[:, 1:], _streams(gen, seed, first, m, 2)):
+            g.standard_normal(out=row)
         absorb = _bridge_rows(taus, zs, dt, values)
         yield PathEnsemble(dt=dt, values=values, taus=taus, zs=zs, seed=seed,
                            absorbed_indices=absorb)
-        done += m
 
 
 def simulate_ensemble(model, dt, horizon, n_paths, seed, chunk=None):
@@ -219,8 +289,9 @@ def simulate_bridge_ensemble(r, z, dt, horizon, n_paths, seed):
     if not (0.0 < dt < r):
         raise ValueError("need 0 < dt < r")
     values = np.empty((n_paths, _n_steps(dt, horizon) + 1))
-    for j, (_, _, noise_rng) in enumerate(_spawn_path_generators(seed, n_paths)):
-        noise_rng.standard_normal(out=values[j, 1:])
+    noise = _streams(np.random.default_rng(0), seed, 0, n_paths, 2)
+    for row, g in zip(values[:, 1:], noise):
+        g.standard_normal(out=row)
     rs = np.full(n_paths, float(r))
     zs = np.full(n_paths, float(z))
     absorb = _bridge_rows(rs, zs, dt, values)

@@ -483,12 +483,11 @@ def criterion_brownian_local_time(ctx, attempt):
     seed = ctx.seed_for("brownian", attempt)
     dt = ctx.dt_fine
     target = math.sqrt(2.0 / math.pi)
-    children = np.random.SeedSequence(seed).spawn(ctx.n_brownian)
+    streams = paths._streams(np.random.default_rng(0), seed, 0, ctx.n_brownian, None)
     values = np.array([
         localtime.occupation_increments(
-            paths.simulate_brownian_motion(dt, 1.0, np.random.default_rng(child)).values,
-            math.inf, dt, 0.0).sum()
-        for child in children])
+            paths.simulate_brownian_motion(dt, 1.0, rng).values, math.inf, dt, 0.0).sum()
+        for rng in streams])
     mean = values.mean()
     stderr = values.std(ddof=1) / math.sqrt(values.size)
     stat = abs(mean - target) / stderr

@@ -108,6 +108,60 @@ class TestClosedForm:
         assert np.max(np.abs(ens.values - ref)) <= 1e-12
 
 
+# seeds at the run-entropy word boundaries, up to 2**64, and past 2**128,
+# where the run entropy takes more than the 4 words of the pool
+seeds = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128, 20260810]),
+    st.integers(0, 2**64),
+    st.integers(2**128, 2**200),
+)
+leaves = st.sampled_from([None, 0, 1, 2])
+
+
+def seed_sequence_words(seed, i, leaf):
+    """numpy's words for path i: ``spawn(N)[i]`` is ``spawn_key=(i,)``."""
+    child = np.random.SeedSequence(seed, spawn_key=(i,))
+    if leaf is not None:
+        child = child.spawn(3)[leaf]
+    return child.generate_state(4, np.uint64)
+
+
+class TestStreamWords:
+    @given(seeds, st.integers(0, 2**32 - 16), st.integers(0, 16), leaves)
+    def test_matches_seed_sequence(self, seed, first, n, leaf):
+        words = paths._stream_words(seed, first, n, leaf)
+        assert words.shape == (n, 4) and words.dtype == np.uint64
+        for j, row in enumerate(words):
+            np.testing.assert_array_equal(row, seed_sequence_words(seed, first + j, leaf))
+
+    @given(seeds, leaves)
+    def test_matches_spawned_children(self, seed, leaf):
+        words = paths._stream_words(seed, 0, 12, leaf)
+        for row, child in zip(words, np.random.SeedSequence(seed).spawn(12)):
+            if leaf is not None:
+                child = child.spawn(3)[leaf]
+            np.testing.assert_array_equal(row, child.generate_state(4, np.uint64))
+
+    @given(seeds, leaves)
+    def test_last_index_below_2_32(self, seed, leaf):
+        np.testing.assert_array_equal(paths._stream_words(seed, 2**32 - 1, 1, leaf)[0],
+                                      seed_sequence_words(seed, 2**32 - 1, leaf))
+        for first, n in ((2**32 - 1, 2), (2**32, 1), (2**40, 3)):
+            with pytest.raises(ValueError):
+                paths._stream_words(seed, first, n, leaf)
+
+    @given(seeds, st.integers(1, 12), st.integers(1, 30))
+    def test_bridge_ensemble_follows_noise_leaf(self, seed, n, n_steps):
+        dt, r, z = 0.01, 0.15, -0.4
+        ens = simulate_bridge_ensemble(r, z, dt, n_steps * dt, n, seed)
+        values = np.empty((n, n_steps + 1))
+        for row, child in zip(values, np.random.SeedSequence(seed).spawn(n)):
+            row[1:] = np.random.default_rng(child.spawn(3)[2]).standard_normal(n_steps)
+        absorb = paths._bridge_rows(np.full(n, r), np.full(n, z), dt, values)
+        np.testing.assert_array_equal(ens.values, values)
+        np.testing.assert_array_equal(ens.absorbed_indices, absorb)
+
+
 class TestBridgeExactness:
     def test_marginal_ks(self):
         # exact conditional sampling: the grid marginal is the exact bridge law
@@ -205,9 +259,10 @@ class TestReproducibility:
         np.testing.assert_array_equal(a.taus, b.taus)
 
     def test_chunking_does_not_change_draws(self, two_pin_symmetric):
-        a = simulate_ensemble(two_pin_symmetric, dt=0.01, horizon=1.0, n_paths=64, seed=12)
-        for chunk in (7, 33):  # neither divides the simulator's row block
-            b = simulate_ensemble(two_pin_symmetric, dt=0.01, horizon=1.0, n_paths=64,
+        a = simulate_ensemble(two_pin_symmetric, dt=0.01, horizon=1.0, n_paths=1030, seed=12)
+        # 7 and 33 divide neither the simulator's row block nor the path count
+        for chunk in (1, 7, 33, 1000):
+            b = simulate_ensemble(two_pin_symmetric, dt=0.01, horizon=1.0, n_paths=1030,
                                   seed=12, chunk=chunk)
             np.testing.assert_array_equal(a.values, b.values)
             np.testing.assert_array_equal(a.taus, b.taus)
