@@ -40,6 +40,6 @@ print(f"  E[length | path up to 0.5] = {mean_len:.4f}")
 
 print("\nsurvival curve at (t=0.5, x as observed) written to demo_survival.csv")
 u = np.linspace(0.5, 2.0, 151)
-surv = [survival_probability(model, 0.5, float(path.values[500]), float(ui)) for ui in u]
+surv = survival_probability(model, 0.5, float(path.values[500]), u)
 np.savetxt("demo_survival.csv", np.column_stack([u, surv]),
            delimiter=",", header="u,probability", comments="")

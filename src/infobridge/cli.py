@@ -91,7 +91,7 @@ def cmd_posterior(cfg, t, x):
     sup = model.support_sup
     u_hi = sup if math.isfinite(sup) else model.length.quantile(0.999)
     u = np.linspace(t, u_hi, 200)
-    surv = np.array([filtering.survival_probability(model, t, x, float(ui)) for ui in u])
+    surv = filtering.survival_probability(model, t, x, u)
     data = np.column_stack([u, surv])
     surv_path = os.path.join(out, "survival.csv")
     np.savetxt(surv_path, data, delimiter=",", header="u,probability", comments="", fmt="%.12g")

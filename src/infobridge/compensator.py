@@ -69,7 +69,8 @@ class CompensatorCurve:
 
 def intensity_row(model, s, *, table=False):
     """Kernel values for all pins at one time, by direct quadrature;
-    ``table`` selects the table pass of :func:`~infobridge.kernels.tail_integrals`."""
+    ``table`` takes the first, unchecked pass of the tail rule of
+    :func:`~infobridge.kernels.tail_integrals`, as tables do."""
     law = model.length
     if not (0.0 < s < law.support_sup):
         raise ValueError("s must lie strictly inside the support of the length law")

@@ -82,7 +82,7 @@ class PosteriorState:
             return float(np.asarray(g(np.asarray([tau]), z)).ravel()[0])
         t, probs = self.t, self._model.pinning.probs
         q = kernels.tail_integrals(self._model, t, self.observed_x,
-                                   weight=lambda lag, z: g(t + lag, z))
+                                   weight=lambda lag, z, x: g(t + lag, z))
         return float((probs @ q.moment)[0] / (probs @ q.mass)[0])
 
 
@@ -121,14 +121,18 @@ def pin_posterior(model, t, x):
 
 
 def survival_probability(model, t, x, u):
-    """P(length > u | path up to t, not yet absorbed); vectorized over ``x``."""
-    if u < t:
+    """P(length > u | path up to t, not yet absorbed); vectorized over ``x``,
+    and a sequence of times ``u`` adds a leading axis.  All times come from
+    one quadrature pass."""
+    if np.any(np.asarray(u) < t):
         raise ValueError("need u >= t")
     x_arr = _as_row(x)
-    q = kernels.tail_integrals(model, t, x_arr, uppers=(u,))
+    q = kernels.tail_integrals(model, t, x_arr, uppers=u)
     probs = model.pinning.probs
-    out = np.clip((probs @ q.tail[0]) / (probs @ q.mass), 0.0, 1.0)
-    return out if np.ndim(x) else float(out[0])
+    out = np.clip((probs @ q.tail) / (probs @ q.mass), 0.0, 1.0)
+    out = out if np.ndim(x) else out[:, 0]
+    out = out if np.ndim(u) else out[0]
+    return out if np.ndim(out) else float(out)
 
 
 def band_probability(model, t, x, h, *, table=False):
@@ -136,7 +140,8 @@ def band_probability(model, t, x, h, *, table=False):
     over ``x``; a sequence of widths ``h`` adds a leading axis.  All widths
     come from one quadrature pass, and each band is summed over its own
     panels rather than formed as one minus a survival probability.
-    ``table`` selects the table pass of :func:`~infobridge.kernels.tail_integrals`."""
+    ``table`` takes the first, unchecked pass of the tail rule of
+    :func:`~infobridge.kernels.tail_integrals`, as tables do."""
     x_arr = _as_row(x)
     q = kernels.tail_integrals(model, t, x_arr, uppers=t + np.atleast_1d(h), table=table)
     probs = model.pinning.probs
@@ -225,12 +230,13 @@ def transition_law(model, t, x, u):
 def drift(model, s, x, *, table=False):
     """Conditional mean displacement rate at ``(s, x)``: the mixture average
     of the bridge pull ``(z_i - x)/(r - s)``.  Vectorized over ``x``;
-    ``table`` selects the table pass of :func:`~infobridge.kernels.tail_integrals`."""
+    ``table`` takes the first, unchecked pass of the tail rule of
+    :func:`~infobridge.kernels.tail_integrals`, as tables do."""
     if not (0.0 < s < model.support_sup):
         raise ValueError("s must lie strictly inside the support of the length law")
     x_arr = _as_row(x)
     q = kernels.tail_integrals(model, s, x_arr, table=table,
-                               weight=lambda lag, z: (z - x_arr[:, None]) / lag)
+                               weight=lambda lag, z, x: (z - x) / lag)
     out = (model.pinning.probs @ q.moment) / (model.pinning.probs @ q.mass)
     return out if np.ndim(x) else float(out[0])
 

@@ -25,18 +25,21 @@ Numerical policy, fixed for the whole library: the integrand carries an
 integrable (r-s)^(-1/2) singularity at the left endpoint; substituting
 v = sqrt(r - s) removes it exactly (the Jacobian 2v cancels the 1/v).  The
 infinite endpoint is truncated where the remaining mass of the length law
-drops below 1e-10.  Panels are graded geometrically in v and integrated
-with Gauss-Legendre rules, by one of two rules:
-
-* the adaptive rule, for direct queries: 30 panels of 10 points, doubled
-  up to six times until two successive passes agree on every per-pin
-  mass, band, tail and moment returned (to 1e-9 relative or 1e-13
-  absolute), and on the pin sums of bands and tails to 1e-9 relative
-  alone (a moment's pin sum may cancel to zero, so it has no such check);
-* the table pass (``table=True``), for filling interpolation tables: one
-  pass of 90 panels of 12 points, where one vectorized evaluation per time
-  node beats adaptive re-evaluation and the interpolation error dominates
-  anyway; tables are checked against the adaptive rule afterwards.
+drops below 1e-10.  There is one rule: 30 panels graded geometrically in v
+from 1e-9 of the truncated range, each with the 21 Kronrod nodes of the
+Gauss-Kronrod pair (QUADPACK qk21, Piessens et al., 1983).  One pass gives
+two sums of every quantity from the same nodes, one with the Kronrod
+weights and one with the embedded 10-point Gauss weights.  A direct query
+accepts the first pass whose two sums agree on every per-pin mass, band,
+tail and moment returned (to 1e-9 relative or 1e-13 absolute), and on the
+pin sums of bands and tails to 1e-9 relative alone (a moment's pin sum may
+cancel to zero, so it has no such check).  Otherwise the ladder doubles,
+up to six times, with its bottom edge moved lower and edges graded toward
+each band edge.  Tables (``table=True``) take the first pass unchecked:
+one vectorized evaluation per time node, whose error the interpolation
+error dominates; tables are checked against direct queries afterwards.
+The observed values are evaluated in blocks of at most 2**20 exponent
+cells, so the temporaries of a long row stay small.
 
 Exponents are rescaled by their maximum before exponentiation, so
 intermediate values never overflow.
@@ -48,7 +51,6 @@ with no shared mutable state.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -66,19 +68,45 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-
-# The adaptive rule.
+# The tail rule.
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-13
 _BASE_PANELS = 30
-_GAUSS_POINTS = 10
 _MAX_SUBDIVISIONS = 6
-# The table pass.
-_TABLE_PANELS = 90
-_TABLE_GAUSS_POINTS = 12
 #: Mass of the length law allowed beyond the truncation point when the
-#: support is unbounded; both rules share it.
+#: support is unbounded.
 _TRUNCATION_MASS = 1e-10
+_CELLS = 2 ** 20  # exponent cells per block of x, so that the temporaries stay small
+
+# QUADPACK qk21: the Kronrod abscissae in [0, 1), descending to the centre,
+# every second one an abscissa of the 10-point Gauss rule; their Kronrod
+# weights; and the weights of the embedded 10-point Gauss rule at the same
+# abscissae, zero off its own.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208801389960, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.0, 0.066671344308688137593568809893332,
+    0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163,
+    0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651146,
+    0.0])
+#: The 21 nodes on [-1, 1], ascending, and one row of weights per rule:
+#: Kronrod, then Gauss.
+_UNIT_NODES = np.concatenate((-_XGK, _XGK[-2::-1]))
+_UNIT_WEIGHTS = np.stack([np.concatenate((w, w[-2::-1])) for w in (_WGK, _WG)])
 
 
 class QuadratureError(RuntimeError):
@@ -135,34 +163,31 @@ def bridge_marginal_density(t, r, z, x):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _leggauss(n):
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _panel_rule(edges, n_gauss):
-    """Gauss-Legendre nodes/weights on the panels delimited by ``edges``."""
-    base_x, base_w = _leggauss(n_gauss)
+def _panel_rule(edges):
+    """Kronrod nodes on the panels delimited by ``edges``, ascending, and
+    their weights: one row per rule, Kronrod then the embedded Gauss."""
     lo = edges[:-1, None]
-    hi = edges[1:, None]
-    half = 0.5 * (hi - lo)
-    nodes = lo + half * (base_x[None, :] + 1.0)
-    weights = half * base_w[None, :]
-    return nodes.ravel(), weights.ravel()
+    half = 0.5 * (edges[1:, None] - lo)
+    nodes = lo + half * (_UNIT_NODES + 1.0)
+    weights = half * _UNIT_WEIGHTS[:, None, :]
+    return nodes.ravel(), weights.reshape(len(_UNIT_WEIGHTS), -1)
 
 
 def _tail_edges(law, s, upper, uppers, n_panels, n_approach):
     """Geometrically graded panel edges in v = sqrt(r - s) up to the
     truncation point ``upper``; the density kinks of the length law and the
     band edges ``uppers`` are among them, and ``n_approach`` edges per band
-    edge grade toward it from below, where a small band concentrates.  An
-    empty range (``s`` at or past ``upper``) has a single edge, no panels.
+    edge grade toward it from below, where a small band concentrates.  The
+    bottom edge starts at 1e-9 of the range and moves lower as the ladder
+    doubles, so a spike nearer the origin, the pull within 1e-9 of a pin,
+    gets panels of its own.  An empty range (``s`` at or past ``upper``)
+    has a single edge, no panels.
     """
     if s >= upper:
         return np.zeros(1)
     v_hi = math.sqrt(upper - s)
-    # Graded ladder resolves boundary layers at any scale >= ~1e-9 * v_hi.
-    edges = np.concatenate(([0.0], np.geomspace(v_hi * 1e-9, v_hi, n_panels)))
+    bottom = v_hi * 1e-9 ** math.sqrt(n_panels / _BASE_PANELS)
+    edges = np.concatenate(([0.0], np.geomspace(bottom, v_hi, n_panels)))
     kinks = [math.sqrt(b - s) for b in law.breakpoints if s < b < upper]
     cuts = np.sqrt(uppers[(uppers > s) & (uppers < upper)] - s)
     approach = np.outer(cuts, 1.0 - np.geomspace(1e-5, 0.5, n_approach))
@@ -181,47 +206,56 @@ class TailIntegrals(NamedTuple):
 
 
 def _evaluate(law, s, x, v, w, points, weight, cuts):
-    """Scaled integrals on a fixed node set, ascending in ``v``; ``cuts[k]``
-    is the number of nodes below the band edge ``u_k``."""
-    r = s + v * v
-    f = law.pdf(r)
-    base = 2.0 * np.sqrt(r) * f * w  # Jacobian 2v cancels the 1/v
-    n_pins = len(points)
-    x_col = x[:, None]
-    expo = np.empty((n_pins, x.size, v.size))
+    """Scaled node sums on a fixed node set, ascending in ``v``, with one
+    row of weights ``w`` per rule; ``cuts[k]`` is the number of nodes below
+    the band edge ``u_k``.  Returns the exponent scale ``(n_x,)`` and the
+    sums ``(n_rules, 1 + 2 n_uppers [+ 1], n_pins, n_x)``: per rule the
+    mass, the bands, the tails and, given a weight, the moment."""
     v2 = v * v
+    r = s + v2
+    f = law.pdf(r)
+    base = (2.0 * np.sqrt(r) * f * w).T  # Jacobian 2v cancels the 1/v
     # Nodes outside the support must not set the exponent scale: the
     # integrand vanishes there however large the exponent.
     dead = f == 0.0
-    for i, z in enumerate(points):
-        c = z - x_col
-        np.divide(c * c, 2.0 * v2, out=expo[i])
-        np.subtract(z * z / (2.0 * r), expo[i], out=expo[i])
-        expo[i][:, dead] = -np.inf
-    scale = expo.max(axis=(0, 2), initial=-np.inf)
-    scale = np.where(np.isfinite(scale), scale, 0.0)
+    n_pins = len(points)
     order = np.argsort(cuts, kind="stable")
     bounds = np.concatenate(([0], cuts[order], [v.size]))
-    # Node sums over the segments between consecutive band edges.
-    seg = np.empty((bounds.size - 1, n_pins, x.size))
-    moment = None if weight is None else np.empty((n_pins, x.size))
-    with np.errstate(under="ignore"):
+    n_seg = bounds.size - 1
+    # Node sums over the segments between consecutive band edges, then the
+    # moment.
+    seg = np.empty((len(w), n_seg + (weight is not None), n_pins, x.size))
+    scale = np.empty(x.size)
+    rows = max(1, _CELLS // (n_pins * v.size + 1))
+    for lo in range(0, x.size, rows):
+        block = slice(lo, lo + rows)
+        x_col = x[block, None]
+        expo = np.empty((n_pins, x_col.shape[0], v.size))
         for i, z in enumerate(points):
-            g = np.subtract(expo[i], scale[:, None], out=expo[i])
-            np.exp(g, out=g)
-            g *= base
-            for k in range(seg.shape[0]):
-                seg[k, i] = g[:, bounds[k]:bounds[k + 1]].sum(axis=1)
-            if weight is not None:
-                moment[i] = (g * weight(v2, z)).sum(axis=1)
+            c = z - x_col
+            np.divide(c * c, 2.0 * v2, out=expo[i])
+            np.subtract(z * z / (2.0 * r), expo[i], out=expo[i])
+            expo[i][:, dead] = -np.inf
+        top = expo.max(axis=(0, 2), initial=-np.inf)
+        top = np.where(np.isfinite(top), top, 0.0)
+        scale[block] = top
+        with np.errstate(under="ignore"):
+            for i, z in enumerate(points):
+                g = np.subtract(expo[i], top[:, None], out=expo[i])
+                np.exp(g, out=g)
+                for k in range(n_seg):
+                    nodes = slice(bounds[k], bounds[k + 1])
+                    seg[:, k, i, block] = (g[:, nodes] @ base[nodes]).T
+                if weight is not None:
+                    seg[:, n_seg, i, block] = ((g * weight(v2, z, x_col)) @ base).T
     # Bands and tails are sums of whole segments, never differences, so a
     # small band keeps its relative accuracy.
-    above = np.cumsum(seg[::-1], axis=0)[::-1]  # above[k]: segments k and up
-    band = np.empty((cuts.size, n_pins, x.size))
+    above = np.cumsum(seg[:, n_seg - 1::-1], axis=1)[:, ::-1]  # [k]: segments k and up
+    band = np.empty((len(w), cuts.size, n_pins, x.size))
     tail = np.empty_like(band)
-    band[order] = np.cumsum(seg[:-1], axis=0)
-    tail[order] = above[1:]
-    return TailIntegrals(above[0], moment, scale, band, tail)
+    band[:, order] = np.cumsum(seg[:, :n_seg - 1], axis=1)
+    tail[:, order] = above[:, 1:]
+    return scale, np.concatenate((above[:, :1], band, tail, seg[:, n_seg:]), axis=1)
 
 
 def _agree(new, old, abs_tol):
@@ -245,12 +279,13 @@ def tail_integrals(model, s, x, *, uppers=(), weight=None, table=False):
         ``(u_k, inf)`` are returned too.  Edges at or below ``s`` give empty
         bands; edges past the truncation point give empty tails.
     weight : callable, optional
-        Integrand factor ``weight(lag, z_i)`` of the moment, with
-        ``lag = r - s`` an array over the nodes; it returns values that
-        broadcast against ``(n_x, n_nodes)``.
+        Integrand factor ``weight(lag, z_i, x)`` of the moment, with
+        ``lag = r - s`` an array over the nodes and ``x`` a column of the
+        observed values (one block of them); it returns values that
+        broadcast against ``(len(x), n_nodes)``.
     table : bool
-        Use the table pass instead of the adaptive rule (see the module
-        docstring).
+        Return the rule's first pass unchecked, for filling interpolation
+        tables (see the module docstring).
 
     Returns
     -------
@@ -271,31 +306,22 @@ def tail_integrals(model, s, x, *, uppers=(), weight=None, table=False):
     upper = law.truncation_point(_TRUNCATION_MASS)
     v_up = np.sqrt(np.clip(uppers - s, 0.0, None))
 
-    # The first pass is the plain ladder; refinements double it and grade
-    # toward the band edges.
-    n_panels, n_approach = (_TABLE_PANELS if table else _BASE_PANELS), 0
-    n_gauss = _TABLE_GAUSS_POINTS if table else _GAUSS_POINTS
-    prev = None
+    bands = slice(1, 1 + 2 * uppers.size)
+    # The first pass is the plain ladder; refinements double it, lower its
+    # bottom edge and grade toward the band edges.
+    n_panels, n_approach = _BASE_PANELS, 0
     for _ in range(_MAX_SUBDIVISIONS + 1):
         edges = _tail_edges(law, s, upper, uppers, n_panels, n_approach)
-        v, w = _panel_rule(edges, n_gauss)
-        out = _evaluate(law, s, x, v, w, points, weight, np.searchsorted(v, v_up))
-        if table:
-            return out
-        masses = np.concatenate((out.mass[None], out.band, out.tail)
-                                + (() if weight is None else (out.moment[None],)))
-        if prev is not None:
-            p_masses, p_scale = prev
-            with np.errstate(under="ignore"):
-                rescaled = p_masses * np.exp(p_scale - out.scale)
-            # Pin sums of bands and tails are numerators of probabilities
-            # that may be tiny: they agree relative to themselves.
-            bands = slice(1, 1 + 2 * uppers.size)
-            if (_agree(masses, rescaled, _ABS_TOL)
-                    and _agree(probs @ masses[bands], probs @ rescaled[bands],
-                               np.finfo(float).tiny)):
-                return out
-        prev = (masses, out.scale)
+        v, w = _panel_rule(edges)
+        scale, (kronrod, gauss) = _evaluate(law, s, x, v, w, points, weight,
+                                            np.searchsorted(v, v_up))
+        # Pin sums of bands and tails are numerators of probabilities that
+        # may be tiny: they agree relative to themselves.
+        if table or (_agree(kronrod, gauss, _ABS_TOL)
+                     and _agree(probs @ kronrod[bands], probs @ gauss[bands],
+                                np.finfo(float).tiny)):
+            return TailIntegrals(kronrod[0], None if weight is None else kronrod[-1], scale,
+                                 kronrod[1:1 + uppers.size], kronrod[1 + uppers.size:bands.stop])
         n_panels *= 2
         n_approach = n_panels // 4
     raise QuadratureError(

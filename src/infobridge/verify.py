@@ -281,7 +281,6 @@ class VerificationContext:
     """Scale knobs and lazily cached ensemble reductions for the suite."""
 
     master_seed: int = 20260810
-    dt: float = 1e-3
     dt_fine: float = 1e-4
     n_compensator: int = 5000
     n_terminal: int = 2000
@@ -330,6 +329,7 @@ class VerificationContext:
 
     # -- products -------------------------------------------------------------
 
+    dt = 1e-3  # grid step of the compensator and bridge products; not a field
     AH_LADDER = (0.1, 0.03, 0.01)
     EXP_PROBES = (0.5, 1.0, 2.0)
     UNI_PROBES = (0.5, 1.0, 2.0)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -142,6 +142,26 @@ class TestSurvival:
     def test_u_before_t_rejected(self, single_pin_exp):
         with pytest.raises(ValueError):
             survival_probability(single_pin_exp, 1.0, 0.0, 0.5)
+        with pytest.raises(ValueError):
+            survival_probability(single_pin_exp, 1.0, 0.0, [1.5, 0.5])
+
+    @pytest.mark.parametrize("model", [
+        VerificationContext.model_single_pin(), VerificationContext.model_two_pin_symmetric(),
+        VerificationContext.model_two_pin_asymmetric(), VerificationContext.model_bounded_support()])
+    def test_ladder_of_times_is_one_pass(self, model):
+        # a sequence of u adds a leading axis and matches one call per u
+        t = 0.4
+        sup = model.support_sup if math.isfinite(model.support_sup) else 6.0
+        us = np.linspace(t, sup, 40)
+        xs = np.array([-0.8, 0.1, 1.3])
+        curve = survival_probability(model, t, 0.1, us)
+        assert curve.shape == us.shape
+        assert np.all(np.diff(curve) <= 0.0)
+        loop = [survival_probability(model, t, 0.1, float(u)) for u in us]
+        np.testing.assert_allclose(curve, loop, rtol=1e-9, atol=1e-13)
+        grid = survival_probability(model, t, xs, us)
+        assert grid.shape == (us.size, xs.size)
+        np.testing.assert_allclose(grid[:, 1], curve, rtol=1e-9, atol=1e-13)
 
 
 class TestTransitionLaw:
@@ -238,15 +258,21 @@ class TestDrift:
         with pytest.raises(ValueError):
             drift(two_pin_symmetric, 0.0, 0.0)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "the tail ladder's lowest panel, [0, 1e-9 v_hi] with v_hi = sqrt(truncation "
-        "point - s), is never refined, so within about 1e-8 v_hi of the pin successive "
-        "passes agree on the same wrong drift"))
     @pytest.mark.parametrize("s, x", [(0.0115689, 1.076e-10), (1.0, 1e-9), (0.5, 3e-9),
                                       (1e-3, 3e-11)])
     def test_near_pin_matches_scipy_quad(self, single_pin_exp, s, x):
         assert drift(single_pin_exp, s, x) == pytest.approx(
             quad_drift_origin_pin(single_pin_exp, s, x), rel=1e-6)
+
+    @given(st.floats(math.log(1e-3), 0.0), st.floats(math.log(1e-13), math.log(1e-6)),
+           st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_near_pin_property(self, log_s, log_d, sign):
+        # The pull's spike at v ~ |x| lies far below the first ladder's
+        # bottom edge; the Kronrod-Gauss pair must see it and refine.
+        model = VerificationContext.model_single_pin()
+        s, x = math.exp(log_s), sign * math.exp(log_d)
+        assert drift(model, s, x) == pytest.approx(quad_drift_origin_pin(model, s, x), rel=1e-6)
 
 
 class TestDriftCache:

@@ -2,6 +2,7 @@
 Riemann oracles."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from infobridge import (
     mix_weight,
 )
 from infobridge.filtering import band_probability, drift, survival_probability
+from infobridge import kernels
 from infobridge.kernels import (QuadratureError, log_gaussian_density, log_mix_weight,
                                 tail_integrals)
 from infobridge.verify import VerificationContext
@@ -199,9 +201,9 @@ def table_states(draw):
 
 
 class TestTablePass:
-    """The single table pass that fills the interpolation tables agrees
-    with the adaptive rule of direct queries at reachable states, so the
-    tables inherit no quadrature error worth measuring."""
+    """The tables take the tail rule's first pass, unchecked; at reachable
+    states it agrees with the checked direct query to 1e-9, so the tables
+    inherit no quadrature error worth measuring."""
 
     @given(table_states())
     @settings(max_examples=1000)
@@ -221,24 +223,68 @@ class TestTablePass:
         assert abs(drift(model, s, x, table=True) - mu) <= 1e-9 * max(abs(mu), 1e-2)
 
 
+@st.composite
+def panel_edges(draw):
+    """Ascending edges of one to six panels from 0 to a length spanning many
+    scales."""
+    length = 10.0 ** draw(st.floats(-3.0, 3.0))
+    inner = draw(st.lists(st.floats(1e-3, 1.0 - 1e-3), max_size=5, unique=True))
+    return length * np.concatenate(([0.0], np.sort(inner), [1.0]))
+
+
+@st.composite
+def exp_drift_states(draw):
+    """Exp(1) with its pin at 0: a time log-uniform in [1e-4, 2.7] and a
+    value in |x| <= 3 sqrt(s), at least 1e-6 from the pin."""
+    s = math.exp(draw(st.floats(math.log(1e-4), math.log(2.7))))
+    x = 3.0 * math.sqrt(s) * draw(st.floats(-1.0, 1.0))
+    return s, (x if abs(x) >= 1e-6 else math.copysign(1e-6, x))
+
+
+class TestRule:
+    """The one tail rule: Kronrod nodes on every panel, with the embedded
+    Gauss weights as the estimate of its error from the same nodes."""
+
+    @given(panel_edges())
+    def test_exact_degrees(self, edges):
+        v, w = kernels._panel_rule(edges)
+        assert np.all(np.diff(v) > 0.0)
+        length = edges[-1]
+        for rule, top in ((0, 31), (1, 19)):
+            for d in range(top + 1):
+                # (v/length)^d is positive on the panels: no cancellation
+                exact = length / (d + 1)
+                assert abs(w[rule] @ (v / length) ** d - exact) <= 1e-13 * exact
+
+    @given(exp_drift_states())
+    @settings(max_examples=200)
+    def test_direct_query_evaluates_one_node_set(self, state):
+        s, x = state
+        model = VerificationContext.model_single_pin()
+        with mock.patch.object(kernels, "_evaluate", wraps=kernels._evaluate) as evaluate:
+            drift(model, s, x)
+        assert evaluate.call_count == 1
+
+
 class TestMoment:
     """The weighted integral comes from the nodes of the mass and must
-    settle like every other quantity the adaptive rule returns."""
+    settle like every other quantity the tail rule returns."""
 
     @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("table", [False, True])
     def test_unit_weight_is_the_mass(self, model, table):
         x = np.array([-0.7, 0.0, 0.4])
-        q = tail_integrals(model, 0.3, x, weight=lambda lag, z: np.ones_like(lag), table=table)
+        q = tail_integrals(model, 0.3, x, weight=lambda lag, z, x: np.ones_like(lag), table=table)
         np.testing.assert_array_equal(q.moment, q.mass)
         assert tail_integrals(model, 0.3, x, table=table).moment is None
 
     def test_unsettled_moment_raises(self, single_pin_exp):
-        # a weight that changes from pass to pass never agrees with itself
+        # a weight that changes from node to node never lets the Kronrod
+        # and Gauss sums agree
         rng = np.random.default_rng(5)
         with pytest.raises(QuadratureError):
             tail_integrals(single_pin_exp, 0.5, 0.2,
-                           weight=lambda lag, z: 1.0 + rng.uniform(0.0, 0.1, lag.shape))
+                           weight=lambda lag, z, x: 1.0 + rng.uniform(0.0, 0.1, lag.shape))
 
 
 class TestBandEdges:
