@@ -17,32 +17,25 @@ floating-point range and ratios are exact.
 
 :func:`tail_integrals` is the one engine for all of them: one pass gives
 ``S_i(s, x; s, inf)``, for band edges ``u_k`` the bands
-``S_i(s, x; s, u_k)`` and tails ``S_i(s, x; u_k, inf)`` as sums over whole
+``S_i(s, x; s, u_k)`` and tails ``S_i(s, x; u_k, inf)`` as sums of whole
 panels, so a small band keeps its relative accuracy, and, given
 ``weight``, the moment from the same nodes as the mass.
 
-Numerical policy, fixed for the whole library: the integrand carries an
-integrable (r-s)^(-1/2) singularity at the left endpoint; substituting
-v = sqrt(r - s) removes it exactly (the Jacobian 2v cancels the 1/v).  The
-infinite endpoint is truncated where the remaining mass of the length law
-drops below 1e-10.  There is one rule: 30 panels graded geometrically in v
-from 1e-9 of the truncated range, each with the 21 Kronrod nodes of the
-Gauss-Kronrod pair (QUADPACK qk21, Piessens et al., 1983).  One pass gives
-two sums of every quantity from the same nodes, one with the Kronrod
-weights and one with the embedded 10-point Gauss weights.  A direct query
-accepts the first pass whose two sums agree on every per-pin mass, band,
-tail and moment returned (to 1e-9 relative or 1e-13 absolute), and on the
-pin sums of bands and tails to 1e-9 relative alone (a moment's pin sum may
-cancel to zero, so it has no such check).  Otherwise the ladder doubles,
-up to six times, with its bottom edge moved lower and edges graded toward
-each band edge.  Tables (``table=True``) take the first pass unchecked:
-one vectorized evaluation per time node, whose error the interpolation
-error dominates; tables are checked against direct queries afterwards.
-The observed values are evaluated in blocks of at most 2**20 exponent
-cells, so the temporaries of a long row stay small.
-
-Exponents are rescaled by their maximum before exponentiation, so
-intermediate values never overflow.
+Numerical policy, fixed for the whole library: v = sqrt(r - s) removes the
+integrable (r-s)^(-1/2) singularity at the left endpoint (the Jacobian 2v
+cancels the 1/v); an infinite endpoint is truncated where less than 1e-10
+of the length law lies beyond.  The panels start where the length density
+does, 30 graded geometrically in v from 1e-9 of the range; each gives a
+Kronrod and an embedded 10-point Gauss sum from the 21 nodes of the
+QUADPACK qk21 pair (Piessens et al., 1983).  Each observed value settles on
+its own once the two agree on every per-pin mass, band, tail and moment
+(1e-9 relative or 1e-13 absolute) and on the pin sums of bands and tails
+(1e-9 relative); the others are evaluated again with every panel bisected
+whose own error breaks its 1/n_panels share of a failing tolerance, up to
+1,920 panels.  Tables (``table=True``) take the first pass unchecked, as
+their interpolation error dominates.  Exponents are rescaled by their
+maximum before exponentiation, and the observed values go in blocks of at
+most 2**20 exponent cells, so nothing overflows and temporaries stay small.
 
 All functions here are pure; they can be called from any number of workers
 with no shared mutable state.
@@ -72,7 +65,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-13
 _BASE_PANELS = 30
-_MAX_SUBDIVISIONS = 6
+_MAX_PANELS = 1920
 #: Mass of the length law allowed beyond the truncation point when the
 #: support is unbounded.
 _TRUNCATION_MASS = 1e-10
@@ -80,8 +73,7 @@ _CELLS = 2 ** 20  # exponent cells per block of x, so that the temporaries stay 
 
 # QUADPACK qk21: the Kronrod abscissae in [0, 1), descending to the centre,
 # every second one an abscissa of the 10-point Gauss rule; their Kronrod
-# weights; and the weights of the embedded 10-point Gauss rule at the same
-# abscissae, zero off its own.
+# weights; and the weights of the embedded Gauss rule at its own abscissae.
 _XGK = np.array([
     0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
@@ -96,13 +88,10 @@ _WGK = np.array([
     0.123491976262065851077208801389960, 0.134709217311473325928054001771707,
     0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
     0.149445554002916905664936468389821])
-_WG = np.array([
-    0.0, 0.066671344308688137593568809893332,
-    0.0, 0.149451349150580593145776339657697,
-    0.0, 0.219086362515982043995534934228163,
-    0.0, 0.269266719309996355091226921569469,
-    0.0, 0.295524224714752870173892994651146,
-    0.0])
+_WG = np.zeros(11)
+_WG[1::2] = [0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+             0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+             0.295524224714752870173892994651146]
 #: The 21 nodes on [-1, 1], ascending, and one row of weights per rule:
 #: Kronrod, then Gauss.
 _UNIT_NODES = np.concatenate((-_XGK, _XGK[-2::-1]))
@@ -173,25 +162,16 @@ def _panel_rule(edges):
     return nodes.ravel(), weights.reshape(len(_UNIT_WEIGHTS), -1)
 
 
-def _tail_edges(law, s, upper, uppers, n_panels, n_approach):
-    """Geometrically graded panel edges in v = sqrt(r - s) up to the
-    truncation point ``upper``; the density kinks of the length law and the
-    band edges ``uppers`` are among them, and ``n_approach`` edges per band
-    edge grade toward it from below, where a small band concentrates.  The
-    bottom edge starts at 1e-9 of the range and moves lower as the ladder
-    doubles, so a spike nearer the origin, the pull within 1e-9 of a pin,
-    gets panels of its own.  An empty range (``s`` at or past ``upper``)
-    has a single edge, no panels.
-    """
+def _tail_edges(law, s, upper, uppers):
+    """Panel edges in v = sqrt(r - s), from where the length density starts
+    to ``upper``: 30 graded geometrically from 1e-9 of the range, split at
+    density kinks and band edges ``uppers``; no panels if ``s >= upper``."""
     if s >= upper:
         return np.zeros(1)
-    v_hi = math.sqrt(upper - s)
-    bottom = v_hi * 1e-9 ** math.sqrt(n_panels / _BASE_PANELS)
-    edges = np.concatenate(([0.0], np.geomspace(bottom, v_hi, n_panels)))
-    kinks = [math.sqrt(b - s) for b in law.breakpoints if s < b < upper]
-    cuts = np.sqrt(uppers[(uppers > s) & (uppers < upper)] - s)
-    approach = np.outer(cuts, 1.0 - np.geomspace(1e-5, 0.5, n_approach))
-    return np.union1d(edges, np.concatenate((kinks, cuts, approach.ravel())))
+    v_lo, v_hi = math.sqrt(max(law.support_inf - s, 0.0)), math.sqrt(upper - s)
+    cuts = [math.sqrt(b - s) for b in (*law.breakpoints, *uppers) if s < b < upper]
+    edges = np.union1d(np.geomspace(1e-9 * v_hi, v_hi, _BASE_PANELS), [0.0, v_lo, *cuts])
+    return edges[edges >= v_lo]
 
 
 class TailIntegrals(NamedTuple):
@@ -205,61 +185,67 @@ class TailIntegrals(NamedTuple):
     tail: np.ndarray  #: (n_uppers, n_pins, n_x): over (u_k, inf)
 
 
-def _evaluate(law, s, x, v, w, points, weight, cuts):
-    """Scaled node sums on a fixed node set, ascending in ``v``, with one
-    row of weights ``w`` per rule; ``cuts[k]`` is the number of nodes below
-    the band edge ``u_k``.  Returns the exponent scale ``(n_x,)`` and the
-    sums ``(n_rules, 1 + 2 n_uppers [+ 1], n_pins, n_x)``: per rule the
-    mass, the bands, the tails and, given a weight, the moment."""
-    v2 = v * v
-    r = s + v2
+def _evaluate(law, s, x, edges, points, weight):
+    """Exponent scale ``(n_x,)`` and the scaled sums ``(n_rules, 1 [+ 1],
+    n_pins, n_panels, n_x)`` over the 21 nodes of every panel between
+    ``edges``: per rule each panel's mass and, given a weight, moment."""
+    v, w = _panel_rule(edges)
+    n_pins, n_panels, n_nodes = len(points), edges.size - 1, _UNIT_NODES.size
+    r = s + v * v
     f = law.pdf(r)
-    base = (2.0 * np.sqrt(r) * f * w).T  # Jacobian 2v cancels the 1/v
+    # One (n_rules, 21) block of weights per panel, so that one batched
+    # matmul sums every panel; the Jacobian 2v cancels the 1/v.
+    base = (2.0 * np.sqrt(r) * f * w).reshape(len(w), n_panels, n_nodes)
+    base = np.ascontiguousarray(base.transpose(1, 0, 2))
+    lag, r = (v * v).reshape(n_panels, n_nodes, 1), r.reshape(n_panels, n_nodes, 1)
     # Nodes outside the support must not set the exponent scale: the
     # integrand vanishes there however large the exponent.
-    dead = f == 0.0
-    n_pins = len(points)
-    order = np.argsort(cuts, kind="stable")
-    bounds = np.concatenate(([0], cuts[order], [v.size]))
-    n_seg = bounds.size - 1
-    # Node sums over the segments between consecutive band edges, then the
-    # moment.
-    seg = np.empty((len(w), n_seg + (weight is not None), n_pins, x.size))
+    dead = (f == 0.0).reshape(lag.shape)
+    sums = np.empty((len(w), 1 + (weight is not None), n_pins, n_panels, x.size))
     scale = np.empty(x.size)
     rows = max(1, _CELLS // (n_pins * v.size + 1))
     for lo in range(0, x.size, rows):
         block = slice(lo, lo + rows)
-        x_col = x[block, None]
-        expo = np.empty((n_pins, x_col.shape[0], v.size))
+        expo = np.empty((n_pins, n_panels, n_nodes, x[block].size))
         for i, z in enumerate(points):
-            c = z - x_col
-            np.divide(c * c, 2.0 * v2, out=expo[i])
-            np.subtract(z * z / (2.0 * r), expo[i], out=expo[i])
-            expo[i][:, dead] = -np.inf
-        top = expo.max(axis=(0, 2), initial=-np.inf)
-        top = np.where(np.isfinite(top), top, 0.0)
-        scale[block] = top
+            np.divide((z - x[block]) ** 2, 2.0 * lag, out=expo[i])
+            np.subtract(np.where(dead, -np.inf, z * z / (2.0 * r)), expo[i], out=expo[i])
+        top = expo.max(axis=(0, 1, 2), initial=-np.inf)
+        scale[block] = top = np.where(np.isfinite(top), top, 0.0)
         with np.errstate(under="ignore"):
             for i, z in enumerate(points):
-                g = np.subtract(expo[i], top[:, None], out=expo[i])
+                g = np.subtract(expo[i], top, out=expo[i])
                 np.exp(g, out=g)
-                for k in range(n_seg):
-                    nodes = slice(bounds[k], bounds[k + 1])
-                    seg[:, k, i, block] = (g[:, nodes] @ base[nodes]).T
-                if weight is not None:
-                    seg[:, n_seg, i, block] = ((g * weight(v2, z, x_col)) @ base).T
-    # Bands and tails are sums of whole segments, never differences, so a
-    # small band keeps its relative accuracy.
-    above = np.cumsum(seg[:, n_seg - 1::-1], axis=1)[:, ::-1]  # [k]: segments k and up
-    band = np.empty((len(w), cuts.size, n_pins, x.size))
-    tail = np.empty_like(band)
-    band[:, order] = np.cumsum(seg[:, :n_seg - 1], axis=1)
-    tail[:, order] = above[:, 1:]
-    return scale, np.concatenate((above[:, :1], band, tail, seg[:, n_seg:]), axis=1)
+                for part, h in enumerate([g] if weight is None else [g, g * weight(lag, z, x[block])]):
+                    sums[:, part, i, :, block] = np.moveaxis(base @ h, 1, 0)
+    return scale, sums
 
 
-def _agree(new, old, abs_tol):
-    return bool(np.all(np.abs(new - old) <= _REL_TOL * np.abs(new) + abs_tol))
+def _quantities(panels, below):
+    """Per rule the mass, bands, tails and moment ``(n_rules, 1 + 2 n_uppers
+    [+ 1], n_pins, n_x)`` of ``panels``, ``below[k]`` of them under ``u_k``."""
+    if below.size == 0:
+        return panels.sum(axis=3)
+    zero = np.zeros(panels.shape[:3] + (1, panels.shape[4]))
+    # [p]: panels p and up (so no tail exceeds its total), and those below p.
+    down = np.concatenate((np.cumsum(panels[..., ::-1, :], axis=3)[..., ::-1, :], zero), axis=3)
+    up = np.concatenate((zero[:, 0], np.cumsum(panels[:, 0], axis=2)), axis=2)
+    return np.concatenate((down[:, :1, :, 0], np.moveaxis(up[:, :, below], 2, 1),
+                           np.moveaxis(down[:, 0, :, below], 0, 1), down[:, 1:, :, 0]), axis=1)
+
+
+def _panel_excess(diff, probs, share, below):
+    """Per panel, the largest ratio of its Kronrod - Gauss difference ``diff``
+    (per part, pin, panel, x; the pin sum is added) to its ``share`` of the
+    tolerance (per quantity, pin, x; inf where settled) of a quantity it enters."""
+    diff = np.concatenate((diff, np.tensordot(probs, diff, (0, 1))[:, None]), axis=1)
+    n_up, p = below.size, np.arange(diff.shape[2])
+    inside = np.ones((share.shape[0], p.size), dtype=bool)
+    inside[1:1 + n_up] = p < below[:, None]
+    inside[1 + n_up:1 + 2 * n_up] = p >= below[:, None]
+    part = (np.arange(share.shape[0]) > 2 * n_up).astype(int)  # the moment is part 1
+    ratio = (np.abs(diff)[part] / share[:, :, None]).max(axis=(1, 3))
+    return np.where(inside, ratio, 0.0).max(axis=0)
 
 
 def tail_integrals(model, s, x, *, uppers=(), weight=None, table=False):
@@ -279,13 +265,11 @@ def tail_integrals(model, s, x, *, uppers=(), weight=None, table=False):
         ``(u_k, inf)`` are returned too.  Edges at or below ``s`` give empty
         bands; edges past the truncation point give empty tails.
     weight : callable, optional
-        Integrand factor ``weight(lag, z_i, x)`` of the moment, with
-        ``lag = r - s`` an array over the nodes and ``x`` a column of the
-        observed values (one block of them); it returns values that
-        broadcast against ``(len(x), n_nodes)``.
+        Integrand factor ``weight(lag, z_i, x)`` of the moment: ``lag = r - s``
+        over the nodes, ``(n_panels, 21, 1)``, and ``x`` (a block of) the
+        observed values broadcast to ``(n_panels, 21, len(x))``.
     table : bool
-        Return the rule's first pass unchecked, for filling interpolation
-        tables (see the module docstring).
+        Return the first pass unchecked, for interpolation tables.
 
     Returns
     -------
@@ -294,8 +278,7 @@ def tail_integrals(model, s, x, *, uppers=(), weight=None, table=False):
         and ``moment`` the weighted integral on the same scale (``None``
         without a weight).  Empty ranges return zero mass with zero scale.
     """
-    law = model.length
-    points, probs = model.pinning.points, model.pinning.probs
+    law, points, probs = model.length, model.pinning.points, model.pinning.probs
     if s <= 0.0:
         raise ValueError("observation time must be strictly positive")
     if s >= law.support_sup:
@@ -305,28 +288,45 @@ def tail_integrals(model, s, x, *, uppers=(), weight=None, table=False):
     uppers = np.atleast_1d(np.asarray(uppers, dtype=float))
     upper = law.truncation_point(_TRUNCATION_MASS)
     v_up = np.sqrt(np.clip(uppers - s, 0.0, None))
-
     bands = slice(1, 1 + 2 * uppers.size)
-    # The first pass is the plain ladder; refinements double it, lower its
-    # bottom edge and grade toward the band edges.
-    n_panels, n_approach = _BASE_PANELS, 0
-    for _ in range(_MAX_SUBDIVISIONS + 1):
-        edges = _tail_edges(law, s, upper, uppers, n_panels, n_approach)
-        v, w = _panel_rule(edges)
-        scale, (kronrod, gauss) = _evaluate(law, s, x, v, w, points, weight,
-                                            np.searchsorted(v, v_up))
-        # Pin sums of bands and tails are numerators of probabilities that
-        # may be tiny: they agree relative to themselves.
-        if table or (_agree(kronrod, gauss, _ABS_TOL)
-                     and _agree(probs @ kronrod[bands], probs @ gauss[bands],
-                                np.finfo(float).tiny)):
-            return TailIntegrals(kronrod[0], None if weight is None else kronrod[-1], scale,
-                                 kronrod[1:1 + uppers.size], kronrod[1 + uppers.size:bands.stop])
-        n_panels *= 2
-        n_approach = n_panels // 4
-    raise QuadratureError(
-        f"tail quadrature did not converge (s={s}, uppers={uppers.tolist()}, "
-        f"x in [{x.min():.3g}, {x.max():.3g}], panels={n_panels})")
+    n_q = bands.stop + (weight is not None)
+    # Pin sums, carried as one more pin, settle relative alone, and only those
+    # of bands and tails: numerators of probabilities that may be tiny.
+    abs_tol = np.full((n_q, len(points) + 1, 1), _ABS_TOL)
+    abs_tol[:, -1] = np.inf
+    abs_tol[bands, -1] = np.finfo(float).tiny
+    edges = _tail_edges(law, s, upper, uppers)
+    out, scale = np.empty((n_q, len(points), x.size)), np.empty(x.size)
+    todo = np.arange(x.size)  # the x not yet settled, each on its own
+    while True:
+        top, panels = _evaluate(law, s, x[todo], edges, points, weight)
+        below = np.searchsorted(edges[1:], v_up, side="right")  # panels under each band edge
+        if table:
+            out, scale = _quantities(panels[:1], below)[0], top
+            break
+        kronrod, gauss = (np.concatenate((q, (probs @ q)[:, None]), axis=1)
+                          for q in _quantities(panels, below))
+        tol = _REL_TOL * np.abs(kronrod) + abs_tol
+        bad = ~(np.abs(kronrod - gauss) <= tol)
+        fails = bad.any(axis=(0, 1))
+        out[..., todo[~fails]] = kronrod[:, :-1, ~fails]
+        scale[todo[~fails]] = top[~fails]
+        if not fails.any():
+            break
+        # Bisect every panel whose own error breaks its 1/n_panels share of the
+        # tolerance of a quantity that failed, and the worst one anyway.
+        excess = _panel_excess((panels[0] - panels[1])[..., fails], probs,
+                               np.where(bad, tol, np.inf)[..., fails] / (edges.size - 1), below)
+        split = excess >= min(excess.max(), 1.0)
+        refined = np.union1d(edges, 0.5 * (edges[:-1] + edges[1:])[split])
+        todo = todo[fails]
+        if refined.size - 1 > _MAX_PANELS or refined.size == edges.size:
+            raise QuadratureError(
+                f"tail quadrature did not converge (s={s}, uppers={uppers.tolist()}, "
+                f"x in [{x[todo].min():.3g}, {x[todo].max():.3g}], panels={edges.size - 1})")
+        edges = refined
+    return TailIntegrals(out[0], None if weight is None else out[-1], scale,
+                         out[1:1 + uppers.size], out[1 + uppers.size:bands.stop])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ settings.load_profile("infobridge")
 from infobridge import ExponentialLaw, ModelSpec, PinningLaw, UniformLaw
 
 
+def pytest_configure(config):
+    # A NaN or an overflow inside the quadrature fails the suite.
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+
+
 @pytest.fixture(scope="session")
 def single_pin_exp():
     """Single pin at the origin, unit-rate exponential length."""

@@ -1,6 +1,7 @@
 """Posterior, survival, transition law, drift and innovation checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import riemann
 from infobridge import (
     DriftCache,
     ExponentialLaw,
+    GammaLaw,
     ModelSpec,
     PinningLaw,
     UniformLaw,
@@ -23,32 +25,59 @@ from infobridge import (
     survival_probability,
     transition_law,
 )
-from infobridge.filtering import _ETA_MAX, BandProbabilityCache, _HybridTable
+from infobridge.filtering import _ETA_MAX, BandProbabilityCache, _HybridTable, _space_grid
 from infobridge.kernels import log_mix_weight
 from infobridge.verify import VerificationContext
 
 
-def quad_drift_origin_pin(model, s, x):
-    """Drift of a model with one pin at 0 by ``scipy.integrate.quad``, in
-    v = sqrt(r - s) with break points at powers of two times |x|, where the
-    pull -x/v^2 exp(-x^2/(2 v^2)) puts a spike of unit-order mass at v ~ |x|."""
-    def mass(v):
+def quad_drift(model, s, x):
+    """Drift by ``scipy.integrate.quad`` in v = sqrt(r - s), up to the
+    library's truncation point, on pieces split where an integrand changes
+    fast: at powers of two times each |z - x|, where the pull
+    (z - x)/v^2 exp(-(z - x)^2/(2 v^2)) puts a spike of unit-order mass at
+    v ~ |z - x|; around the peak of each exponent
+    z^2/(2r) - (z - x)^2/(2 v^2), at v^2 = s |z - x|/(|z| - |z - x|) when
+    |z| > |z - x|; and toward a bounded support edge.  Exponents are
+    shifted by their largest value at the split points."""
+    law, pins, probs = model.length, model.pinning.points, model.pinning.probs
+    v_lo = math.sqrt(max(law.support_inf - s, 0.0))
+    v_hi = math.sqrt(law.truncation_point(1e-10) - s)
+    pts = [v_lo, v_hi, *np.geomspace(1e-12 * v_hi, v_hi, 60),
+           *(v_hi * (1.0 - np.geomspace(1e-12, 0.5, 40)))]
+    pts += [math.sqrt(b - s) for b in law.breakpoints if b > s]
+    for z in pins:
+        c = abs(z - x)
+        pts += [c * 2.0 ** k for k in range(-4, 60)]
+        if abs(z) > c:
+            offsets = np.geomspace(1e-7, 0.5, 25)
+            pts += list(math.sqrt(c * s / (abs(z) - c)) * np.concatenate((1.0 - offsets,
+                                                                         1.0 + offsets)))
+    edges = np.unique(np.clip(pts, v_lo, v_hi))
+
+    def expo(z, v):
+        return z * z / (2.0 * (s + v * v)) - (z - x) ** 2 / (2.0 * v * v)
+
+    live = edges[(edges > 0.0) & (law.pdf(s + edges * edges) > 0.0)]
+    top = max(expo(z, live).max() for z in pins)
+
+    def mass(v, z):
         if v == 0.0:
             return 0.0
-        return 2.0 * math.sqrt(s + v * v) * math.exp(-x * x / (2.0 * v * v)) * float(
-            model.length.pdf(s + v * v))
+        return (2.0 * math.sqrt(s + v * v) * float(law.pdf(s + v * v))
+                * math.exp(expo(z, v) - top))
 
-    def pull(v):
-        return 0.0 if v == 0.0 else mass(v) * (-x / (v * v))
+    def pull(v, z):
+        return 0.0 if v == 0.0 else mass(v, z) * (z - x) / (v * v)
 
-    edges = [0.0] + [abs(x) * 2.0 ** k for k in range(-2, 200) if abs(x) * 2.0 ** (k - 1) < 1.0]
-    totals = []
-    for g in (mass, pull):
-        pieces = [integrate.quad(g, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-                  for lo, hi in zip(edges[:-1], edges[1:])]
-        pieces.append(integrate.quad(g, edges[-1], math.inf, epsabs=0.0, epsrel=1e-13,
-                                     limit=200)[0])
-        totals.append(math.fsum(pieces))
+    # Pieces where the integrand underflows cannot reach 1e-13 relative, and
+    # quad says so; their share of the totals is far below it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        totals = [math.fsum(p * math.fsum(integrate.quad(g, lo, hi, args=(z,), epsabs=0.0,
+                                                         epsrel=1e-13, limit=200)[0]
+                                          for lo, hi in zip(edges[:-1], edges[1:]))
+                            for z, p in zip(pins, probs))
+                  for g in (mass, pull)]
     return totals[1] / totals[0]
 
 
@@ -262,7 +291,7 @@ class TestDrift:
                                       (1e-3, 3e-11)])
     def test_near_pin_matches_scipy_quad(self, single_pin_exp, s, x):
         assert drift(single_pin_exp, s, x) == pytest.approx(
-            quad_drift_origin_pin(single_pin_exp, s, x), rel=1e-6)
+            quad_drift(single_pin_exp, s, x), rel=1e-6)
 
     @given(st.floats(math.log(1e-3), 0.0), st.floats(math.log(1e-13), math.log(1e-6)),
            st.sampled_from([-1.0, 1.0]))
@@ -272,7 +301,56 @@ class TestDrift:
         # bottom edge; the Kronrod-Gauss pair must see it and refine.
         model = VerificationContext.model_single_pin()
         s, x = math.exp(log_s), sign * math.exp(log_d)
-        assert drift(model, s, x) == pytest.approx(quad_drift_origin_pin(model, s, x), rel=1e-6)
+        assert drift(model, s, x) == pytest.approx(quad_drift(model, s, x), rel=1e-6)
+
+
+UNIFORM_EDGE = ModelSpec(UniformLaw(0.5, 2.0), PinningLaw([-1.0, 2.0], [0.6, 0.4]))
+UNIFORM_NARROW = ModelSpec(UniformLaw(0.5, 1.5), PinningLaw([-1.0, 1.0], [0.5, 0.5]))
+FAR_PINS = ModelSpec(GammaLaw(2.0), PinningLaw([-30.0, 0.5, 40.0], [1 / 3, 1 / 3, 1 / 3]))
+
+
+@st.composite
+def edge_states(draw):
+    """A uniform length law, a time in [sup/2, sup (1 - 1e-4)] and a value
+    up to 60 from the origin: near the support edge, and mostly far from
+    every pin."""
+    model = draw(st.sampled_from([UNIFORM_EDGE, UNIFORM_NARROW]))
+    sup = model.support_sup
+    return model, draw(st.floats(0.5 * sup, sup * (1.0 - 1e-4))), draw(st.floats(-60.0, 60.0))
+
+
+class TestFarStates:
+    """States where the integrand is steep in one panel only: far from
+    every pin, next to a bounded support edge, or with far pins at a small
+    time.  The tail rule bisects that panel until it settles."""
+
+    @pytest.mark.parametrize("model, s, x", [
+        (UNIFORM_EDGE, 1.0, 60.0), (UNIFORM_EDGE, 2.0 - 5e-4, 0.0),
+        (UNIFORM_NARROW, 1.397, 9.34), (FAR_PINS, 1e-4, 2.0), (FAR_PINS, 1e-8, 2.0)])
+    def test_drift_matches_scipy_quad(self, model, s, x):
+        assert drift(model, s, x) == pytest.approx(quad_drift(model, s, x), rel=1e-9)
+
+    def test_survival_and_transition_next_to_the_edge(self):
+        s, x = 1.397, 9.34
+        u = s + 1.118
+        surv = survival_probability(UNIFORM_NARROW, s, x, u)
+        assert 0.0 <= surv <= 1.0
+        atoms = transition_law(UNIFORM_NARROW, s, x, u).atoms
+        assert np.all(np.isfinite(atoms) & (atoms >= 0.0)) and atoms.sum() <= 1.0 + 1e-9
+
+    def test_checked_table_row_at_the_edge(self):
+        # the last time node of DriftCache(UNIFORM_EDGE, 1e-3, 2.0) on its
+        # space nodes, with the checked rule
+        xs = _space_grid(UNIFORM_EDGE, 1e-3, 2.0, 361)
+        assert np.all(np.isfinite(drift(UNIFORM_EDGE, 2.0 * (1.0 - 1e-9), xs)))
+
+    @given(edge_states())
+    @settings(max_examples=40)
+    def test_edge_property(self, state):
+        model, s, x = state
+        assert drift(model, s, x) == pytest.approx(quad_drift(model, s, x), rel=1e-8, abs=1e-8)
+        u = s + 0.5 * (model.support_sup - s)
+        assert 0.0 <= survival_probability(model, s, x, u) <= 1.0
 
 
 class TestDriftCache:

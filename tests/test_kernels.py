@@ -265,6 +265,20 @@ class TestRule:
             drift(model, s, x)
         assert evaluate.call_count == 1
 
+    def test_refines_only_the_x_that_fail(self):
+        # One value next to the pin needs refinement; the 200 reachable ones
+        # settle on the first pass and are not evaluated again.
+        model = VerificationContext.model_single_pin()
+        s = 0.5
+        x = 3.0 * math.sqrt(s) * np.random.default_rng(3).uniform(-1.0, 1.0, 201)
+        x = np.where(np.abs(x) < 1e-6, 1e-6, x)
+        x[100] = 1e-10
+        with mock.patch.object(kernels, "_evaluate", wraps=kernels._evaluate) as evaluate:
+            mu = drift(model, s, x)
+        sizes = [call.args[2].size for call in evaluate.call_args_list]
+        assert sizes[0] == 201 and len(sizes) > 1 and set(sizes[1:]) == {1}
+        np.testing.assert_allclose(mu, [drift(model, s, xi) for xi in x], rtol=1e-12)
+
 
 class TestMoment:
     """The weighted integral comes from the nodes of the mass and must
