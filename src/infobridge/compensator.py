@@ -67,10 +67,8 @@ class CompensatorCurve:
     kind: str  # "plain" | "weighted"
 
 
-def intensity_row(model, s, *, table=False):
-    """Kernel values for all pins at one time, by direct quadrature;
-    ``table`` takes the first, unchecked pass of the tail rule of
-    :func:`~infobridge.kernels.tail_integrals`, as tables do."""
+def intensity_row(model, s):
+    """Kernel values for all pins at one time, by direct quadrature."""
     law = model.length
     if not (0.0 < s < law.support_sup):
         raise ValueError("s must lie strictly inside the support of the length law")
@@ -78,7 +76,7 @@ def intensity_row(model, s, *, table=False):
     pts = model.pinning.points
     if f == 0.0:
         return np.zeros(len(pts))
-    q = kernels.tail_integrals(model, s, pts, table=table)
+    q = kernels.tail_integrals(model, s, pts)
     den = model.pinning.probs @ q.mass
     if np.any(den <= 0.0):
         bad = int(np.nonzero(den <= 0.0)[0][0])
@@ -94,6 +92,7 @@ class IntensityKernel:
     midpoint.  With bounded support, 80 more approach the support edge,
     where the kernel blows up like ``(sup - s)^(-1/2)``, and the tabulated
     quantity is the kernel times ``sqrt(sup - s)``, which stays bounded.
+    Each node is one :func:`intensity_row`, by the checked tail rule.
     Queries clamp to the tabulated range.
     """
 
@@ -119,7 +118,7 @@ class IntensityKernel:
         self.s_grid = grid
         rows = np.empty((len(model.pinning), grid.size))
         for j, s in enumerate(grid):
-            rows[:, j] = intensity_row(model, float(s), table=True)
+            rows[:, j] = intensity_row(model, float(s))
         if self._edge is not None:
             rows = rows * np.sqrt(self._edge - grid)[None, :]
         self._splines = [PchipInterpolator(grid, rows[k], extrapolate=False)

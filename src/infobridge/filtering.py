@@ -241,112 +241,62 @@ def drift(model, s, x, *, table=False):
     return out if np.ndim(x) else float(out[0])
 
 
-class _Bilinear:
-    """Bilinear interpolation on a (log-time, space) grid with clamped
-    queries.  A table ``(..., n_s, n_x)`` stacks several quantities on the
-    same grid; queries then carry the leading axes."""
-
-    def __init__(self, s_grid, x_grid, table):
-        self._ls = np.log(s_grid)
-        self._x = x_grid
-        self._table = table
-
-    def __call__(self, s, x):
-        s = np.asarray(s, dtype=float)
-        x = np.asarray(x, dtype=float)
-        ls = np.log(np.clip(s, np.exp(self._ls[0]), np.exp(self._ls[-1])))
-        xc = np.clip(x, self._x[0], self._x[-1])
-        i = np.clip(np.searchsorted(self._ls, ls) - 1, 0, len(self._ls) - 2)
-        j = np.clip(np.searchsorted(self._x, xc) - 1, 0, len(self._x) - 2)
-        ws = (ls - self._ls[i]) / (self._ls[i + 1] - self._ls[i])
-        wx = (xc - self._x[j]) / (self._x[j + 1] - self._x[j])
-        t = self._table
-        out = ((1 - ws) * (1 - wx) * t[..., i, j] + ws * (1 - wx) * t[..., i + 1, j]
-               + (1 - ws) * wx * t[..., i, j + 1] + ws * wx * t[..., i + 1, j + 1])
-        return out
+_ROWS_PER_DECADE = 60
+_LADDER_RATIO = 1.045
 
 
-def _space_grid(model, s_lo, s_max, n_base):
-    """Space nodes for the late-time table: a linear base plus geometric
-    refinement around each pin (conditional quantities kink or jump across
-    a pin level) and sqrt(time)-scale refinement around the origin."""
+def _space_grid(model, s_min, s_max):
+    """Space nodes of a table over ``[s_min, s_max]``: a linear base of 361
+    points, geometric refinement around each pin (conditional quantities
+    kink or jump across a pin level) and the origin, and a ladder in |x|
+    from sqrt(s_min) / 4 by a fixed ratio."""
     pts = model.pinning.points
     spread = 3.5 * math.sqrt(s_max) + float(np.max(np.abs(pts))) + 1.0
-    grid = np.linspace(-spread, spread, n_base)
+    grid = np.linspace(-spread, spread, 361)
     offsets = np.geomspace(1e-9, 0.6, 28)
     around = np.concatenate([np.concatenate((c - offsets, [c], c + offsets))
                              for c in [*pts, 0.0]])
-    fine = np.geomspace(0.25 * math.sqrt(s_lo), spread, 72)
-    around = np.concatenate((around, fine, -fine))
-    grid = np.union1d(grid, around)
+    lo = 0.25 * math.sqrt(s_min)
+    fine = lo * _LADDER_RATIO ** np.arange(math.ceil(math.log(spread / lo, _LADDER_RATIO)) + 1)
+    grid = np.union1d(grid, np.concatenate((around, fine, -fine)))
     return grid[(grid >= -spread) & (grid <= spread)]
 
 
-_ETA_MAX = 8.0
+class _Table:
+    """Tabulation of a conditional quantity q(s, x) over ``[s_min, s_max]``,
+    with ``s_max`` clamped just inside the support.
 
-
-def _eta_grid(model, n_base):
-    """Scaled-coordinate nodes eta = x / sqrt(s) for the small-time table,
-    refined around zero where a pin at the origin puts a drift sign jump."""
-    base = np.linspace(-_ETA_MAX, _ETA_MAX, n_base)
-    if np.any(model.pinning.points == 0.0):
-        fine = np.geomspace(1e-9, 1.0, 24)
-        base = np.union1d(base, np.concatenate((-fine, [0.0], fine)))
-    return base
-
-
-class _HybridTable:
-    """Two-regime tabulation of a conditional quantity q(s, x) over
-    ``[s_min, s_max]``, with ``s_max`` clamped just inside the support.
-
-    Small times use the self-similar coordinate eta = x / sqrt(s), where
-    the spatial structure has a fixed scale; later times use plain space
-    coordinates with refinement at the pin levels.  The switch time is
-    chosen so that no nonzero pin enters the scaled window, keeping its
-    jump out of the unrefined small-time table.  ``row_fn(s, xs)`` fills
-    one time node and returns ``(n_x,)``, or ``(m, n_x)`` for m quantities
-    tabulated together; ``n_s``, ``n_eta`` and ``n_x`` size the tables.
-    Interpolation is bilinear in (log s, coordinate); each query point is
-    read from the regime of its time alone, and clamps to that regime's
-    tabulated ranges.
+    Time rows are geometric, 60 per decade, on the nodes of
+    :func:`_space_grid`.  By Brownian scaling the small-time structure is a
+    function of x / sqrt(s), which the geometric |x| ladder resolves at
+    every time, so one grid serves small and late times alike.
+    ``row_fn(s, xs)`` fills one time node and returns ``(n_x,)``, or
+    ``(m, n_x)`` for m quantities tabulated together; reads then carry the
+    leading axis.  Reads are bilinear in (log s, x), and queries outside the
+    table read its clamped edge.
     """
 
-    def __init__(self, model, row_fn, s_min, s_max, n_s, n_eta, n_x):
+    def __init__(self, model, row_fn, s_min, s_max):
         if not (0.0 < s_min < s_max <= model.support_sup):
             raise ValueError("need 0 < s_min < s_max within the length support")
         self.s_min = s_min
         self.s_max = hi = min(s_max, model.support_sup * (1.0 - 1e-9))
-        nonzero = np.abs(model.pinning.points[model.pinning.points != 0.0])
-        cap = np.min(nonzero) ** 2 / (_ETA_MAX + 3.0) ** 2 if nonzero.size else math.inf
-        self.s_switch = min(0.1, cap, hi)
-        self._small = None
-        self._large = None
-        if s_min < self.s_switch:
-            s_nodes = np.geomspace(s_min, self.s_switch, max(n_s // 2, 40))
-            etas = _eta_grid(model, n_eta)
-            table = np.stack([row_fn(s, etas * math.sqrt(s)) for s in s_nodes], axis=-2)
-            self._small = _Bilinear(s_nodes, etas, table)
-        if hi > self.s_switch or self._small is None:
-            lo = min(self.s_switch, hi * 0.5) if self._small is not None else s_min
-            s_nodes = np.geomspace(lo, hi, n_s)
-            xs = _space_grid(model, lo, s_max, n_x)
-            table = np.stack([row_fn(s, xs) for s in s_nodes], axis=-2)
-            self._large = _Bilinear(s_nodes, xs, table)
-
-    def _scaled(self, s, x):
-        return self._small(s, np.clip(x / np.sqrt(s), -_ETA_MAX, _ETA_MAX))
+        n_s = math.ceil(_ROWS_PER_DECADE * math.log10(hi / s_min)) + 1
+        self.s_nodes = np.geomspace(s_min, hi, n_s)
+        self._ls = np.log(self.s_nodes)
+        self.x_nodes = _space_grid(model, s_min, s_max)
+        self.rows = np.stack([row_fn(s, self.x_nodes) for s in self.s_nodes], axis=-2)
 
     def __call__(self, s, x):
-        s, x = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
-        if self._large is None:
-            return self._scaled(s, x)
-        if self._small is None:
-            return self._large(s, x)
-        small = s < self.s_switch
-        out = np.empty(self._large._table.shape[:-2] + s.shape)
-        out[..., small] = self._scaled(s[small], x[small])
-        out[..., ~small] = self._large(s[~small], x[~small])
-        return out
+        ls = np.log(np.clip(s, self.s_nodes[0], self.s_nodes[-1]))
+        xc = np.clip(x, self.x_nodes[0], self.x_nodes[-1])
+        i = np.clip(np.searchsorted(self._ls, ls) - 1, 0, self._ls.size - 2)
+        j = np.clip(np.searchsorted(self.x_nodes, xc) - 1, 0, self.x_nodes.size - 2)
+        ws = (ls - self._ls[i]) / (self._ls[i + 1] - self._ls[i])
+        wx = (xc - self.x_nodes[j]) / (self.x_nodes[j + 1] - self.x_nodes[j])
+        t = self.rows
+        return ((1 - ws) * (1 - wx) * t[..., i, j] + ws * (1 - wx) * t[..., i + 1, j]
+                + (1 - ws) * wx * t[..., i, j + 1] + ws * wx * t[..., i + 1, j + 1])
 
 
 def _probe_states(model, table, n_probe):
@@ -377,9 +327,8 @@ class DriftCache:
 
     def __init__(self, model, s_min, s_max):
         self.model = model
-        self._table = _HybridTable(
-            model, lambda s, xs: drift(model, s, xs, table=True),
-            s_min, s_max, 160, 321, 361)
+        self._table = _Table(model, lambda s, xs: drift(model, s, xs, table=True),
+                             s_min, s_max)
 
     def __call__(self, s, x):
         return self._table(s, x)
@@ -401,16 +350,16 @@ class BandProbabilityCache:
     ladder of widths; same layout and time range as :class:`DriftCache`.
 
     Each table row is one :func:`band_probability` pass that fills every
-    width of the ladder.  Tables are bilinear in (log time, coordinate);
-    with a ladder, values carry a leading axis over it.
+    width of the ladder.  Tables are bilinear in (log time, space); with a
+    ladder, values carry a leading axis over it.
     """
 
     def __init__(self, model, h, s_min, s_max):
         self.model = model
         self.h = tuple(map(float, h)) if np.ndim(h) else float(h)
-        self._table = _HybridTable(
+        self._table = _Table(
             model, lambda s, xs: band_probability(model, s, xs, self.h, table=True),
-            s_min, s_max, 220, 481, 481)
+            s_min, s_max)
 
     def __call__(self, s, x):
         return np.clip(self._table(s, x), 0.0, 1.0)

@@ -32,10 +32,11 @@ its own once the two agree on every per-pin mass, band, tail and moment
 (1e-9 relative or 1e-13 absolute) and on the pin sums of bands and tails
 (1e-9 relative); the others are evaluated again with every panel bisected
 whose own error breaks its 1/n_panels share of a failing tolerance, up to
-1,920 panels.  Tables (``table=True``) take the first pass unchecked, as
-their interpolation error dominates.  Exponents are rescaled by their
-maximum before exponentiation, and the observed values go in blocks of at
-most 2**20 exponent cells, so nothing overflows and temporaries stay small.
+1,920 panels.  The drift and band tables (``table=True``) take the first
+pass unchecked, as their interpolation error dominates.  Exponents are
+rescaled by their maximum before exponentiation, and the observed values go
+in blocks of at most 2**20 exponent cells, so nothing overflows and
+temporaries stay small.
 
 All functions here are pure; they can be called from any number of workers
 with no shared mutable state.

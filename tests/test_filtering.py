@@ -25,7 +25,7 @@ from infobridge import (
     survival_probability,
     transition_law,
 )
-from infobridge.filtering import _ETA_MAX, BandProbabilityCache, _HybridTable, _space_grid
+from infobridge.filtering import BandProbabilityCache, _space_grid, _Table
 from infobridge.kernels import log_mix_weight
 from infobridge.verify import VerificationContext
 
@@ -341,7 +341,7 @@ class TestFarStates:
     def test_checked_table_row_at_the_edge(self):
         # the last time node of DriftCache(UNIFORM_EDGE, 1e-3, 2.0) on its
         # space nodes, with the checked rule
-        xs = _space_grid(UNIFORM_EDGE, 1e-3, 2.0, 361)
+        xs = _space_grid(UNIFORM_EDGE, 1e-3, 2.0)
         assert np.all(np.isfinite(drift(UNIFORM_EDGE, 2.0 * (1.0 - 1e-9), xs)))
 
     @given(edge_states())
@@ -355,14 +355,18 @@ class TestFarStates:
 
 class TestDriftCache:
     def test_single_pin_interpolation_tolerance(self, single_pin_exp):
-        cache = DriftCache(single_pin_exp, s_min=1e-3, s_max=1.0)
-        assert cache.max_rel_error(n_probe=150) <= 1e-4
+        # s_min 1e-4 is the table of the full acceptance run's
+        # quadratic-variation criterion
+        for s_min in (1e-3, 1e-4):
+            cache = DriftCache(single_pin_exp, s_min=s_min, s_max=1.0)
+            assert cache.max_rel_error(n_probe=150) <= 1e-4
 
     def test_multi_pin_interpolation_tolerance(self, two_pin_asymmetric):
         # the drift jumps sign across pin levels; away from the jumps the
         # table tracks direct quadrature to a fraction of a percent
-        cache = DriftCache(two_pin_asymmetric, s_min=1e-3, s_max=1.0)
-        assert cache.max_rel_error(n_probe=150) <= 2e-2
+        for model in (two_pin_asymmetric, UNIFORM_EDGE):
+            cache = DriftCache(model, s_min=1e-3, s_max=1.0)
+            assert cache.max_rel_error(n_probe=150) <= 2e-2
 
     def test_queries_clamp(self, single_pin_exp):
         cache = DriftCache(single_pin_exp, s_min=1e-3, s_max=1.0)
@@ -381,71 +385,60 @@ class TestDriftCache:
             make(two_pin_symmetric, s_min, s_max)
 
 
-def _two_regime_read(table, s, x):
-    """The table read as both regimes evaluated at every point, each clamped
-    to its own side of the switch, with ``np.where`` keeping one of them."""
-    s = np.asarray(s, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if table._large is None:
-        return table._small(s, np.clip(x / np.sqrt(s), -_ETA_MAX, _ETA_MAX))
-    if table._small is None:
-        return table._large(s, x)
-    return np.where(
-        s < table.s_switch,
-        table._small(np.minimum(s, table.s_switch),
-                     np.clip(x / np.sqrt(np.maximum(s, 1e-300)), -_ETA_MAX, _ETA_MAX)),
-        table._large(np.maximum(s, table.s_switch), x))
-
-
 def _synthetic_rows(s, xs):
     return np.sin(3.0 * xs) * np.log(s) + xs * xs * s
 
 
 _EXP = ModelSpec(ExponentialLaw(1.0), PinningLaw([0.0], [1.0]))
-_UNI = ModelSpec(UniformLaw(0.5, 2.0), PinningLaw([-1.0, 2.0], [0.6, 0.4]))
-# Tables over synthetic rows: two regimes, the scaled regime alone (s_max
-# below the switch), the space regime alone (s_min above the switch at
-# 1/121), and two regimes stacking a ladder of three quantities.
-_READ_TABLES = [
-    _HybridTable(_EXP, _synthetic_rows, 1e-3, 1.0, 20, 41, 41),
-    _HybridTable(_EXP, _synthetic_rows, 1e-3, 0.05, 20, 41, 41),
-    _HybridTable(_UNI, _synthetic_rows, 0.01, 1.9, 20, 41, 41),
-    _HybridTable(_UNI, lambda s, xs: np.stack([_synthetic_rows(s, xs) * k for k in (1, 2, 3)]),
-                 1e-3, 1.9, 20, 41, 41),
-]
+_READ_TABLES = [_Table(_EXP, _synthetic_rows, 1e-3, 1.0),
+                _Table(UNIFORM_EDGE, _synthetic_rows, 0.01, 1.9)]
+# The second table's rows stacked with their negation, which reads exactly
+# as the negated read.
+_STACKED = _Table(UNIFORM_EDGE, lambda s, xs: np.stack([_synthetic_rows(s, xs),
+                                                        -_synthetic_rows(s, xs)]), 0.01, 1.9)
 
 
 @st.composite
 def table_reads(draw):
-    """A table and query points below ``s_min``, at the switch, past
-    ``s_max`` and log-uniform in between, with values up to 10 away."""
+    """A table and query points below ``s_min``, past ``s_max`` and
+    log-uniform in between, with values up to 20 away (past the table's
+    space nodes)."""
     table = draw(st.sampled_from(_READ_TABLES))
     lo, hi = math.log(table.s_min), math.log(table.s_max)
-    times = st.one_of(st.just(table.s_switch),
-                      st.floats(math.log(table.s_min * 1e-3), lo).map(math.exp),
+    times = st.one_of(st.floats(lo + math.log(1e-3), lo).map(math.exp),
                       st.floats(hi, hi + math.log(3.0)).map(math.exp),
                       st.floats(lo, hi).map(math.exp))
     n = draw(st.integers(1, 12))
     s = np.array(draw(st.lists(times, min_size=n, max_size=n)))
-    x = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    x = np.array(draw(st.lists(st.floats(-20.0, 20.0), min_size=n, max_size=n)))
     return table, s, x
 
 
-class TestHybridTableRead:
-    """Each point is read from its own regime only, bit for bit what
-    reading both regimes everywhere and keeping one gives."""
+class TestTableRead:
+    """Bilinear reads in (log s, x) on synthetic rows."""
 
     @given(table_reads())
-    def test_matches_two_regime_read(self, case):
+    def test_outside_queries_read_the_clamped_edge(self, case):
         table, s, x = case
-        np.testing.assert_array_equal(table(s, x), _two_regime_read(table, s, x))
-        np.testing.assert_array_equal(table(s[0], x[0]), _two_regime_read(table, s[0], x[0]))
-        np.testing.assert_array_equal(table(s[0], x), _two_regime_read(table, s[0], x))
+        s_edge = np.clip(s, table.s_nodes[0], table.s_nodes[-1])
+        x_edge = np.clip(x, table.x_nodes[0], table.x_nodes[-1])
+        np.testing.assert_array_equal(table(s, x), table(s_edge, x_edge))
+        assert np.all(np.isfinite(table(s, x)))
 
-    def test_tables_cover_each_layout(self):
-        layouts = [(t._small is not None, t._large is not None) for t in _READ_TABLES]
-        assert layouts == [(True, True), (True, False), (False, True), (True, True)]
-        assert _READ_TABLES[3](0.5, 0.2).shape == (3,)
+    @given(st.sampled_from(_READ_TABLES), st.data())
+    def test_node_queries_return_the_row_value(self, table, data):
+        i = np.array(data.draw(st.lists(st.integers(0, table.s_nodes.size - 1), min_size=1)))
+        j = np.array(data.draw(st.lists(st.integers(0, table.x_nodes.size - 1),
+                                        min_size=i.size, max_size=i.size)))
+        np.testing.assert_array_equal(table(table.s_nodes[i], table.x_nodes[j]),
+                                      table.rows[i, j])
+
+    @given(table_reads())
+    def test_stacked_rows_keep_their_leading_axis(self, case):
+        _, s, x = case
+        single = _READ_TABLES[1](s, x)
+        np.testing.assert_array_equal(_STACKED(s, x), np.stack([single, -single]))
+        assert _STACKED(s[0], x[0]).shape == (2,)
 
 
 class TestInnovation:
