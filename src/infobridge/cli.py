@@ -72,8 +72,7 @@ def _ensure_out(cfg):
 def cmd_simulate(cfg):
     model = cfg.model_spec()
     out = _ensure_out(cfg)
-    ens = paths.simulate_ensemble(model, cfg.dt, cfg.horizon, cfg.n_paths, cfg.seed_or(0),
-                                  chunk=2048)
+    ens = paths.simulate_ensemble(model, cfg.dt, cfg.horizon, cfg.n_paths, cfg.seed_or(0))
     paths.save_ensemble(ens, os.path.join(out, "ensemble.bin"))
     for i in range(min(3, len(ens))):
         paths.save_path_csv(ens.path(i), os.path.join(out, f"path_{i:04d}.csv"))
@@ -90,6 +89,8 @@ def cmd_posterior(cfg, t, x):
     out = _ensure_out(cfg)
     sup = model.support_sup
     u_hi = sup if math.isfinite(sup) else model.length.quantile(0.999)
+    if u_hi <= t:  # an unbounded law observed late: the curve runs past t
+        u_hi += t
     u = np.linspace(t, u_hi, 200)
     surv = filtering.survival_probability(model, t, x, u)
     data = np.column_stack([u, surv])

@@ -9,10 +9,12 @@ path record; only the stored trajectory snaps the absorption to the grid
 Simulation is reproducible.  Path i of an ensemble of n draws its length,
 pin and Gaussian increments from three PCG64 streams, seeded by
 ``SeedSequence(seed).spawn(n)[i].spawn(3)``.  Their seed words come from a
-vectorized copy of the SeedSequence hash, one chunk of paths at a time, and
+vectorized copy of the SeedSequence hash, one block of paths at a time, and
 one generator is reset to each stream in turn: the draws are numpy's own for
-that layout, without a SeedSequence or Generator object per path.  Ensembles
-generated in chunks are bitwise identical to unchunked runs.
+that layout, without a SeedSequence or Generator object per path.  Rows never
+interact, so the blocks of at most ``_CELLS`` grid values that
+:func:`iter_ensemble_chunks` streams are, bit for bit, rows of the one block
+:func:`simulate_ensemble` draws.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ __all__ = [
     "save_ensemble",
     "load_ensemble",
 ]
+
+_CELLS = 2 ** 20  # grid values per streamed block of paths, as in ``kernels``
 
 
 @dataclass(eq=False)
@@ -248,55 +252,49 @@ def simulate_information_path(model, dt, horizon, seed):
     return ens.path(0)
 
 
-def iter_ensemble_chunks(model, dt, horizon, n_paths, seed, chunk=1024):
-    """Yield the ensemble in path chunks; chunking does not change draws."""
-    n_steps = _n_steps(dt, horizon)
+def _bridge_block(rs, zs, dt, n_steps, seed, first):
+    """Paths ``first, first + 1, ...`` of lengths ``rs`` and pins ``zs``: each
+    row's standard normals from its noise stream, turned into its bridge."""
+    values = np.empty((rs.size, n_steps + 1))
+    for row, g in zip(values[:, 1:], _streams(np.random.default_rng(0), seed, first,
+                                              rs.size, 2)):
+        g.standard_normal(out=row)
+    absorb = _bridge_rows(rs, zs, dt, values)
+    return PathEnsemble(dt=dt, values=values, taus=rs, zs=zs, seed=seed,
+                        absorbed_indices=absorb)
+
+
+def _model_block(model, dt, n_steps, seed, first, n):
+    """Paths ``[first, first + n)`` of the model's ensemble."""
     gen = np.random.default_rng(0)  # reset to every stream it reads
-    for first in range(0, n_paths, chunk):
-        m = min(chunk, n_paths - first)
-        # what ``sample`` draws from the length and pin streams; ``random()``
-        # returns the bits of ``uniform()`` without parsing its arguments
-        uniforms = np.array([[g.random() for g in _streams(gen, seed, first, m, leaf)]
-                             for leaf in (0, 1)])
-        taus = np.asarray(model.length.quantile(uniforms[0]), dtype=float)
-        zs = model.pinning.quantile(uniforms[1])
-        values = np.empty((m, n_steps + 1))
-        for row, g in zip(values[:, 1:], _streams(gen, seed, first, m, 2)):
-            g.standard_normal(out=row)
-        absorb = _bridge_rows(taus, zs, dt, values)
-        yield PathEnsemble(dt=dt, values=values, taus=taus, zs=zs, seed=seed,
-                           absorbed_indices=absorb)
+    # what ``sample`` draws from the length and pin streams; ``random()``
+    # returns the bits of ``uniform()`` without parsing its arguments
+    uniforms = np.array([[g.random() for g in _streams(gen, seed, first, n, leaf)]
+                         for leaf in (0, 1)])
+    taus = np.asarray(model.length.quantile(uniforms[0]), dtype=float)
+    return _bridge_block(taus, model.pinning.quantile(uniforms[1]), dt, n_steps, seed, first)
 
 
-def simulate_ensemble(model, dt, horizon, n_paths, seed, chunk=None):
+def iter_ensemble_chunks(model, dt, horizon, n_paths, seed):
+    """Yield the ensemble in blocks of at most ``_CELLS`` grid values (one
+    path at least); the blocks are the rows of :func:`simulate_ensemble`."""
+    n_steps = _n_steps(dt, horizon)
+    rows = max(1, _CELLS // (n_steps + 1))
+    for first in range(0, n_paths, rows):
+        yield _model_block(model, dt, n_steps, seed, first, min(rows, n_paths - first))
+
+
+def simulate_ensemble(model, dt, horizon, n_paths, seed):
     """Full ensemble in memory; see :func:`iter_ensemble_chunks` to stream."""
-    chunks = list(iter_ensemble_chunks(model, dt, horizon, n_paths, seed,
-                                       chunk=chunk or n_paths))
-    if len(chunks) == 1:
-        return chunks[0]
-    return PathEnsemble(
-        dt=dt,
-        values=np.concatenate([c.values for c in chunks]),
-        taus=np.concatenate([c.taus for c in chunks]),
-        zs=np.concatenate([c.zs for c in chunks]),
-        seed=seed,
-        absorbed_indices=np.concatenate([c.absorbed_indices for c in chunks]),
-    )
+    return _model_block(model, dt, _n_steps(dt, horizon), seed, 0, n_paths)
 
 
 def simulate_bridge_ensemble(r, z, dt, horizon, n_paths, seed):
     """Ensemble of bridges with one deterministic length and pin."""
     if not (0.0 < dt < r):
         raise ValueError("need 0 < dt < r")
-    values = np.empty((n_paths, _n_steps(dt, horizon) + 1))
-    noise = _streams(np.random.default_rng(0), seed, 0, n_paths, 2)
-    for row, g in zip(values[:, 1:], noise):
-        g.standard_normal(out=row)
-    rs = np.full(n_paths, float(r))
-    zs = np.full(n_paths, float(z))
-    absorb = _bridge_rows(rs, zs, dt, values)
-    return PathEnsemble(dt=dt, values=values, taus=rs, zs=zs, seed=seed,
-                        absorbed_indices=absorb)
+    return _bridge_block(np.full(n_paths, float(r)), np.full(n_paths, float(z)), dt,
+                         _n_steps(dt, horizon), seed, 0)
 
 
 def simulate_brownian_motion(dt, horizon, rng):
@@ -352,10 +350,16 @@ def save_ensemble(ens, fp):
 
 
 def _read_exactly(fh, n):
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError("truncated ensemble file")
-    return data
+    """``n`` bytes of ``fh``, read in pieces of at most 16 MiB: a header that
+    claims more than the file holds fails without allocating the claim."""
+    parts = []
+    while n > 0:
+        part = fh.read(min(n, 1 << 24))
+        if not part:
+            raise ValueError("truncated ensemble file")
+        parts.append(part)
+        n -= len(part)
+    return b"".join(parts)
 
 
 def load_ensemble(fp):
@@ -365,6 +369,9 @@ def load_ensemble(fp):
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError("not an ensemble file")
         dt, n_steps, n_paths, seed = _HEADER.unpack(_read_exactly(fh, _HEADER.size))
+        if not 0.0 < dt < math.inf or n_steps < 1 or n_paths < 0:
+            raise ValueError("corrupt ensemble header: need dt > 0 finite, "
+                             "n_steps >= 1 and n_paths >= 0")
         values = np.frombuffer(_read_exactly(fh, 8 * n_paths * (n_steps + 1)), dtype="<f8")
         values = values.reshape(n_paths, n_steps + 1).copy()
         tz = np.frombuffer(_read_exactly(fh, 8 * 2 * n_paths), dtype="<f8")

@@ -205,7 +205,8 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
     ``ah_spec = (hs, t_eval, n_sub)``, and the observation column at
     ``tower_t``.
 
-    Each chunk of 1,000 paths goes through the compensator module's one
+    Each block that :func:`~infobridge.paths.iter_ensemble_chunks` streams
+    (at most 2**20 grid values) goes through the compensator module's one
     reduction: :func:`~infobridge.compensator.compensator_rows` for the
     plain and weighted compensators, ``exp_martingale`` for M and
     ``band_integrand`` for the resolvent approximations.  Local time is
@@ -231,13 +232,13 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
            "frak": [], "mart_m": [], "ah": {h: [] for h in hs},
            "K_at_ah_t": [], "tower_x": []}
     done = 0
-    for ens in paths.iter_ensemble_chunks(model, dt, horizon, n_paths, seed, chunk=1000):
+    for ens in paths.iter_ensemble_chunks(model, dt, horizon, n_paths, seed):
         m = len(ens)
         d_locals = [localtime.occupation_increments(ens.values, ens.taus, dt, z)
                     for z in pins]
         K = comp.compensator_rows(lam_mid, d_locals)
         out["K_probe"].append(K[:, idx])
-        # Basic slices are views: copy the columns so that no chunk's block
+        # Basic slices are views: copy the columns so that no block
         # outlives its pass.
         out["K_term"].append(K[:, -1].copy())
         if not done:
@@ -264,7 +265,7 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
         if tower_t is not None:
             out["tower_x"].append(ens.values[:, int(round(tower_t / dt))].copy())
         done += m
-        del K, d_locals  # freed before the next chunk is simulated
+        del K, d_locals  # freed before the next block is simulated
     result = {k: (np.concatenate(v) if v else None) for k, v in out.items() if k != "ah"}
     result["ah"] = {h: np.concatenate(a) for h, a in out["ah"].items()}
     result["K_path0"] = path0
@@ -423,8 +424,7 @@ def criterion_quadratic_variation(ctx, attempt):
     qv_x = []
     qv_i = []
     clocks = []
-    for ens in paths.iter_ensemble_chunks(model, dt, horizon, ctx.n_quadratic,
-                                          seed, chunk=200):
+    for ens in paths.iter_ensemble_chunks(model, dt, horizon, ctx.n_quadratic, seed):
         dx2 = np.diff(ens.values, axis=1) ** 2
         cum = np.zeros_like(ens.values)
         np.cumsum(dx2, axis=1, out=cum[:, 1:])

@@ -80,7 +80,7 @@ class TestRejectedInput:
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
 
-        monkeypatch.setattr(paths, "iter_ensemble_chunks", no_work)
+        monkeypatch.setattr(paths, "_model_block", no_work)  # every model ensemble
         monkeypatch.setattr(kernels, "tail_integrals", no_work)
         cfg = _write_config(tmp_path, model={"tau": {"family": "uniform", "a": 0.5, "b": 2.0},
                                              "pinning": {"points": [-1.0, 1.0],
@@ -98,6 +98,16 @@ class TestPosterior:
         rows = np.loadtxt(tmp_path / "out" / "survival.csv", delimiter=",", skiprows=1)
         assert rows[0, 0] == 0.5 and rows[0, 1] == 1.0
         assert np.all(np.diff(rows[:, 1]) <= 1e-12)
+
+    def test_late_observation_curve_runs_past_t(self, tmp_path):
+        # On the default Exp(1) model t = 10 lies past quantile(0.999) = 6.91,
+        # where the curve used to end.
+        out = tmp_path / "out"
+        assert main(["posterior", "--t", "10", "--x", "0", "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "survival.csv", delimiter=",", skiprows=1)
+        assert rows[0, 0] == 10.0 and rows[-1, 0] > 10.0 and rows[0, 1] == 1.0
+        assert np.all(np.isfinite(rows)) and np.all((rows[:, 1] >= 0.0) & (rows[:, 1] <= 1.0))
+        assert np.all(np.diff(rows[:, 1]) <= 0.0)
 
     def test_survival_matches_quadrature_oracle(self, tmp_path):
         cfg = _write_config(tmp_path)
@@ -141,10 +151,11 @@ class TestCompensatorCommand:
                            delimiter=",", skiprows=1)
         assert np.all(np.diff(curve[:, 1]) >= 0.0)
 
-    def test_matches_per_path_route(self, tmp_path):
+    def test_matches_per_path_route(self, tmp_path, monkeypatch):
         # The ensemble summary agrees with the per-path route: occupation
-        # local time summed against the kernel by compensator_K.  1,100
-        # paths cross a chunk boundary.
+        # local time summed against the kernel by compensator_K.  A budget
+        # of 500 rows of 201 grid values streams the 1,100 paths in 3 blocks.
+        monkeypatch.setattr(paths, "_CELLS", 500 * 201)
         model_doc = {"tau": {"family": "uniform", "a": 0.5, "b": 2.0},
                      "pinning": {"points": [-1.0, 1.0], "probs": [0.5, 0.5]}}
         dt, horizon, n = 0.01, 2.0, 1100

@@ -122,11 +122,8 @@ class TestCompensatorK:
     def test_pathwise_matches_ensemble_pipeline(self, single_pin_exp, exp_bundle):
         # the public per-path operations reproduce the streamed reduction:
         # the plain compensator, the weighted one and the martingale M
-        from infobridge import paths as paths_mod
-
         dt = 2e-3
-        ens = next(paths_mod.iter_ensemble_chunks(single_pin_exp, dt, 7.0, 3,
-                                                  seed=314, chunk=3))
+        ens = simulate_ensemble(single_pin_exp, dt, 7.0, 3, seed=314)
         kern = IntensityKernel(single_pin_exp, dt=dt, horizon=7.0)
         for i in range(3):
             p = ens.path(i)
@@ -316,11 +313,8 @@ class TestMeyerApproximation:
     def test_cache_route_matches_ensemble_pipeline(self, single_pin_exp, exp_bundle):
         # per path with a band table from the same ladder, the resolvent
         # approximation at t = 1 is the streamed reduction's row
-        from infobridge import paths as paths_mod
-
         dt, ladder = 2e-3, (0.1, 0.03)
-        ens = next(paths_mod.iter_ensemble_chunks(single_pin_exp, dt, 7.0, 3,
-                                                  seed=314, chunk=3))
+        ens = simulate_ensemble(single_pin_exp, dt, 7.0, 3, seed=314)
         bands = BandProbabilityCache(single_pin_exp, ladder, s_min=dt, s_max=1.0)
         n_ah = int(round(1.0 / dt))
         for k, h in enumerate(ladder):

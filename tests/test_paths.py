@@ -2,6 +2,8 @@
 
 import io
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -258,16 +260,24 @@ class TestReproducibility:
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.taus, b.taus)
 
-    def test_chunking_does_not_change_draws(self, two_pin_symmetric):
-        a = simulate_ensemble(two_pin_symmetric, dt=0.01, horizon=1.0, n_paths=1030, seed=12)
-        # 7 and 33 divide neither the simulator's row block nor the path count
-        for chunk in (1, 7, 33, 1000):
-            b = simulate_ensemble(two_pin_symmetric, dt=0.01, horizon=1.0, n_paths=1030,
-                                  seed=12, chunk=chunk)
-            np.testing.assert_array_equal(a.values, b.values)
-            np.testing.assert_array_equal(a.taus, b.taus)
-            np.testing.assert_array_equal(a.zs, b.zs)
-            np.testing.assert_array_equal(a.absorbed_indices, b.absorbed_indices)
+    @given(n_steps=st.integers(10, 100), n_paths=st.integers(1, 120),
+           rows=st.integers(0, 40), spare=st.integers(0, 100))
+    def test_chunking_does_not_change_draws(self, two_pin_symmetric, n_steps, n_paths,
+                                            rows, spare):
+        # A budget of rows * (n_steps + 1) + spare grid values gives blocks of
+        # 1 to 40 rows, the floor of one path at rows = 0; the streamed blocks
+        # are, bit for bit, the ensemble drawn as one block.
+        dt = 0.01
+        cells = rows * (n_steps + 1) + min(spare, n_steps)
+        whole = simulate_ensemble(two_pin_symmetric, dt, n_steps * dt, n_paths, seed=12)
+        with mock.patch.object(paths, "_CELLS", cells):
+            blocks = list(paths.iter_ensemble_chunks(two_pin_symmetric, dt, n_steps * dt,
+                                                     n_paths, seed=12))
+        assert all(len(b) * (n_steps + 1) <= max(cells, n_steps + 1) for b in blocks)
+        assert len(blocks) == -(-n_paths // max(rows, 1))
+        for field in ("values", "taus", "zs", "absorbed_indices"):
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(b, field) for b in blocks]), getattr(whole, field))
 
 
 class TestQuadraticVariation:
@@ -323,6 +333,24 @@ class TestSerialization:
             fp.write_bytes(data[:cut])
             with pytest.raises(ValueError, match="truncated ensemble file"):
                 load_ensemble(str(fp))
+
+    @pytest.mark.parametrize("dt, n_steps, n_paths, match", [
+        (-1.0, 50, 5, "corrupt"), (0.0, 50, 5, "corrupt"), (math.nan, 50, 5, "corrupt"),
+        (math.inf, 50, 5, "corrupt"), (0.02, 0, 5, "corrupt"), (0.02, -1, 5, "corrupt"),
+        (0.02, 50, -1, "corrupt"),
+        # more paths than the file holds fail as a short file, without
+        # allocating the claimed 2**40 rows
+        (0.02, 50, 6, "truncated"), (0.02, 50, 2 ** 40, "truncated")])
+    def test_rejects_bad_header(self, two_pin_symmetric, tmp_path, dt, n_steps, n_paths,
+                                match):
+        ens = simulate_ensemble(two_pin_symmetric, dt=0.02, horizon=1.0,
+                                n_paths=5, seed=31)
+        fp = tmp_path / "ensemble.bin"
+        save_ensemble(ens, str(fp))
+        data = fp.read_bytes()
+        fp.write_bytes(data[:8] + struct.pack("<dqqq", dt, n_steps, n_paths, 31) + data[40:])
+        with pytest.raises(ValueError, match=match):
+            load_ensemble(str(fp))
 
     def test_rejects_foreign_file(self, tmp_path):
         fp = tmp_path / "junk.bin"

@@ -2,11 +2,13 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.special import kolmogorov
 
+from infobridge import paths
 from infobridge import (
     EnsembleSummary,
     TestReport,
@@ -15,7 +17,12 @@ from infobridge import (
     martingale_expectation_test,
     refinement_report,
 )
-from infobridge.verify import kolmogorov_pvalue, ks_statistic, run_criterion
+from infobridge.verify import (
+    compensator_products,
+    kolmogorov_pvalue,
+    ks_statistic,
+    run_criterion,
+)
 
 
 class TestKSStatistic:
@@ -65,6 +72,28 @@ class TestKSStatistic:
         sample = rng.uniform(0.0, 2.0, 500) + 1e-9
         _, p = ks_test_exponential(sample)
         assert p < 1e-6
+
+
+class TestCompensatorProducts:
+    def test_blocking_does_not_change_products(self, two_pin_asymmetric):
+        # One block of 30 paths against blocks of 7: the resolvent
+        # approximations' first 17 paths then end inside the third block.
+        dt, horizon = 0.01, 2.0
+        products = []
+        for cells in (paths._CELLS, 7 * 201):
+            with mock.patch.object(paths, "_CELLS", cells):
+                products.append(compensator_products(
+                    two_pin_asymmetric, dt, horizon, 30, seed=5, probe_times=(0.5, 2.0),
+                    frak_times=(0.5, 1.0), lam_m=0.5, ah_spec=((0.1, 0.03), 1.0, 17),
+                    tower_t=1.0))
+        one, blocked = products
+        assert one.keys() == blocked.keys()
+        for key in one.keys() - {"ah"}:
+            np.testing.assert_array_equal(one[key], blocked[key], err_msg=key)
+        assert one["ah"].keys() == blocked["ah"].keys() == {0.1, 0.03}
+        for h, a in one["ah"].items():
+            assert a.shape == (17,)
+            np.testing.assert_array_equal(a, blocked["ah"][h])
 
 
 class TestMartingaleExpectation:
