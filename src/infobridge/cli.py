@@ -28,6 +28,10 @@ DEFAULT_MODEL = {
 }
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     model: dict
@@ -38,6 +42,12 @@ class RunConfig:
     out: str = "out"
 
     def __post_init__(self):
+        if not (_is_int(self.n_paths) and (self.seed is None or _is_int(self.seed))):
+            raise ValueError("n_paths and seed must be integers")
+        if not (math.isfinite(self.dt) and math.isfinite(self.horizon)):
+            raise ValueError("dt and horizon must be finite")
+        if not isinstance(self.out, str):
+            raise ValueError("out must be a path")
         if self.dt <= 0.0 or self.horizon <= 0.0 or self.n_paths < 1:
             raise ValueError("dt, horizon and n_paths must be positive")
         if self.dt >= self.horizon:
@@ -52,6 +62,8 @@ class RunConfig:
         if path is not None:
             with open(path) as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError("the run configuration must be a JSON object")
         data.update({k: v for k, v in overrides.items() if v is not None})
         data.setdefault("model", DEFAULT_MODEL)
         return cls(**data)
@@ -125,17 +137,12 @@ def cmd_compensator(cfg):
     return 0
 
 
-def cmd_verify(cfg, fast=False):
+def cmd_verify(cfg, fast):
     out = _ensure_out(cfg)
-    scale = {}
-    if fast:
-        scale = {"n_compensator": 600, "n_terminal": 300, "n_bridge": 2000,
-                 "n_brownian": 500, "n_quadratic": 100, "n_tower": 600,
-                 "dt_fine": 1e-3}
     master_seed = cfg.seed_or(verify.VerificationContext.master_seed)
     reports = verify.run_verification_suite(master_seed=master_seed,
                                             progress=lambda r: print(r.line()),
-                                            **scale)
+                                            fast=fast)
     verify.reports_to_json(reports, os.path.join(out, "reports.json"))
     n_fail = sum(not r.passed for r in reports)
     print(f"{len(reports) - n_fail}/{len(reports)} checks passed")
@@ -189,6 +196,9 @@ def main(argv=None):
             raise ValueError("t must lie strictly inside the support of the length law")
         if args.command == "compensator" and cfg.n_paths < 2:
             raise ValueError("the compensator summary needs at least two paths")
+    except OSError as exc:
+        print(f"io failure: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, TypeError, KeyError) as exc:
         print(f"config rejected: {exc}", file=sys.stderr)
         return 2

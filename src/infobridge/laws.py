@@ -78,8 +78,8 @@ class ExponentialLaw(LengthLaw):
     family = "exponential"
 
     def __init__(self, rate=1.0):
-        if rate <= 0.0:
-            raise ValueError("rate must be positive")
+        if not 0.0 < rate < math.inf:
+            raise ValueError("rate must be positive and finite")
         self.rate = float(rate)
 
     def pdf(self, r):
@@ -101,8 +101,8 @@ class UniformLaw(LengthLaw):
     family = "uniform"
 
     def __init__(self, a, b):
-        if not (0.0 <= a < b):
-            raise ValueError("need 0 <= a < b")
+        if not 0.0 <= a < b < math.inf:
+            raise ValueError("need 0 <= a < b < inf")
         self.a = float(a)
         self.b = float(b)
         self.support_inf = self.a
@@ -128,8 +128,8 @@ class GammaLaw(LengthLaw):
     family = "gamma"
 
     def __init__(self, shape, scale=1.0):
-        if shape <= 0.0 or scale <= 0.0:
-            raise ValueError("shape and scale must be positive")
+        if not (0.0 < shape < math.inf and 0.0 < scale < math.inf):
+            raise ValueError("shape and scale must be positive and finite")
         self.shape = float(shape)
         self.scale = float(scale)
 
@@ -157,8 +157,8 @@ class TruncatedExponentialLaw(LengthLaw):
     family = "truncated-exponential"
 
     def __init__(self, rate, b):
-        if rate <= 0.0 or b <= 0.0:
-            raise ValueError("rate and b must be positive")
+        if not (0.0 < rate < math.inf and 0.0 < b < math.inf):
+            raise ValueError("rate and b must be positive and finite")
         self.rate = float(rate)
         self.b = float(b)
         self.support_sup = self.b
@@ -257,8 +257,8 @@ def validate_length_law(law):
 
 @dataclass(frozen=True, eq=False)
 class PinningLaw:
-    """Discrete law of the pinning point: strictly increasing levels with
-    strictly positive weights summing to one."""
+    """Discrete law of the pinning point: strictly increasing finite levels
+    with strictly positive finite weights summing to one."""
 
     points: np.ndarray
     probs: np.ndarray
@@ -268,6 +268,8 @@ class PinningLaw:
         probs = np.asarray(probs, dtype=float)
         if points.ndim != 1 or points.size < 1 or points.shape != probs.shape:
             raise ValueError("points and probs must be matching 1-d sequences")
+        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(probs))):
+            raise ValueError("pin levels and weights must be finite")
         if np.any(np.diff(points) <= 0.0):
             raise ValueError("pin levels must be strictly increasing")
         if np.any(probs <= 0.0) or abs(probs.sum() - 1.0) > 1e-12:

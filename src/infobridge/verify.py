@@ -212,8 +212,11 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
     ``band_integrand`` for the resolvent approximations.  Local time is
     the occupation estimator, the expected local time of each step given
     its grid values, and the weighted compensator weights pin ``k``'s term
-    by the pin level, where that local time grows.
+    by the pin level, where that local time grows.  Raises ``ValueError``
+    for fewer than one path.
     """
+    if n_paths < 1:
+        raise ValueError("need at least one path")
     n_steps = int(round(horizon / dt))
     kernel = comp.IntensityKernel(model, dt, horizon)
     lam_mid = comp.midpoint_kernel(kernel, dt, n_steps)
@@ -277,24 +280,47 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
 # ---------------------------------------------------------------------------
 
 
+#: The suite's two scales, keyed by ``fast``: the acceptance run and
+#: ``verify --fast``.  ``dt_fine`` is the grid step of the quadratic
+#: variation and Brownian local-time criteria; the rest are path counts.
+_SCALES = {
+    False: dict(dt_fine=1e-4, n_compensator=5000, n_terminal=2000,
+                n_bridge=10_000, n_brownian=10_000, n_quadratic=1000),
+    True: dict(dt_fine=1e-3, n_compensator=600, n_terminal=300,
+               n_bridge=2000, n_brownian=500, n_quadratic=100),
+}
+
+
 @dataclass
 class VerificationContext:
-    """Scale knobs and lazily cached ensemble reductions for the suite."""
+    """The suite's master seed and scale, and its cached ensemble reductions:
+    ``fast`` picks the row of the two scales whose values become attributes
+    (``dt_fine``, ``n_compensator``, ``n_terminal``, ``n_bridge``,
+    ``n_brownian``, ``n_quadratic``)."""
 
     master_seed: int = 20260810
-    dt_fine: float = 1e-4
-    n_compensator: int = 5000
-    n_terminal: int = 2000
-    n_bridge: int = 10000
-    n_brownian: int = 10000
-    n_quadratic: int = 1000
-    n_tower: int = 5000
+    fast: bool = False
 
     def __post_init__(self):
+        vars(self).update(_SCALES[self.fast])
         self._cache = {}
         # Horizon with at most 1e-4 survival mass for the unbounded law,
         # snapped up to a whole number of grid steps.
         self.exp_horizon = self.dt * math.ceil(-math.log(1e-4) / self.dt)
+        # Each shared ensemble by its seed tag: model, horizon, path count
+        # and the keyword arguments of compensator_products.
+        self._ensembles = {
+            "expA": (self.model_single_pin(), self.exp_horizon, self.n_compensator,
+                     dict(probe_times=self.EXP_PROBES,
+                          ah_spec=(self.AH_LADDER, 1.0, self.n_terminal))),
+            "uniB": (self.model_two_pin_symmetric(), 2.0, self.n_compensator,
+                     dict(probe_times=self.UNI_PROBES)),
+            "uniB2": (self.model_two_pin_asymmetric(), 2.0, self.n_compensator,
+                      dict(probe_times=self.FRAK_PROBES, frak_times=self.FRAK_PROBES,
+                           lam_m=self.LAM_M, tower_t=self.TOWER_T)),
+            "uniC": (self.model_bounded_support(), 3.0, 500,
+                     dict(probe_times=(1.5, 3.0))),
+        }
 
     # -- models -------------------------------------------------------------
 
@@ -314,7 +340,7 @@ class VerificationContext:
     def model_bounded_support():
         return ModelSpec(UniformLaw(0.5, 1.5), PinningLaw([-1.0, 1.0], [0.5, 0.5]))
 
-    # -- seeds and caching ----------------------------------------------------
+    # -- seeds and products ---------------------------------------------------
 
     _TAGS = {"expA": 1, "uniB": 2, "uniB2": 3, "uniC": 4, "bridge": 5,
              "brownian": 6, "qv": 7, "density": 8}
@@ -322,13 +348,6 @@ class VerificationContext:
     def seed_for(self, tag, attempt):
         ss = np.random.SeedSequence((self.master_seed, self._TAGS[tag], attempt))
         return int(ss.generate_state(1, dtype=np.uint32)[0])
-
-    def _cached(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    # -- products -------------------------------------------------------------
 
     dt = 1e-3  # grid step of the compensator and bridge products; not a field
     AH_LADDER = (0.1, 0.03, 0.01)
@@ -339,35 +358,17 @@ class VerificationContext:
     TOWER_U = 1.25
     LAM_M = 0.25
 
-    def exp_products(self, attempt):
-        seed = self.seed_for("expA", attempt)
-        return self._cached(("expA", attempt), lambda: compensator_products(
-            self.model_single_pin(), self.dt, self.exp_horizon,
-            self.n_compensator, seed,
-            probe_times=self.EXP_PROBES,
-            ah_spec=(self.AH_LADDER, 1.0, self.n_terminal)) | {"seed": seed})
-
-    def uni_products(self, attempt):
-        seed = self.seed_for("uniB", attempt)
-        return self._cached(("uniB", attempt), lambda: compensator_products(
-            self.model_two_pin_symmetric(), self.dt, 2.0,
-            self.n_compensator, seed,
-            probe_times=self.UNI_PROBES) | {"seed": seed})
-
-    def uni_asym_products(self, attempt):
-        seed = self.seed_for("uniB2", attempt)
-        return self._cached(("uniB2", attempt), lambda: compensator_products(
-            self.model_two_pin_asymmetric(), self.dt, 2.0,
-            max(self.n_compensator, self.n_tower), seed,
-            probe_times=self.FRAK_PROBES,
-            frak_times=self.FRAK_PROBES, lam_m=self.LAM_M,
-            tower_t=self.TOWER_T) | {"seed": seed})
-
-    def bounded_products(self, attempt):
-        seed = self.seed_for("uniC", attempt)
-        return self._cached(("uniC", attempt), lambda: compensator_products(
-            self.model_bounded_support(), self.dt, 3.0, 500, seed,
-            probe_times=(1.5, 3.0)) | {"seed": seed})
+    def products(self, tag, attempt):
+        """The :func:`compensator_products` of ensemble ``tag`` (``expA``,
+        ``uniB``, ``uniB2`` or ``uniC``) at ``attempt``'s derived seed, under
+        ``"seed"``; built once per context."""
+        key = (tag, attempt)
+        if key not in self._cache:
+            model, horizon, n_paths, kwargs = self._ensembles[tag]
+            seed = self.seed_for(tag, attempt)
+            self._cache[key] = compensator_products(
+                model, self.dt, horizon, n_paths, seed, **kwargs) | {"seed": seed}
+        return self._cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +454,12 @@ def criterion_quadratic_variation(ctx, attempt):
 def criterion_filter_tower(ctx, attempt):
     """The posterior estimate of a fixed functional has the unconditional
     mean: tested for the survival indicator and for the pin value."""
-    prod = ctx.uni_asym_products(attempt)
+    prod = ctx.products("uniB2", attempt)
     model = ctx.model_two_pin_asymmetric()
     t, u = ctx.TOWER_T, ctx.TOWER_U
-    n = ctx.n_tower
-    taus, zs, x_t = prod["taus"][:n], prod["zs"][:n], prod["tower_x"][:n]
+    taus, zs, x_t = prod["taus"], prod["zs"], prod["tower_x"]
     alive = taus > t
-    est_surv = np.zeros(n)
+    est_surv = np.zeros(taus.size)
     est_pin = np.where(alive, 0.0, zs)
     if np.any(alive):
         xs = x_t[alive]
@@ -500,8 +500,8 @@ def criterion_brownian_local_time(ctx, attempt):
 def criterion_compensator_martingale(ctx, attempt, corrupt=1.0, name="compensator_martingale"):
     """Mean compensator equals the length CDF at every probe time, for the
     single-pin unbounded config and the two-pin bounded config."""
-    prod_a = ctx.exp_products(attempt)
-    prod_b = ctx.uni_products(attempt)
+    prod_a = ctx.products("expA", attempt)
+    prod_b = ctx.products("uniB", attempt)
     model_a = ctx.model_single_pin()
     model_b = ctx.model_two_pin_symmetric()
     rep_a = martingale_expectation_test(
@@ -520,7 +520,7 @@ def criterion_compensator_martingale(ctx, attempt, corrupt=1.0, name="compensato
 def criterion_terminal_exponential(ctx, attempt):
     """The terminal compensator is standard exponential: unit mean within
     3 stderr and KS p above 0.01 (censored paths are excluded and counted)."""
-    prod = ctx.exp_products(attempt)
+    prod = ctx.products("expA", attempt)
     k_inf = prod["K_term"][:ctx.n_terminal]
     absorbed = prod["taus"][:ctx.n_terminal] <= ctx.exp_horizon
     sample = k_inf[absorbed & (k_inf > 0.0)]
@@ -538,7 +538,7 @@ def criterion_terminal_exponential(ctx, attempt):
 def criterion_mgf(ctx, attempt):
     """Moment generating function of the terminal compensator matches the
     unit-rate exponential at several arguments."""
-    prod = ctx.exp_products(attempt)
+    prod = ctx.products("expA", attempt)
     k_inf = prod["K_term"][:ctx.n_terminal]
     lams = (0.5, 1.0, 2.0)
     values = np.column_stack([np.exp(-lam * k_inf) for lam in lams])
@@ -551,11 +551,11 @@ def criterion_mgf(ctx, attempt):
 
 def criterion_weighted_compensator(ctx, attempt):
     """Mean weighted compensator equals (mean pin) x (length CDF)."""
-    prod = ctx.uni_asym_products(attempt)
+    prod = ctx.products("uniB2", attempt)
     model = ctx.model_two_pin_asymmetric()
     ez = model.pinning.mean()
     rep = martingale_expectation_test(
-        "weighted_compensator", prod["frak"][:ctx.n_compensator], ctx.FRAK_PROBES,
+        "weighted_compensator", prod["frak"], ctx.FRAK_PROBES,
         lambda t: ez * float(model.length.cdf(t)), seed=prod["seed"])
     rep.details["pin_mean"] = ez
     return rep
@@ -564,9 +564,9 @@ def criterion_weighted_compensator(ctx, attempt):
 def criterion_martingale_M(ctx, attempt):
     """The exponential local martingale of the weighted compensator has
     unit mean (bounded configuration, small argument)."""
-    prod = ctx.uni_asym_products(attempt)
+    prod = ctx.products("uniB2", attempt)
     rep = martingale_expectation_test(
-        "martingale_M", prod["mart_m"][:ctx.n_compensator], ctx.FRAK_PROBES,
+        "martingale_M", prod["mart_m"], ctx.FRAK_PROBES,
         lambda t: 1.0, seed=prod["seed"])
     rep.details["lambda"] = ctx.LAM_M
     return rep
@@ -575,7 +575,7 @@ def criterion_martingale_M(ctx, attempt):
 def criterion_meyer_refinement(ctx, attempt):
     """The resolvent approximation converges to the compensator: the gap of
     the ensemble means shrinks strictly along the h-ladder."""
-    prod = ctx.exp_products(attempt)
+    prod = ctx.products("expA", attempt)
     k1 = prod["K_at_ah_t"]
     gaps = [abs(float(prod["ah"][h].mean() - k1.mean())) for h in ctx.AH_LADDER]
     return refinement_report("meyer_refinement", [f"h={h}" for h in ctx.AH_LADDER],
@@ -585,7 +585,7 @@ def criterion_meyer_refinement(ctx, attempt):
 def criterion_constant_beyond_support(ctx, attempt):
     """With bounded length support the compensator is exactly constant
     beyond the support supremum, pathwise."""
-    prod = ctx.bounded_products(attempt)
+    prod = ctx.products("uniC", attempt)
     diff = np.abs(prod["K_probe"][:, 1] - prod["K_probe"][:, 0])
     stat = float(diff.max())
     return TestReport(name="constant_beyond_support", statistic=stat, threshold=0.0,
@@ -638,10 +638,12 @@ def run_criterion(ctx, fn):
     return report
 
 
-def run_verification_suite(master_seed=20260810, progress=None, **scale):
-    """Run every criterion with the shared desk-scale context, each through
-    :func:`run_criterion`."""
-    ctx = VerificationContext(master_seed=master_seed, **scale)
+def run_verification_suite(master_seed, progress, fast):
+    """Run every criterion through :func:`run_criterion` on one shared
+    :class:`VerificationContext` at ``master_seed``, at the acceptance scale
+    or, when ``fast``, at the scale of ``verify --fast``; ``progress``, when
+    not None, is called with each report as it is made."""
+    ctx = VerificationContext(master_seed=master_seed, fast=fast)
     reports = []
     for name, fn in CRITERIA:
         report = run_criterion(ctx, fn)

@@ -68,6 +68,16 @@ class TestSimulate:
         assert "config rejected" in capsys.readouterr().err
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if a command simulates paths or evaluates a tail integral."""
+    def fail(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(paths, "_model_block", fail)  # every model ensemble
+    monkeypatch.setattr(kernels, "tail_integrals", fail)
+
+
 class TestRejectedInput:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--seed", "-1"],
@@ -75,19 +85,47 @@ class TestRejectedInput:
         ["posterior", "--t", "2.5", "--x", "0.0"],
         ["compensator", "--paths", "1"],
     ], ids=["negative-seed", "horizon-off-grid", "t-past-support", "one-path"])
-    def test_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+    def test_exits_2_before_any_work(self, tmp_path, capsys, no_work, argv):
         # U(0.5, 2) puts t = 2.5 past the support supremum
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started")
-
-        monkeypatch.setattr(paths, "_model_block", no_work)  # every model ensemble
-        monkeypatch.setattr(kernels, "tail_integrals", no_work)
         cfg = _write_config(tmp_path, model={"tau": {"family": "uniform", "a": 0.5, "b": 2.0},
                                              "pinning": {"points": [-1.0, 1.0],
                                                          "probs": [0.5, 0.5]}})
         assert main([*argv, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config rejected:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc", [
+        '{"n_paths": 2.5}',
+        '{"n_paths": true}',
+        '{"seed": 7.5}',
+        '{"seed": true}',
+        '{"horizon": Infinity}',
+        '{"dt": NaN}',
+        '{"out": 5}',
+        '[1, 2]',
+        '{"model": {"tau": {"family": "exponential", "rate": NaN},'
+        ' "pinning": {"points": [0.0], "probs": [1.0]}}}',
+        '{"model": {"tau": {"family": "exponential", "rate": 1.0},'
+        ' "pinning": {"points": [Infinity], "probs": [1.0]}}}',
+    ], ids=["float-paths", "bool-paths", "float-seed", "bool-seed", "infinite-horizon",
+            "nan-dt", "int-out", "not-an-object", "nan-rate", "infinite-pin"])
+    def test_bad_config_document_exits_2(self, tmp_path, capsys, monkeypatch, no_work, doc):
+        # JSON reads NaN, Infinity and true; none of them is a usable value here
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(doc)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config rejected:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_config_exits_3(self, tmp_path, capsys, monkeypatch, no_work, name):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", str(tmp_path / name)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("io failure:") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from infobridge import (
     CustomLengthLaw,
@@ -84,6 +86,29 @@ def test_gamma_matches_scipy_moments():
     assert abs(draws.mean() - 2.0 * 0.7) < 3.0 * draws.std() / math.sqrt(draws.size)
 
 
+_POSITIVE = st.floats(1e-3, 1e3)
+
+# Each family's constructor with a strategy for a valid parameter tuple.
+VALID_PARAMS = [
+    (ExponentialLaw, st.tuples(_POSITIVE)),
+    (UniformLaw, st.tuples(st.floats(0.0, 10.0), st.floats(1e-3, 10.0)).map(
+        lambda ab: (ab[0], ab[0] + ab[1]))),
+    (GammaLaw, st.tuples(_POSITIVE, _POSITIVE)),
+    (TruncatedExponentialLaw, st.tuples(_POSITIVE, _POSITIVE)),
+]
+
+
+@given(st.sampled_from(VALID_PARAMS), st.sampled_from([math.nan, math.inf, -math.inf]),
+       st.data())
+def test_non_finite_parameter_rejected(family, bad, data):
+    # JSON reads NaN and Infinity, so every parameter is checked at construction.
+    law, valid = family
+    params = list(data.draw(valid))
+    params[data.draw(st.integers(0, len(params) - 1))] = bad
+    with pytest.raises(ValueError):
+        law(*params)
+
+
 class TestPinningLaw:
     def test_single_point_always_drawn(self):
         law = PinningLaw([2.5], [1.0])
@@ -111,6 +136,12 @@ class TestPinningLaw:
         ([0.0, 1.0], [0.5, 0.4]),       # does not sum to one
         ([0.0, 1.0], [1.1, -0.1]),      # negative weight
         ([], []),                        # empty
+        ([math.nan], [1.0]),             # NaN level
+        ([-math.inf, 0.0], [0.5, 0.5]),  # infinite level
+        ([0.0, math.inf], [0.5, 0.5]),   # infinite level
+        ([0.0], [math.nan]),             # NaN weight
+        ([0.0, 1.0], [0.5, math.nan]),   # NaN weight
+        ([0.0, 1.0], [math.inf, 0.5]),   # infinite weight
     ])
     def test_invalid_rejected(self, points, probs):
         with pytest.raises(ValueError):

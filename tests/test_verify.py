@@ -1,5 +1,6 @@
 """KS machinery, report types, and the generic statistical tests."""
 
+import dataclasses
 import json
 import math
 from unittest import mock
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.special import kolmogorov
 
-from infobridge import paths
+from infobridge import compensator as comp
+from infobridge import paths, verify
 from infobridge import (
     EnsembleSummary,
     TestReport,
@@ -18,6 +20,7 @@ from infobridge import (
     refinement_report,
 )
 from infobridge.verify import (
+    VerificationContext,
     compensator_products,
     kolmogorov_pvalue,
     ks_statistic,
@@ -94,6 +97,56 @@ class TestCompensatorProducts:
         for h, a in one["ah"].items():
             assert a.shape == (17,)
             np.testing.assert_array_equal(a, blocked["ah"][h])
+
+    @pytest.mark.parametrize("n_paths", [0, -3])
+    def test_rejects_no_paths(self, two_pin_asymmetric, n_paths):
+        with mock.patch.object(comp, "IntensityKernel",
+                               side_effect=AssertionError("kernel built")):
+            with pytest.raises(ValueError, match="at least one path"):
+                compensator_products(two_pin_asymmetric, 0.01, 1.0, n_paths, seed=5,
+                                     probe_times=(0.5,))
+
+
+class TestScales:
+    NAMES = ("dt_fine", "n_compensator", "n_terminal", "n_bridge", "n_brownian",
+             "n_quadratic")
+
+    @pytest.mark.parametrize("fast,row", [
+        (False, (1e-4, 5000, 2000, 10_000, 10_000, 1000)),
+        # the benchmark's verify-fast workload runs this row
+        (True, (1e-3, 600, 300, 2000, 500, 100)),
+    ], ids=["acceptance", "fast"])
+    def test_rows_are_pinned(self, fast, row):
+        ctx = VerificationContext(master_seed=0, fast=fast)
+        assert tuple(getattr(ctx, name) for name in self.NAMES) == row
+
+    def test_fields_are_seed_and_scale(self):
+        assert [f.name for f in dataclasses.fields(VerificationContext)] == \
+               ["master_seed", "fast"]
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["acceptance", "fast"])
+    def test_products_table(self, fast):
+        # Each ensemble's model, horizon and path count, built once per
+        # (tag, attempt) at the attempt's derived seed.
+        ctx = VerificationContext(master_seed=3, fast=fast)
+        calls = []
+
+        def record(model, dt, horizon, n_paths, seed, **kwargs):
+            calls.append((repr(model.length), horizon, n_paths, kwargs))
+            return {}
+
+        with mock.patch.object(verify, "compensator_products", record):
+            for tag in ("expA", "uniB", "uniB2", "uniC"):
+                prod = ctx.products(tag, 1)
+                assert prod == {"seed": ctx.seed_for(tag, 1)}
+                assert ctx.products(tag, 1) is prod
+        assert len(calls) == 4
+        assert [c[0] for c in calls] == ["ExponentialLaw(rate=1)", "UniformLaw(a=0.5, b=2)",
+                        "UniformLaw(a=0.5, b=2)", "UniformLaw(a=0.5, b=1.5)"]
+        assert [c[1] for c in calls] == [ctx.exp_horizon, 2.0, 2.0, 3.0]
+        assert [c[2] for c in calls] == [ctx.n_compensator] * 3 + [500]
+        assert calls[0][3]["ah_spec"] == (ctx.AH_LADDER, 1.0, ctx.n_terminal)
+        assert calls[2][3]["tower_t"] == ctx.TOWER_T
 
 
 class TestMartingaleExpectation:
@@ -172,11 +225,10 @@ class TestReportTypes:
 
 class TestDeterminism:
     def test_criteria_reports_are_reproducible(self):
-        from infobridge.verify import (VerificationContext,
-                                       criterion_density_consistency,
-                                       criterion_bridge_exactness)
-        a = VerificationContext(master_seed=99, n_bridge=800)
-        b = VerificationContext(master_seed=99, n_bridge=800)
+        from infobridge.verify import (criterion_bridge_exactness,
+                                       criterion_density_consistency)
+        a = VerificationContext(master_seed=99, fast=True)
+        b = VerificationContext(master_seed=99, fast=True)
         for fn in (criterion_density_consistency, criterion_bridge_exactness):
             assert fn(a, 0).to_dict() == fn(b, 0).to_dict()
 
