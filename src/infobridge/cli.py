@@ -44,8 +44,8 @@ class RunConfig:
     def __post_init__(self):
         if not (_is_int(self.n_paths) and (self.seed is None or _is_int(self.seed))):
             raise ValueError("n_paths and seed must be integers")
-        if not (math.isfinite(self.dt) and math.isfinite(self.horizon)):
-            raise ValueError("dt and horizon must be finite")
+        if not all(math.isfinite(v) and not isinstance(v, bool) for v in (self.dt, self.horizon)):
+            raise ValueError("dt and horizon must be finite numbers")
         if not isinstance(self.out, str):
             raise ValueError("out must be a path")
         if self.dt <= 0.0 or self.horizon <= 0.0 or self.n_paths < 1:

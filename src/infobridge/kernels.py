@@ -137,14 +137,15 @@ def bridge_marginal_density(t, r, z, x):
 
     The value is the Gaussian density with mean ``t z / r`` and variance
     ``t (r - t) / r``; it also equals ``p(r-t, z-x) p(t, x) / p(r, z)``
-    (tested, not computed twice here).
+    (tested, not computed twice here).  Past ``r / 2`` the offset from the mean is
+    ``x - z + (r - t) z / r``: ``x - t z / r`` loses digits as the mean nears ``z``.
     """
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     if np.any(t <= 0.0) or np.any(t >= r):
         raise ValueError("need 0 < t < r")
-    var = t * (r - t) / r
-    out = gaussian_density(var, np.asarray(x, dtype=float), t * np.asarray(z, dtype=float) / r)
+    d = np.where(t <= 0.5 * r, x - t * z / r, np.subtract(x, z) + (r - t) * z / r)
+    out = gaussian_density(t * (r - t) / r, d)
     return out if np.ndim(out) else float(out)
 
 

@@ -216,11 +216,17 @@ _FAMILIES = {
 }
 
 
+def _reject_bools(*values):
+    if any(isinstance(v, (bool, np.bool_)) for a in values for v in np.array(a, object).flat):
+        raise ValueError("law parameters, pin levels and weights must be numbers, not booleans")
+
+
 def length_law_from_dict(d):
     try:
         builder = _FAMILIES[d["family"]]
     except KeyError:
         raise ValueError(f"unknown length-law family {d.get('family')!r}") from None
+    _reject_bools(*(v for k, v in d.items() if k != "family"))
     return builder(d)
 
 
@@ -264,6 +270,7 @@ class PinningLaw:
     probs: np.ndarray
 
     def __init__(self, points, probs):
+        _reject_bools(points, probs)
         points = np.asarray(points, dtype=float)
         probs = np.asarray(probs, dtype=float)
         if points.ndim != 1 or points.size < 1 or points.shape != probs.shape:

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx
 
+from .paths import _absorption_index, _live_groups
+
 __all__ = [
     "LocalTimeCurve",
     "occupation_local_time",
@@ -71,15 +73,17 @@ def occupation_increments(values, taus, dt, level):
     of Brownian Motion*).  The exponent is ``(d - u)(d + u)`` with
     ``d = (b - a) / sqrt(2 w)``, written without cancellation.  Only live
     steps are evaluated, and of these only the ones that come within
-    ``6 sqrt(dt)`` of the level or cross it.
+    ``6 sqrt(dt)`` of the level or cross it.  Rows go in groups over their live
+    columns only, to one past the absorption index as a margin against rounding.
     """
     values = np.atleast_2d(values)
-    inc = _step_weights(taus, dt, values.shape[1] - 1)
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    inc = np.zeros((len(values), values.shape[1] - 1))
+    n_live = np.minimum(_absorption_index(taus, dt, inc.shape[1]) + 1, inc.shape[1])
     far = _SKIP_SIGMAS * math.sqrt(dt)
-    rows = max(1, _CELLS // (inc.shape[1] + 1))
-    for lo in range(0, len(values), rows):
-        x = values[lo:lo + rows] - level
-        w = inc[lo:lo + rows]
+    for group, m in _live_groups(n_live, max(1, _CELLS // (inc.shape[1] + 1))):
+        x = values[group, :m + 1] - level
+        w = _step_weights(taus[group], dt, m)
         above, below = x > far, x < -far
         skip = (above[:, :-1] & above[:, 1:]) | (below[:, :-1] & below[:, 1:])
         skip |= w == 0.0
@@ -91,6 +95,7 @@ def occupation_increments(values, taus, dt, level):
         ab += np.abs(ab)
         with np.errstate(over="ignore"):  # a subnormal weight: exp(-inf) = 0
             w[live] = erfcx(u) * np.exp(-ab / wl) * np.sqrt(0.5 * math.pi * wl)
+        inc[group, :m] = w
     return inc
 
 

@@ -14,7 +14,8 @@ one generator is reset to each stream in turn: the draws are numpy's own for
 that layout, without a SeedSequence or Generator object per path.  Rows never
 interact, so the blocks of at most ``_CELLS`` grid values that
 :func:`iter_ensemble_chunks` streams are, bit for bit, rows of the one block
-:func:`simulate_ensemble` draws.
+:func:`simulate_ensemble` draws.  A row draws and computes only its steps
+before absorption, with the full row's values: its stream is its own.
 """
 
 from __future__ import annotations
@@ -122,6 +123,14 @@ def _absorption_index(taus, dt, n_points):
     return np.maximum(idx, 1)
 
 
+def _live_groups(live, rows):
+    """Row indices ascending in ``live``, ``rows`` at a time, each group with its maximum."""
+    order = np.argsort(live)
+    for lo in range(0, order.size, rows):
+        group = order[lo:lo + rows]
+        yield group, int(live[group[-1]])
+
+
 def _bridge_rows(rs, zs, dt, values):
     """Turn the standard normals in ``values[:, 1:]`` into bridge rows, in place.
 
@@ -129,6 +138,7 @@ def _bridge_rows(rs, zs, dt, values):
     + sqrt(dt rho_{k+1}/rho_k) n_k solves to x_k = z t_k/r + rho_k sum_{j<k}
     sqrt(dt/(rho_j rho_{j+1})) n_j: X_t = z t/r + (r - t) int_0^t dW_s/(r - s)
     on the grid.  Rows are 0 at column 0 and the pin from absorption on.
+    Blocks of 32 rows in absorption order stop at their last absorption: x_k reads no n_j past k.
     """
     n_points = values.shape[1]
     absorb = _absorption_index(rs, dt, n_points)
@@ -136,10 +146,9 @@ def _bridge_rows(rs, zs, dt, values):
     values[:, 0] = 0.0
     # rho <= 0 past absorption gives NaN or inf, carried only forward; the pin overwrites it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo in range(0, rs.size, 32):  # row blocks whose two temporaries stay in cache
-            rows = slice(lo, lo + 32)
-            r, z, x = rs[rows, None], zs[rows, None], values[rows, 1:]
-            coef = r - t[:-1]
+        for rows, m in _live_groups(absorb, 32):  # blocks whose temporaries stay in cache
+            r, z, x = rs[rows, None], zs[rows, None], values[rows, 1:m]
+            coef = r - t[:m - 1]
             # rho_{j+1} as the sequential step rounds it, floored clear of slow subnormals
             rho_next = np.maximum(coef - dt, 1e-300)
             coef *= rho_next
@@ -147,8 +156,9 @@ def _bridge_rows(rs, zs, dt, values):
             x *= coef
             np.cumsum(x, axis=1, out=x)
             x *= rho_next
-            x += np.multiply(z / r, t[1:], out=coef)
-            np.copyto(values[rows], z, where=np.arange(n_points) >= absorb[rows, None])
+            x += np.multiply(z / r, t[1:m], out=coef)
+            values[rows, 1:m] = x
+    np.copyto(values, zs[:, None], where=np.arange(n_points) >= absorb[:, None])
     return absorb
 
 
@@ -256,9 +266,9 @@ def _bridge_block(rs, zs, dt, n_steps, seed, first):
     """Paths ``first, first + 1, ...`` of lengths ``rs`` and pins ``zs``: each
     row's standard normals from its noise stream, turned into its bridge."""
     values = np.empty((rs.size, n_steps + 1))
-    for row, g in zip(values[:, 1:], _streams(np.random.default_rng(0), seed, first,
-                                              rs.size, 2)):
-        g.standard_normal(out=row)
+    for row, k, g in zip(values, _absorption_index(rs, dt, n_steps + 1).tolist(),
+                         _streams(np.random.default_rng(0), seed, first, rs.size, 2)):
+        g.standard_normal(out=row[1:k])  # the first k - 1 normals of the full row
     absorb = _bridge_rows(rs, zs, dt, values)
     return PathEnsemble(dt=dt, values=values, taus=rs, zs=zs, seed=seed,
                         absorbed_indices=absorb)

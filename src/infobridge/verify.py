@@ -20,7 +20,7 @@ import numpy as np
 
 from . import compensator as comp
 from . import filtering, localtime, paths
-from .kernels import bridge_marginal_density, gaussian_density
+from .kernels import bridge_marginal_density, log_gaussian_density
 from .laws import ExponentialLaw, ModelSpec, PinningLaw, UniformLaw
 
 __all__ = [
@@ -387,8 +387,9 @@ def criterion_density_consistency(ctx, attempt):
     z = rng.uniform(-5.0, 5.0, n)
     x = rng.uniform(-5.0, 5.0, n)
     direct = bridge_marginal_density(t, r, z, x)
-    with np.errstate(under="ignore"):
-        ratio = gaussian_density(r - t, z, x) * gaussian_density(t, x) / gaussian_density(r, z)
+    # in logs: the product of two densities can underflow where their ratio does not
+    ratio = np.exp(log_gaussian_density(r - t, z, x) + log_gaussian_density(t, x)
+                   - log_gaussian_density(r, z))
     err = np.abs(direct - ratio)
     tol = 1e-12 * np.maximum(direct, ratio) + 1e-300
     stat = float(np.max(err / tol))

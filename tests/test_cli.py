@@ -108,8 +108,17 @@ class TestRejectedInput:
         ' "pinning": {"points": [0.0], "probs": [1.0]}}}',
         '{"model": {"tau": {"family": "exponential", "rate": 1.0},'
         ' "pinning": {"points": [Infinity], "probs": [1.0]}}}',
+        '{"dt": true}',
+        '{"horizon": true}',
+        '{"model": {"tau": {"family": "exponential", "rate": true},'
+        ' "pinning": {"points": [0.0], "probs": [1.0]}}}',
+        '{"model": {"tau": {"family": "exponential", "rate": 1.0},'
+        ' "pinning": {"points": [false], "probs": [1.0]}}}',
+        '{"model": {"tau": {"family": "exponential", "rate": 1.0},'
+        ' "pinning": {"points": [0.0], "probs": [true]}}}',
     ], ids=["float-paths", "bool-paths", "float-seed", "bool-seed", "infinite-horizon",
-            "nan-dt", "int-out", "not-an-object", "nan-rate", "infinite-pin"])
+            "nan-dt", "int-out", "not-an-object", "nan-rate", "infinite-pin", "bool-dt",
+            "bool-horizon", "bool-rate", "bool-pin", "bool-weight"])
     def test_bad_config_document_exits_2(self, tmp_path, capsys, monkeypatch, no_work, doc):
         # JSON reads NaN, Infinity and true; none of them is a usable value here
         monkeypatch.chdir(tmp_path)

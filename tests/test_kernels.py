@@ -102,10 +102,18 @@ class TestBridgeMarginal:
         z = rng.uniform(-5.0, 5.0, n)
         x = rng.uniform(-5.0, 5.0, n)
         direct = bridge_marginal_density(t, r, z, x)
-        with np.errstate(under="ignore"):
-            ratio = gaussian_density(r - t, z, x) * gaussian_density(t, x) / gaussian_density(r, z)
+        # the ratio in logs: the product of two densities underflows at some tuples
+        ratio = np.exp(log_gaussian_density(r - t, z, x) + log_gaussian_density(t, x)
+                       - log_gaussian_density(r, z))
         # values below the normal float range compare absolutely
         assert np.all(np.abs(direct - ratio) <= 1e-12 * np.maximum(direct, ratio) + 1e-300)
+
+    def test_steep_exponent_late_in_the_bridge(self):
+        # t within 4e-4 of r: the exponent is -617, so a one-ulp error in a
+        # mean t z / r near z costs 1.7e-12 relative; reference by mpmath at 50 digits
+        t, r, z, x = 0.21220410843575127, 0.2122890745438833, -4.614797697156221, -4.288311482063467
+        exact = 1.5224536665245909098252565965e-268
+        assert bridge_marginal_density(t, r, z, x) == pytest.approx(exact, rel=2e-13, abs=0.0)
 
     def test_normalizes_in_space(self):
         rng = np.random.default_rng(3)

@@ -109,6 +109,21 @@ def test_non_finite_parameter_rejected(family, bad, data):
         law(*params)
 
 
+@pytest.mark.parametrize("doc", [
+    {"family": "exponential", "rate": True},
+    {"family": "uniform", "a": False, "b": 2.0},
+    {"family": "uniform", "a": 0.0, "b": True},
+    {"family": "gamma", "shape": True},
+    {"family": "gamma", "shape": 2.0, "scale": True},
+    {"family": "truncated-exponential", "rate": True, "b": 4.0},
+    {"family": "truncated-exponential", "rate": 1.0, "b": True},
+], ids=["exp-rate", "uni-a", "uni-b", "gamma-shape", "gamma-scale", "trunc-rate", "trunc-b"])
+def test_bool_parameter_rejected(doc):
+    # JSON true and false are no numbers, though Python reads them as 1 and 0
+    with pytest.raises(ValueError):
+        length_law_from_dict(doc)
+
+
 class TestPinningLaw:
     def test_single_point_always_drawn(self):
         law = PinningLaw([2.5], [1.0])
@@ -142,6 +157,10 @@ class TestPinningLaw:
         ([0.0], [math.nan]),             # NaN weight
         ([0.0, 1.0], [0.5, math.nan]),   # NaN weight
         ([0.0, 1.0], [math.inf, 0.5]),   # infinite weight
+        ([False], [1.0]),                # boolean level
+        ([0.0, True], [0.5, 0.5]),       # boolean level
+        ([0.0], [True]),                 # boolean weight
+        (np.array([0.0]), np.array([True])),  # boolean weight array
     ])
     def test_invalid_rejected(self, points, probs):
         with pytest.raises(ValueError):

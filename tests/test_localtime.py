@@ -1,6 +1,7 @@
 """Occupation and Tanaka local-time estimators."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from infobridge import (
     simulate_ensemble,
     tanaka_local_time,
 )
+from infobridge import localtime
 from infobridge.localtime import occupation_formula_check, occupation_increments
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -139,7 +141,8 @@ def bridge_steps(draw):
 @st.composite
 def occupation_blocks(draw):
     """A block of paths with flat steps, points near and on the level and
-    lengths that end before, inside or after the grid."""
+    lengths that end before, inside or after the grid, on a grid point or
+    one ulp past one."""
     level = draw(st.floats(-2.0, 2.0))
     dt = draw(st.sampled_from([1e-3, 1e-2, 0.1]))
     n_paths = draw(st.integers(1, 4))
@@ -155,7 +158,9 @@ def occupation_blocks(draw):
             x = draw(step)
             row.append(row[-1] if x is None else x)
         rows.append(row)
+    # one ulp past the grid point dt j, tau / dt can round down to j
     tau = st.one_of(st.integers(-1, n_steps + 2).map(lambda j: j * dt),
+                    st.integers(1, n_steps + 2).map(lambda j: math.nextafter(j * dt, math.inf)),
                     st.floats(-dt, (n_steps + 2) * dt), st.just(math.inf))
     taus = np.array([draw(tau) for _ in range(n_paths)])
     return np.array(rows), taus, dt, level
@@ -191,6 +196,19 @@ class TestOccupationIncrements:
         # nothing accrues on a step that starts at or after the length
         dead = dt * np.arange(values.shape[1] - 1)[None, :] >= taus[:, None]
         assert np.all(inc[dead] == 0.0)
+
+
+    @given(occupation_blocks(), st.integers(1, 100))
+    @settings(max_examples=300)
+    def test_block_matches_single_rows(self, block, cells):
+        # rows grouped by live length, each group over its live columns only,
+        # give each row's increments bit for bit, whatever the group size
+        values, taus, dt, level = block
+        with mock.patch.object(localtime, "_CELLS", cells):
+            inc = occupation_increments(values, taus, dt, level)
+        for row, tau, got in zip(values, taus, inc):
+            np.testing.assert_array_equal(got, occupation_increments(row[None, :], [tau],
+                                                                     dt, level)[0])
 
 
 class TestTanaka:

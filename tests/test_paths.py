@@ -164,6 +164,48 @@ class TestStreamWords:
         np.testing.assert_array_equal(ens.absorbed_indices, absorb)
 
 
+class TestLiveSteps:
+    """Each row draws and computes only up to its absorption."""
+
+    @given(bridge_rows(), st.integers(0, 2**64), st.integers(0, 2**20))
+    def test_block_matches_full_draws(self, case, seed, first):
+        # lengths below one step (no normals read), within 1e-12 dt of a grid
+        # point and past the horizon, mixed in one block of up to 40 rows
+        rs, zs, dt, n_steps = case
+        ens = paths._bridge_block(rs, zs, dt, n_steps, seed, first)
+        full = np.empty((rs.size, n_steps + 1))
+        for i, row in enumerate(full):
+            noise = np.random.SeedSequence(seed, spawn_key=(first + i,)).spawn(3)[2]
+            row[1:] = np.random.default_rng(noise).standard_normal(n_steps)
+        ref, ref_absorb = sequential_bridge(rs, zs, dt, n_steps, full[:, 1:])
+        paths._bridge_rows(rs, zs, dt, full)
+        np.testing.assert_array_equal(ens.values, full)
+        np.testing.assert_array_equal(ens.absorbed_indices, ref_absorb)
+        assert np.max(np.abs(ens.values - ref)) <= 1e-12 * math.sqrt(dt)
+
+    @given(bridge_rows(), st.integers(0, 2**32 - 1))
+    def test_blocks_match_single_rows(self, case, seed):
+        # rows grouped by absorption give each row's value bit for bit
+        rs, zs, dt, n_steps = case
+        normals = np.random.default_rng(seed).standard_normal((rs.size, n_steps + 1))
+        block = normals.copy()
+        paths._bridge_rows(rs, zs, dt, block)
+        for i, row in enumerate(normals):
+            one = row[None, :].copy()
+            paths._bridge_rows(rs[i:i + 1], zs[i:i + 1], dt, one)
+            np.testing.assert_array_equal(block[i], one[0])
+
+    @given(st.floats(1e-3, 0.1), st.integers(1, 200), st.floats(1.001, 300.0),
+           st.integers(0, 2**32 - 1))
+    def test_deterministic_bridge_reads_every_normal(self, dt, n_steps, u, seed):
+        # the generator can be the caller's: it advances by all n_steps
+        # normals, however early the path absorbs
+        gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        simulate_deterministic_bridge(u * dt, 0.3, dt, n_steps * dt, gen)
+        ref.standard_normal(n_steps)
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+
 class TestBridgeExactness:
     def test_marginal_ks(self):
         # exact conditional sampling: the grid marginal is the exact bridge law

@@ -22,6 +22,7 @@ from infobridge import (
 from infobridge.verify import (
     VerificationContext,
     compensator_products,
+    criterion_density_consistency,
     kolmogorov_pvalue,
     ks_statistic,
     run_criterion,
@@ -231,6 +232,17 @@ class TestDeterminism:
         b = VerificationContext(master_seed=99, fast=True)
         for fn in (criterion_density_consistency, criterion_bridge_exactness):
             assert fn(a, 0).to_dict() == fn(b, 0).to_dict()
+
+
+class TestDensityConsistency:
+    def test_passes_on_every_derived_seed(self):
+        # neither form may leave the normal float range or cancel into a
+        # steep exponent: every attempt of thirty master seeds is within 1e-12
+        for master_seed in range(20260811, 20260841):
+            ctx = VerificationContext(master_seed=master_seed, fast=True)
+            for attempt in range(4):
+                report = criterion_density_consistency(ctx, attempt)
+                assert report.statistic <= 1.0, (master_seed, attempt, report.statistic)
 
 
 class TestRetries:
