@@ -194,6 +194,8 @@ def main(argv=None):
         sup = cfg.model_spec().support_sup
         if args.command == "posterior" and not 0.0 < args.t < sup:
             raise ValueError("t must lie strictly inside the support of the length law")
+        if args.command == "posterior" and not math.isfinite(args.x):
+            raise ValueError("x must be a finite number")
         if args.command == "compensator" and cfg.n_paths < 2:
             raise ValueError("the compensator summary needs at least two paths")
     except OSError as exc:

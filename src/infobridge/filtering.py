@@ -76,13 +76,14 @@ class PosteriorState:
 
     def expectation(self, g):
         """Conditional mean of ``g(length, pin)``; ``g`` must broadcast over
-        an array of lengths for a scalar pin."""
+        an array of lengths for a scalar pin, or return a scalar; it joins
+        the quadrature weights once per pass."""
         if self.absorbed:
             tau, z = self.point_mass
             return float(np.asarray(g(np.asarray([tau]), z)).ravel()[0])
         t, probs = self.t, self._model.pinning.probs
         q = kernels.tail_integrals(self._model, t, self.observed_x,
-                                   weight=lambda lag, z, x: g(t + lag, z))
+                                   weight=(lambda lag, z: g(t + lag, z), lambda z, x: 1.0))
         return float((probs @ q.moment)[0] / (probs @ q.mass)[0])
 
 
@@ -231,12 +232,14 @@ def drift(model, s, x, *, table=False):
     """Conditional mean displacement rate at ``(s, x)``: the mixture average
     of the bridge pull ``(z_i - x)/(r - s)``.  Vectorized over ``x``;
     ``table`` takes the first, unchecked pass of the tail rule of
-    :func:`~infobridge.kernels.tail_integrals`, as tables do."""
+    :func:`~infobridge.kernels.tail_integrals`, as tables do.  The pull's
+    ``1/(r - s)`` joins the quadrature weights and ``z_i - x`` multiplies
+    each pin's panel sums, so the drift is 0 on a single pin."""
     if not (0.0 < s < model.support_sup):
         raise ValueError("s must lie strictly inside the support of the length law")
     x_arr = _as_row(x)
     q = kernels.tail_integrals(model, s, x_arr, table=table,
-                               weight=lambda lag, z, x: (z - x) / lag)
+                               weight=(lambda lag, z: 1.0 / lag, lambda z, x: z - x))
     out = (model.pinning.probs @ q.moment) / (model.pinning.probs @ q.mass)
     return out if np.ndim(x) else float(out[0])
 

@@ -36,7 +36,11 @@ whose own error breaks its 1/n_panels share of a failing tolerance, up to
 pass unchecked, as their interpolation error dominates.  Exponents are
 rescaled by their maximum before exponentiation, and the observed values go
 in blocks of at most 2**20 exponent cells, so nothing overflows and
-temporaries stay small.
+temporaries stay small; cells below -746, where ``exp`` is exactly 0.0 but
+slow, are set to 0.0 without it.  A moment's weight is ``w(lag, z) c(z, x)``:
+``w`` joins the panel weights and ``c`` multiplies the panel sums before the
+check, so a moment on a pin level settles although the integral of ``w``
+may diverge there.
 
 All functions here are pure; they can be called from any number of workers
 with no shared mutable state.
@@ -71,6 +75,7 @@ _MAX_PANELS = 1920
 #: support is unbounded.
 _TRUNCATION_MASS = 1e-10
 _CELLS = 2 ** 20  # exponent cells per block of x, so that the temporaries stay small
+_UNDERFLOW = -746.0  # exp(e) is exactly 0.0 for every e below -745.14
 
 # QUADPACK qk21: the Kronrod abscissae in [0, 1), descending to the centre,
 # every second one an abscissa of the 10-point Gauss rule; their Kronrod
@@ -200,6 +205,9 @@ def _evaluate(law, s, x, edges, points, weight):
     base = (2.0 * np.sqrt(r) * f * w).reshape(len(w), n_panels, n_nodes)
     base = np.ascontiguousarray(base.transpose(1, 0, 2))
     lag, r = (v * v).reshape(n_panels, n_nodes, 1), r.reshape(n_panels, n_nodes, 1)
+    # The moment's w(lag, z) joins the panel weights, once per pin and pass.
+    w_moment, c_moment = weight or (None, None)
+    moment = [] if weight is None else [base * w_moment(lag.transpose(0, 2, 1), z) for z in points]
     # Nodes outside the support must not set the exponent scale: the
     # integrand vanishes there however large the exponent.
     dead = (f == 0.0).reshape(lag.shape)
@@ -217,9 +225,12 @@ def _evaluate(law, s, x, edges, points, weight):
         with np.errstate(under="ignore"):
             for i, z in enumerate(points):
                 g = np.subtract(expo[i], top, out=expo[i])
-                np.exp(g, out=g)
-                for part, h in enumerate([g] if weight is None else [g, g * weight(lag, z, x[block])]):
-                    sums[:, part, i, :, block] = np.moveaxis(base @ h, 1, 0)
+                live = g >= _UNDERFLOW  # exp is slow where it rounds to 0.0
+                np.exp(g, out=g, where=live)
+                np.copyto(g, 0.0, where=~live)
+                sums[:, 0, i, :, block] = np.moveaxis(base @ g, 1, 0)
+                if moment:
+                    sums[:, 1, i, :, block] = np.moveaxis(moment[i] @ g, 1, 0) * c_moment(z, x[block])
     return scale, sums
 
 
@@ -266,10 +277,13 @@ def tail_integrals(model, s, x, *, uppers=(), weight=None, table=False):
         Band edges ``u_k``: per-pin masses over ``(s, u_k)`` and
         ``(u_k, inf)`` are returned too.  Edges at or below ``s`` give empty
         bands; edges past the truncation point give empty tails.
-    weight : callable, optional
-        Integrand factor ``weight(lag, z_i, x)`` of the moment: ``lag = r - s``
-        over the nodes, ``(n_panels, 21, 1)``, and ``x`` (a block of) the
-        observed values broadcast to ``(n_panels, 21, len(x))``.
+    weight : pair of callables ``(w, c)``, optional
+        The moment's integrand factor ``w(lag, z_i) * c(z_i, x)``.  ``w`` is
+        called once per pass with ``lag = r - s`` over the nodes, shaped
+        ``(n_panels, 1, 21)``, and joins the panel weights; a scalar result
+        broadcasts.  ``c`` is called with (a block of) the observed values and
+        multiplies every panel's sums before they are checked, so a moment
+        settles on a pin level even where the integral of ``w`` diverges.
     table : bool
         Return the first pass unchecked, for interpolation tables.
 
@@ -279,15 +293,26 @@ def tail_integrals(model, s, x, *, uppers=(), weight=None, table=False):
         ``mass[i, j] * exp(scale[j])`` is the value of ``S_i`` at ``x[j]``,
         and ``moment`` the weighted integral on the same scale (``None``
         without a weight).  Empty ranges return zero mass with zero scale.
+
+    Raises
+    ------
+    ValueError
+        For an ``s`` that is not finite or not inside the support of the
+        length law, a non-finite ``x`` or a NaN band edge; an edge at
+        ``+inf`` is allowed and gives empty tails.
+    QuadratureError
+        When some value has not settled at 1,920 panels.
     """
     law, points, probs = model.length, model.pinning.points, model.pinning.probs
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    uppers = np.atleast_1d(np.asarray(uppers, dtype=float))
+    if not (math.isfinite(s) and np.isfinite(x).all()) or np.isnan(uppers).any():
+        raise ValueError("observation time and values must be finite, band edges not NaN")
     if s <= 0.0:
         raise ValueError("observation time must be strictly positive")
     if s >= law.support_sup:
         raise ValueError("model exhausted: observation time at or past the "
                          "support supremum of the length law")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    uppers = np.atleast_1d(np.asarray(uppers, dtype=float))
     upper = law.truncation_point(_TRUNCATION_MASS)
     v_up = np.sqrt(np.clip(uppers - s, 0.0, None))
     bands = slice(1, 1 + 2 * uppers.size)

@@ -84,9 +84,15 @@ class TestRejectedInput:
         ["simulate", "--dt", "0.3", "--horizon", "1"],
         ["posterior", "--t", "2.5", "--x", "0.0"],
         ["compensator", "--paths", "1"],
-    ], ids=["negative-seed", "horizon-off-grid", "t-past-support", "one-path"])
+        ["posterior", "--t", "0.5", "--x", "inf"],
+        ["posterior", "--t", "0.5", "--x=-inf"],
+        ["posterior", "--t", "0.5", "--x", "nan"],
+        ["posterior", "--t", "nan", "--x", "0.0"],
+    ], ids=["negative-seed", "horizon-off-grid", "t-past-support", "one-path", "inf-x",
+            "minus-inf-x", "nan-x", "nan-t"])
     def test_exits_2_before_any_work(self, tmp_path, capsys, no_work, argv):
-        # U(0.5, 2) puts t = 2.5 past the support supremum
+        # U(0.5, 2) puts t = 2.5 past the support supremum; argparse reads
+        # inf and nan as floats
         cfg = _write_config(tmp_path, model={"tau": {"family": "uniform", "a": 0.5, "b": 2.0},
                                              "pinning": {"points": [-1.0, 1.0],
                                                          "probs": [0.5, 0.5]}})

@@ -30,6 +30,12 @@ from infobridge.kernels import log_mix_weight
 from infobridge.verify import VerificationContext
 
 
+PIN_LEVEL_MODELS = [VerificationContext.model_single_pin(),
+                    VerificationContext.model_two_pin_symmetric(),
+                    VerificationContext.model_two_pin_asymmetric(),
+                    VerificationContext.model_bounded_support()]
+
+
 def quad_drift(model, s, x):
     """Drift by ``scipy.integrate.quad`` in v = sqrt(r - s), up to the
     library's truncation point, on pieces split where an integrand changes
@@ -106,6 +112,13 @@ class TestPosterior:
     def test_expectation_of_constant(self, two_pin_asymmetric):
         state = posterior(two_pin_asymmetric, t=0.5, x=0.2)
         assert state.expectation(lambda r, z: np.ones_like(r)) == pytest.approx(1.0, rel=1e-9)
+
+    @given(st.sampled_from(PIN_LEVEL_MODELS), st.floats(0.05, 1.4), st.floats(-2.0, 2.0))
+    @settings(max_examples=40)
+    def test_expectation_of_scalar_one_is_one(self, model, t, x):
+        # a g that returns a scalar joins the weights as 1.0: the moment is
+        # the mass bit for bit
+        assert posterior(model, t, x).expectation(lambda r, z: 1.0) == 1.0
 
     def test_expectation_of_pin_matches_weights(self, two_pin_asymmetric):
         state = posterior(two_pin_asymmetric, t=0.5, x=0.2)
@@ -302,6 +315,37 @@ class TestDrift:
         model = VerificationContext.model_single_pin()
         s, x = math.exp(log_s), sign * math.exp(log_d)
         assert drift(model, s, x) == pytest.approx(quad_drift(model, s, x), rel=1e-6)
+
+
+class TestPinLevels:
+    """On a pin level the pull ``z_i - x`` of that pin is 0, while the
+    integral of ``1/(r - s)`` alone diverges there.  The pull multiplies the
+    panel sums before they are checked, so the drift settles on the pin."""
+
+    @pytest.mark.parametrize("s", [1e-4, 1e-3, 0.1, 0.5, 2.0, 10.0])
+    def test_single_pin_drift_is_zero(self, single_pin_exp, s):
+        assert drift(single_pin_exp, s, 0.0) == 0.0
+        assert drift(single_pin_exp, s, 0.0, table=True) == 0.0
+
+    @pytest.mark.parametrize("model", PIN_LEVEL_MODELS[1:])
+    @pytest.mark.parametrize("s", [0.7, 1.2])
+    def test_two_pin_drift_matches_riemann_oracle(self, model, s):
+        law, pins, probs = model.length, model.pinning.points, model.pinning.probs
+        for z, direct, first_pass in zip(pins, drift(model, s, pins),
+                                         drift(model, s, pins, table=True)):
+            oracle = riemann.drift(s, z, pins, probs, riemann.uniform_pdf(law.a, law.b), law.b)
+            assert direct == pytest.approx(oracle, rel=1e-8)
+            assert first_pass == pytest.approx(oracle, rel=1e-8)
+
+    @pytest.mark.parametrize("model", [PIN_LEVEL_MODELS[0], PIN_LEVEL_MODELS[2]])
+    def test_cache_rows_at_pin_nodes_are_finite(self, model):
+        table = DriftCache(model, s_min=1e-3, s_max=1.0)._table
+        at_pins = np.isin(table.x_nodes, model.pinning.points)
+        assert at_pins.sum() == len(model.pinning)
+        rows = table.rows[:, at_pins]
+        assert np.all(np.isfinite(rows))
+        if len(model.pinning) == 1:
+            assert np.all(rows == 0.0)
 
 
 UNIFORM_EDGE = ModelSpec(UniformLaw(0.5, 2.0), PinningLaw([-1.0, 2.0], [0.6, 0.4]))

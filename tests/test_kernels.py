@@ -21,7 +21,8 @@ from infobridge import (
     gaussian_density,
     mix_weight,
 )
-from infobridge.filtering import band_probability, drift, survival_probability
+from infobridge.filtering import (band_probability, drift, pin_posterior, survival_probability,
+                                  transition_law)
 from infobridge import kernels
 from infobridge.kernels import (QuadratureError, log_gaussian_density, log_mix_weight,
                                 tail_integrals)
@@ -290,14 +291,17 @@ class TestRule:
 
 class TestMoment:
     """The weighted integral comes from the nodes of the mass and must
-    settle like every other quantity the tail rule returns."""
+    settle like every other quantity the tail rule returns.  Its factor is a
+    pair ``(w, c)``: ``w(lag, z)`` joins the panel weights once per pass and
+    ``c(z, x)`` multiplies the panel sums."""
 
     @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("table", [False, True])
     def test_unit_weight_is_the_mass(self, model, table):
         x = np.array([-0.7, 0.0, 0.4])
-        q = tail_integrals(model, 0.3, x, weight=lambda lag, z, x: np.ones_like(lag), table=table)
-        np.testing.assert_array_equal(q.moment, q.mass)
+        for unit in (lambda lag, z: 1.0, lambda lag, z: np.ones_like(lag)):
+            q = tail_integrals(model, 0.3, x, weight=(unit, lambda z, x: 1.0), table=table)
+            np.testing.assert_array_equal(q.moment, q.mass)
         assert tail_integrals(model, 0.3, x, table=table).moment is None
 
     def test_unsettled_moment_raises(self, single_pin_exp):
@@ -306,7 +310,85 @@ class TestMoment:
         rng = np.random.default_rng(5)
         with pytest.raises(QuadratureError):
             tail_integrals(single_pin_exp, 0.5, 0.2,
-                           weight=lambda lag, z, x: 1.0 + rng.uniform(0.0, 0.1, lag.shape))
+                           weight=(lambda lag, z: 1.0 + rng.uniform(0.0, 0.1, lag.shape),
+                                   lambda z, x: 1.0))
+
+    def test_factors_see_nodes_and_values_apart(self, two_pin_symmetric):
+        # w sees the nodes once per pin and pass, c a block of the values:
+        # no (n_panels, 21, n_x) weight is built
+        shapes = []
+        x = np.linspace(-0.5, 0.5, 7)
+        tail_integrals(two_pin_symmetric, 0.7, x,
+                       weight=(lambda lag, z: shapes.append(("w", lag.shape)) or 1.0 / lag,
+                               lambda z, x: shapes.append(("c", np.shape(x))) or z - x))
+        w_shapes = [shape for kind, shape in shapes if kind == "w"]
+        assert len(w_shapes) == 2 and all(shape[1:] == (1, 21) for shape in w_shapes)
+        assert {shape for kind, shape in shapes if kind == "c"} == {(7,)}
+
+    def test_three_argument_weight_is_gone(self, single_pin_exp):
+        with pytest.raises(TypeError):
+            tail_integrals(single_pin_exp, 0.5, 0.2, weight=lambda lag, z, x: (z - x) / lag)
+
+
+class TestUnderflowSkip:
+    """Exponent cells below ``_UNDERFLOW`` are set to 0.0 without calling
+    ``exp``, which returns exactly 0.0 there: no value may move."""
+
+    @given(band_states(), st.booleans(), st.booleans())
+    @settings(max_examples=150)
+    def test_skip_is_exact(self, state, weighted, table):
+        model, s, x, uppers = state
+        weight = (lambda lag, z: 1.0 / lag, lambda z, x: z - x) if weighted else None
+        skipped = tail_integrals(model, s, x, uppers=uppers, weight=weight, table=table)
+        with mock.patch.object(kernels, "_UNDERFLOW", -math.inf):
+            full = tail_integrals(model, s, x, uppers=uppers, weight=weight, table=table)
+        for a, b in zip(skipped, full):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+    def test_floor_is_below_the_last_subnormal(self):
+        assert math.exp(kernels._UNDERFLOW) == 0.0
+        assert math.exp(kernels._UNDERFLOW + 1.0) > 0.0  # not far below it
+
+
+class TestNonFiniteInput:
+    """A time or value that is NaN or infinite, or a NaN band edge, is
+    rejected before any quadrature; an edge at +inf is an empty tail."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("s, x, uppers", [
+        (math.nan, 0.1, ()), (math.inf, 0.1, ()), (0.7, math.nan, ()), (0.7, math.inf, ()),
+        (0.7, -math.inf, ()), (0.7, [0.1, math.nan], ()), (0.7, 0.1, (math.nan,)),
+        (0.7, 0.1, (0.8, math.nan)),
+    ], ids=["nan-s", "inf-s", "nan-x", "inf-x", "minus-inf-x", "one-nan-x", "nan-edge",
+            "second-edge-nan"])
+    def test_tail_integrals_rejects(self, model, s, x, uppers):
+        with pytest.raises(ValueError, match="must be finite"):
+            tail_integrals(model, s, x, uppers=uppers)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_infinite_edge_is_an_empty_tail(self, model):
+        q = tail_integrals(model, 0.7, [0.1, -0.4], uppers=(math.inf,))
+        assert np.all(q.tail == 0.0)
+        np.testing.assert_allclose(q.band[0], q.mass, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda m: band_probability(m, 0.5, 0.1, math.nan),
+        lambda m: survival_probability(m, 0.5, 0.1, math.nan),
+        lambda m: survival_probability(m, 0.5, 0.1, [0.6, math.nan]),
+        lambda m: pin_posterior(m, 0.5, math.inf),
+        lambda m: pin_posterior(m, 0.5, -math.inf),
+        lambda m: pin_posterior(m, math.nan, 0.1),
+        lambda m: drift(m, 0.5, math.nan),
+        lambda m: drift(m, 0.5, [0.0, math.inf]),
+        lambda m: transition_law(m, 0.5, math.nan, 0.6),
+        lambda m: mix_weight(0.5, math.inf, m),
+    ], ids=["band-nan-h", "survival-nan-u", "survival-one-nan-u", "posterior-inf-x",
+            "posterior-minus-inf-x", "posterior-nan-t", "drift-nan-x", "drift-one-inf-x",
+            "transition-nan-x", "mix-weight-inf-x"])
+    @pytest.mark.parametrize("model", [MODELS[0], MODELS[2]], ids=["exp", "uniform"])
+    def test_public_functions_reject(self, model, call):
+        with pytest.raises(ValueError, match="must be finite"):
+            call(model)
 
 
 class TestBandEdges:
