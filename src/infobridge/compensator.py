@@ -125,8 +125,11 @@ class IntensityKernel:
                          for k in range(rows.shape[0])]
 
     def __call__(self, s):
-        """Kernel at times ``s`` (clamped to the grid), one row per pin."""
+        """Kernel at times ``s`` (clamped to the grid), one row per pin;
+        a NaN time raises ``ValueError``."""
         s = np.asarray(s, dtype=float)
+        if np.isnan(s).any():
+            raise ValueError("kernel read at a NaN time")
         sc = np.clip(s, self.s_grid[0], self.s_grid[-1])
         out = np.array([spline(sc) for spline in self._splines])
         if self._edge is not None:

@@ -93,18 +93,23 @@ def posterior(model, t, x, absorbed=False, tau=None):
     When ``absorbed`` the observation must sit on a pin level and ``tau``
     (default ``t``) records the absorption time; the posterior is then the
     point mass at (tau, x).
+
+    Raises ``ValueError`` for a ``t`` that is not finite and positive (NaN
+    included), and for a ``tau`` outside ``(0, t]``.
     """
-    if t <= 0.0:
-        raise ValueError("t must be strictly positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be finite and strictly positive")
     if absorbed:
+        tau = t if tau is None else float(tau)
+        if not 0.0 < tau <= t:
+            raise ValueError("the absorption time tau must lie in (0, t]")
         k = _pin_index(model, x)
         if k < 0:
             raise ValueError(f"absorbed state x={x} is not a pin level")
         probs = np.zeros(len(model.pinning))
         probs[k] = 1.0
         return PosteriorState(t=t, observed_x=float(x), absorbed=True,
-                              pin_probs=probs, point_mass=(t if tau is None else float(tau), float(x)),
-                              _model=model)
+                              pin_probs=probs, point_mass=(tau, float(x)), _model=model)
     probs = pin_posterior(model, t, x)
     return PosteriorState(t=t, observed_x=float(x), absorbed=False,
                           pin_probs=np.atleast_1d(probs), point_mass=None,
@@ -205,9 +210,9 @@ class TransitionLaw:
 
 
 def transition_law(model, t, x, u):
-    """Transition law of the observed process between times ``t < u``."""
-    if not (0.0 < t < u):
-        raise ValueError("need 0 < t < u")
+    """Transition law of the observed process between times ``0 < t < u < inf``."""
+    if not (0.0 < t < u < math.inf):
+        raise ValueError("need 0 < t < u < inf")
     k = _pin_index(model, x)
     atoms = np.zeros(len(model.pinning))
     if k >= 0:
@@ -276,7 +281,8 @@ class _Table:
     ``row_fn(s, xs)`` fills one time node and returns ``(n_x,)``, or
     ``(m, n_x)`` for m quantities tabulated together; reads then carry the
     leading axis.  Reads are bilinear in (log s, x), and queries outside the
-    table read its clamped edge.
+    table, at +-inf too, read its clamped edge; a NaN time or value raises
+    ``ValueError``.
     """
 
     def __init__(self, model, row_fn, s_min, s_max):
@@ -293,6 +299,8 @@ class _Table:
     def __call__(self, s, x):
         ls = np.log(np.clip(s, self.s_nodes[0], self.s_nodes[-1]))
         xc = np.clip(x, self.x_nodes[0], self.x_nodes[-1])
+        if np.isnan(ls + xc).any():  # both are finite once clamped, unless NaN
+            raise ValueError("table read at a NaN time or value")
         i = np.clip(np.searchsorted(self._ls, ls) - 1, 0, self._ls.size - 2)
         j = np.clip(np.searchsorted(self.x_nodes, xc) - 1, 0, self.x_nodes.size - 2)
         ws = (ls - self._ls[i]) / (self._ls[i + 1] - self._ls[i])

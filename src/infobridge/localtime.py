@@ -51,14 +51,6 @@ class LocalTimeCurve:
     estimator_kind: str
 
 
-def _step_weights(taus, dt, n_steps):
-    """Per-step clock weights: dt strictly before the length, the fractional
-    remainder on the straddling step, zero after.  Vectorized over paths."""
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    w = taus[:, None] - dt * np.arange(n_steps)[None, :]
-    return np.clip(w, 0.0, dt, out=w)
-
-
 def occupation_increments(values, taus, dt, level):
     """Expected local time at ``level`` of each step given its grid values;
     ``values`` has one row per path.
@@ -73,8 +65,10 @@ def occupation_increments(values, taus, dt, level):
     of Brownian Motion*).  The exponent is ``(d - u)(d + u)`` with
     ``d = (b - a) / sqrt(2 w)``, written without cancellation.  Only live
     steps are evaluated, and of these only the ones that come within
-    ``6 sqrt(dt)`` of the level or cross it.  Rows go in groups over their live
-    columns only, to one past the absorption index as a margin against rounding.
+    ``6 sqrt(dt)`` of the level or cross it: they alone are gathered, by flat
+    index, and weighted, with ``w = min(tau - dt k, dt)`` on the step from
+    ``dt k``.  Rows go in groups over their live columns only, to one past the
+    absorption index as a margin against rounding.
     """
     values = np.atleast_2d(values)
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
@@ -83,19 +77,20 @@ def occupation_increments(values, taus, dt, level):
     far = _SKIP_SIGMAS * math.sqrt(dt)
     for group, m in _live_groups(n_live, max(1, _CELLS // (inc.shape[1] + 1))):
         x = values[group, :m + 1] - level
-        w = _step_weights(taus[group], dt, m)
-        above, below = x > far, x < -far
-        skip = (above[:, :-1] & above[:, 1:]) | (below[:, :-1] & below[:, 1:])
-        skip |= w == 0.0
-        w[skip] = 0.0
-        live = np.nonzero(~skip)
-        a, b, wl = x[:, :-1][live], x[:, 1:][live], w[live]
+        side = (x > far).view(np.int8) - (x < -far).view(np.int8)  # -1, 0, +1
+        skip = side[:, :-1] * side[:, 1:] == 1  # both ends far out on one side
+        skip |= dt * np.arange(m) >= taus[group, None]
+        kept = np.flatnonzero(~skip)
+        row, k = np.divmod(kept, m)
+        a = x.ravel()[kept + row]  # x has one column more than skip
+        b = x.ravel()[kept + row + 1]
+        wl = np.minimum(taus[group[row]] - dt * k, dt)
         u = (np.abs(a) + np.abs(b)) / np.sqrt(2.0 * wl)
         ab = a * b
         ab += np.abs(ab)
         with np.errstate(over="ignore"):  # a subnormal weight: exp(-inf) = 0
-            w[live] = erfcx(u) * np.exp(-ab / wl) * np.sqrt(0.5 * math.pi * wl)
-        inc[group, :m] = w
+            inc.ravel()[group[row] * inc.shape[1] + k] = (
+                erfcx(u) * np.exp(-ab / wl) * np.sqrt(0.5 * math.pi * wl))
     return inc
 
 
@@ -144,7 +139,7 @@ def occupation_formula_check(path, g, t):
     """
     n_steps = len(path.values) - 1
     k = min(int(math.floor(t / path.dt + 1e-12)), n_steps)
-    w = _step_weights([min(path.tau, t)], path.dt, n_steps)[0]
+    w = np.clip(min(path.tau, t) - path.dt * np.arange(n_steps), 0.0, path.dt)
     time_side = float(np.sum(w[:k] * g(path.values[:k])))
 
     reach = _SKIP_SIGMAS * math.sqrt(path.dt)  # the profile vanishes beyond

@@ -9,8 +9,10 @@ path record; only the stored trajectory snaps the absorption to the grid
 Simulation is reproducible.  Path i of an ensemble of n draws its length,
 pin and Gaussian increments from three PCG64 streams, seeded by
 ``SeedSequence(seed).spawn(n)[i].spawn(3)``.  Their seed words come from a
-vectorized copy of the SeedSequence hash, one block of paths at a time, and
-one generator is reset to each stream in turn: the draws are numpy's own for
+vectorized copy of the SeedSequence hash, one block of paths at a time.  The
+length and pin are each the first PCG64 output of their stream, computed
+directly across the block in uint64 arithmetic; the normals come from one
+generator reset to each noise stream in turn.  The draws are numpy's own for
 that layout, without a SeedSequence or Generator object per path.  Rows never
 interact, so the blocks of at most ``_CELLS`` grid values that
 :func:`iter_ensemble_chunks` streams are, bit for bit, rows of the one block
@@ -167,8 +169,7 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_PCG64_MULT_HI, _PCG64_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
 
 
 def _stream_words(seed, first, n, leaf):
@@ -224,18 +225,52 @@ def _stream_words(seed, first, n, leaf):
     return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << np.uint64(32)
 
 
+def _add128(hi, lo, b_hi, b_lo):
+    """``(hi:lo) + (b_hi:b_lo)`` mod 2**128, as (hi, lo) uint64 words."""
+    total = lo + b_lo
+    return hi + b_hi + (total < lo), total
+
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, ``state * M + inc`` mod 2**128, on (hi, lo) uint64
+    words; the carry of ``lo * M_lo`` is built from 32-bit halves."""
+    mask = np.uint64(0xFFFFFFFF)
+    l0, l1, m0, m1 = lo & mask, lo >> 32, _PCG64_MULT_LO & mask, _PCG64_MULT_LO >> 32
+    cross_a, cross_b = l1 * m0, l0 * m1
+    mid = (l0 * m0 >> 32) + (cross_a & mask) + (cross_b & mask)
+    carry = l1 * m1 + (cross_a >> 32) + (cross_b >> 32) + (mid >> 32)
+    return _add128(carry + lo * _PCG64_MULT_HI + hi * _PCG64_MULT_LO, lo * _PCG64_MULT_LO,
+                   inc_hi, inc_lo)
+
+
+def _pcg64_seeded(seed, first, n, leaf):
+    """The state and increment ``PCG64(seed_sequence)`` starts in (pcg64
+    ``srandom``) on each path's stream of :func:`_stream_words`, as (hi, lo)
+    pairs of uint64 arrays: with words (w0, w1, w2, w3), ``inc = (w2:w3) << 1
+    | 1`` and ``state = (inc + (w0:w1)) * M + inc``."""
+    w0, w1, w2, w3 = _stream_words(seed, first, n, leaf).T
+    inc = (w2 << 1 | w3 >> 63, w3 << 1 | 1)
+    return _pcg64_step(*_add128(w0, w1, *inc), *inc), inc
+
+
+def _first_uniforms(seed, first, n, leaf):
+    """``Generator(PCG64(...)).random()`` on each path's stream ``leaf``: one
+    step from the seeded state, its XSL RR output ``rotr64(hi ^ lo, hi >>
+    58)``, and that output's top 53 bits as a double in [0, 1)."""
+    state, inc = _pcg64_seeded(seed, first, n, leaf)
+    hi, lo = _pcg64_step(*state, *inc)
+    x, rot = hi ^ lo, hi >> 58
+    return ((x >> rot | x << ((64 - rot) & 63)) >> 11) * 2.0 ** -53
+
+
 def _streams(gen, seed, first, n, leaf):
     """Reset ``gen``, a Generator over PCG64, to each path's stream of
-    :func:`_stream_words` in turn and yield it: draw from it before the next.
-
-    This is the state ``PCG64(seed_sequence)`` starts in (pcg64 ``srandom``).
-    """
+    :func:`_stream_words` in turn and yield it: draw from it before the next."""
     bit_generator = gen.bit_generator
-    for w0, w1, w2, w3 in _stream_words(seed, first, n, leaf).tolist():
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+    (s_hi, s_lo), (i_hi, i_lo) = _pcg64_seeded(seed, first, n, leaf)
+    for sh, sl, ih, il in zip(s_hi.tolist(), s_lo.tolist(), i_hi.tolist(), i_lo.tolist()):
         bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state, "inc": inc},
+                               "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
                                "has_uint32": 0, "uinteger": 0}
         yield gen
 
@@ -276,13 +311,11 @@ def _bridge_block(rs, zs, dt, n_steps, seed, first):
 
 def _model_block(model, dt, n_steps, seed, first, n):
     """Paths ``[first, first + n)`` of the model's ensemble."""
-    gen = np.random.default_rng(0)  # reset to every stream it reads
-    # what ``sample`` draws from the length and pin streams; ``random()``
-    # returns the bits of ``uniform()`` without parsing its arguments
-    uniforms = np.array([[g.random() for g in _streams(gen, seed, first, n, leaf)]
-                         for leaf in (0, 1)])
-    taus = np.asarray(model.length.quantile(uniforms[0]), dtype=float)
-    return _bridge_block(taus, model.pinning.quantile(uniforms[1]), dt, n_steps, seed, first)
+    # what ``sample`` draws from the length and pin streams: ``uniform()``
+    # returns the bits of ``random()``, the first output of each stream
+    taus = np.asarray(model.length.quantile(_first_uniforms(seed, first, n, 0)), dtype=float)
+    zs = model.pinning.quantile(_first_uniforms(seed, first, n, 1))
+    return _bridge_block(taus, zs, dt, n_steps, seed, first)
 
 
 def iter_ensemble_chunks(model, dt, horizon, n_paths, seed):

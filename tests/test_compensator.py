@@ -75,6 +75,14 @@ class TestIntensityKernel:
         with pytest.raises(ValueError):
             intensity_row(two_pin_symmetric, 2.5)
 
+    def test_infinite_times_clamp_and_nan_raises(self, single_pin_exp):
+        kern = IntensityKernel(single_pin_exp, dt=1e-3, horizon=2.0)
+        np.testing.assert_array_equal(kern([-math.inf, math.inf]),
+                                      kern([kern.s_grid[0], kern.s_grid[-1]]))
+        for s in (math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError, match="NaN"):
+                kern(s)
+
     def test_tabulation_accuracy(self, two_pin_symmetric):
         kern = IntensityKernel(two_pin_symmetric, dt=1e-3, horizon=2.0)
         assert kern.max_rel_error(n_probe=50) <= 1e-3

@@ -105,6 +105,20 @@ class TestPosterior:
         with pytest.raises(ValueError):
             posterior(two_pin_symmetric, t=1.0, x=0.37, absorbed=True)
 
+    @pytest.mark.parametrize("absorbed,t,tau", [
+        *[(a, t, None) for a in (True, False) for t in (math.nan, math.inf, 0.0, -1.0)],
+        *[(True, 1.0, tau) for tau in (math.nan, 0.0, -0.5, 1.2, math.inf)],
+    ])
+    def test_times_checked(self, absorbed, t, tau):
+        # t must be finite and positive, and an absorption time lie in (0, t]
+        with pytest.raises(ValueError, match="t must be|tau must"):
+            posterior(UNIFORM_EDGE, t, -1.0, absorbed=absorbed, tau=tau)
+
+    def test_absorbed_at_the_observation_time(self):
+        state = posterior(UNIFORM_EDGE, 1.0, -1.0, absorbed=True, tau=1.0)
+        assert state.point_mass == (1.0, -1.0)
+        assert posterior(UNIFORM_EDGE, 1.0, -1.0, absorbed=True).point_mass == (1.0, -1.0)
+
     def test_symmetric_model_is_fair_at_origin(self, two_pin_symmetric):
         state = posterior(two_pin_symmetric, t=0.8, x=0.0)
         assert state.pin_probs[0] == pytest.approx(0.5, abs=1e-14)
@@ -263,6 +277,12 @@ class TestTransitionLaw:
         with pytest.raises(ValueError):
             transition_law(single_pin_exp, 1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("t,u", [(0.5, math.inf), (0.5, math.nan), (math.nan, 1.0)])
+    def test_non_finite_times_rejected(self, single_pin_exp, t, u):
+        # at an infinite horizon the continuous density would be NaN
+        with pytest.raises(ValueError, match="need 0 < t < u < inf"):
+            transition_law(single_pin_exp, t, 0.1, u)
+
 
 class TestDrift:
     def test_symmetric_cancellation(self, two_pin_symmetric):
@@ -416,6 +436,11 @@ class TestDriftCache:
         cache = DriftCache(single_pin_exp, s_min=1e-3, s_max=1.0)
         assert np.isfinite(cache(1e-6, 0.1))
         assert np.isfinite(cache(5.0, 0.1))
+        assert cache(0.5, math.inf) == cache(0.5, cache._table.x_nodes[-1])
+        assert cache(math.inf, -math.inf) == cache(1.0, cache._table.x_nodes[0])
+        for s, x in ((0.5, math.nan), (math.nan, 0.1), ([0.5, 0.6], [0.1, math.nan])):
+            with pytest.raises(ValueError, match="NaN"):
+                cache(s, x)
 
     @pytest.mark.parametrize("make", [
         lambda model, s_min, s_max: DriftCache(model, s_min, s_max),
@@ -476,6 +501,20 @@ class TestTableRead:
                                         min_size=i.size, max_size=i.size)))
         np.testing.assert_array_equal(table(table.s_nodes[i], table.x_nodes[j]),
                                       table.rows[i, j])
+
+    @given(table_reads(), st.data())
+    def test_nan_read_raises(self, case, data):
+        # one NaN time or value among the queries, infinite ones beside it
+        table, s, x = case
+        i = data.draw(st.integers(0, s.size - 1))
+        s[i - 1], x[i - 1] = data.draw(st.sampled_from([(math.inf, -math.inf), (0.0, math.inf)]))
+        np.testing.assert_array_equal(table(s, x)[i - 1], table(s[i - 1], x[i - 1]))
+        axis = data.draw(st.sampled_from([s, x]))
+        axis[i] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            table(s, x)
+        with pytest.raises(ValueError, match="NaN"):
+            _STACKED(s, x)
 
     @given(table_reads())
     def test_stacked_rows_keep_their_leading_axis(self, case):

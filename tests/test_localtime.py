@@ -17,7 +17,7 @@ from infobridge import (
     simulate_ensemble,
     tanaka_local_time,
 )
-from infobridge import localtime
+from infobridge import localtime, paths
 from infobridge.localtime import occupation_formula_check, occupation_increments
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -166,6 +166,53 @@ def occupation_blocks(draw):
     return np.array(rows), taus, dt, level
 
 
+def _masked_increments(values, taus, dt, level):
+    """Reference form of the skip rule: the full step-weight array, boolean
+    masks of the steps with both ends more than 6 sqrt(dt) out on one side
+    or of zero weight, and 2-D gathers and scatters of the rest, over the
+    whole block at once."""
+    n_steps = values.shape[1] - 1
+    x = values - level
+    w = np.clip(taus[:, None] - dt * np.arange(n_steps)[None, :], 0.0, dt)
+    far = 6.0 * math.sqrt(dt)
+    above, below = x > far, x < -far
+    skip = (above[:, :-1] & above[:, 1:]) | (below[:, :-1] & below[:, 1:])
+    skip |= w == 0.0
+    w[skip] = 0.0
+    live = np.nonzero(~skip)
+    a, b, wl = x[:, :-1][live], x[:, 1:][live], w[live]
+    u = (np.abs(a) + np.abs(b)) / np.sqrt(2.0 * wl)
+    ab = a * b
+    ab += np.abs(ab)
+    with np.errstate(over="ignore"):
+        w[live] = erfcx(u) * np.exp(-ab / wl) * np.sqrt(0.5 * math.pi * wl)
+    return w
+
+
+_PINS = (-1.0, 2.0)
+_FAR_LEVEL = 60.0  # beyond 6 sqrt(dt) of every bridge row below
+
+
+@st.composite
+def bridge_blocks(draw):
+    """Bridge rows to the pins -1 and 2 from their own normals, with lengths
+    that absorb at step 1, inside the grid or past it, and a level at a pin,
+    anywhere near the paths, or far from all of them."""
+    dt = draw(st.sampled_from([1e-3, 1e-2, 0.1]))
+    n_steps = draw(st.integers(1, 60))
+    n_paths = draw(st.integers(1, 6))
+    length = st.one_of(st.floats(1e-9, dt), st.floats(dt, n_steps * dt),
+                       st.floats(n_steps * dt, 3.0 * n_steps * dt))
+    taus = np.array(draw(st.lists(length, min_size=n_paths, max_size=n_paths)))
+    zs = np.array(draw(st.lists(st.sampled_from(_PINS), min_size=n_paths, max_size=n_paths)))
+    values = np.empty((n_paths, n_steps + 1))
+    values[:, 1:] = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
+        (n_paths, n_steps))
+    paths._bridge_rows(taus, zs, dt, values)
+    level = draw(st.one_of(st.sampled_from(_PINS), st.floats(-3.0, 3.0), st.just(_FAR_LEVEL)))
+    return values, taus, dt, level
+
+
 class TestOccupationIncrements:
     @given(bridge_steps())
     @settings(max_examples=300)
@@ -197,6 +244,18 @@ class TestOccupationIncrements:
         dead = dt * np.arange(values.shape[1] - 1)[None, :] >= taus[:, None]
         assert np.all(inc[dead] == 0.0)
 
+
+    @given(st.one_of(bridge_blocks(), occupation_blocks()), st.integers(1, 200))
+    @settings(max_examples=300)
+    def test_matches_masked_form(self, block, cells):
+        # the kept steps gathered by flat index, in row groups of any size,
+        # give the masked form's increments bit for bit, zeros included
+        values, taus, dt, level = block
+        with mock.patch.object(localtime, "_CELLS", cells):
+            inc = occupation_increments(values, taus, dt, level)
+        np.testing.assert_array_equal(inc, _masked_increments(values, taus, dt, level))
+        if level == _FAR_LEVEL:
+            assert not inc.any()
 
     @given(occupation_blocks(), st.integers(1, 100))
     @settings(max_examples=300)

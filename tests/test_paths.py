@@ -152,6 +152,25 @@ class TestStreamWords:
             with pytest.raises(ValueError):
                 paths._stream_words(seed, first, n, leaf)
 
+    @given(seeds, st.integers(0, 2**32 - 16), st.integers(1, 16), leaves)
+    def test_first_uniform_is_generator_random(self, seed, first, n, leaf):
+        # the PCG64 seeding, one step and the XSL RR output in uint64
+        # arithmetic give numpy's own first random() of each stream
+        got = paths._first_uniforms(seed, first, n, leaf)
+        assert got.shape == (n,) and got.dtype == np.float64
+        for j, u in enumerate(got):
+            child = np.random.SeedSequence(seed, spawn_key=(first + j,))
+            if leaf is not None:
+                child = child.spawn(3)[leaf]
+            assert u == np.random.Generator(np.random.PCG64(child)).random()
+
+    @given(seeds, st.integers(1, 12), st.sampled_from([0, 1, 2]))
+    def test_first_uniform_of_spawned_children(self, seed, n, leaf):
+        got = paths._first_uniforms(seed, 0, n, leaf)
+        want = [np.random.Generator(np.random.PCG64(child.spawn(3)[leaf])).random()
+                for child in np.random.SeedSequence(seed).spawn(n)]
+        np.testing.assert_array_equal(got, want)
+
     @given(seeds, st.integers(1, 12), st.integers(1, 30))
     def test_bridge_ensemble_follows_noise_leaf(self, seed, n, n_steps):
         dt, r, z = 0.01, 0.15, -0.4
