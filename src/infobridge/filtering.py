@@ -59,7 +59,7 @@ class PosteriorState:
     ``survival(u)`` the conditional probability that the length exceeds
     ``u >= t``, and ``expectation(g)`` integrates a user function ``g(r, z)``
     against the mixture by quadrature.  Absorbed: the law is the point mass
-    ``point_mass``.
+    ``point_mass``.  Either way ``survival(u)`` raises ``ValueError`` unless ``u >= t``.
     """
 
     t: float
@@ -71,6 +71,8 @@ class PosteriorState:
 
     def survival(self, u):
         if self.absorbed:
+            if not u >= self.t:
+                raise ValueError("need u >= t")
             return 1.0 if u < self.point_mass[0] else 0.0
         return survival_probability(self._model, self.t, self.observed_x, u)
 

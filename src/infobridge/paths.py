@@ -406,6 +406,8 @@ def _read_exactly(fh, n):
 
 
 def load_ensemble(fp):
+    """Read a :func:`save_ensemble` file; ``ValueError`` if it is not one, is
+    truncated or corrupt, or holds a NaN or non-positive length or a non-finite pin."""
     own = isinstance(fp, (str, bytes))
     fh = open(fp, "rb") if own else fp
     try:
@@ -422,5 +424,7 @@ def load_ensemble(fp):
     finally:
         if own:
             fh.close()
+    if not (np.all(tz[:, 0] > 0.0) and np.all(np.isfinite(tz[:, 1]))):
+        raise ValueError("corrupt ensemble file: need lengths > 0 (not NaN) and finite pins")
     return PathEnsemble(dt=dt, values=values, taus=tz[:, 0], zs=tz[:, 1], seed=seed,
                         absorbed_indices=_absorption_index(tz[:, 0], dt, n_steps + 1))

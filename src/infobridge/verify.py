@@ -12,6 +12,7 @@ master seed.  A suite run with a fixed master seed is bitwise reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -192,87 +193,65 @@ def _probe_indices(times, dt):
     return [int(round(t / dt)) for t in times]
 
 
-def compensator_products(model, dt, horizon, n_paths, seed, probe_times,
-                         *, frak_times=(), lam_m=None, ah_spec=None,
-                         tower_t=None):
-    """Stream an ensemble and reduce it to the per-path scalars the
-    verification program needs.
-
-    Returns a dict with per-path compensator values at ``probe_times`` and
-    at the horizon, the whole compensator row of path 0 (``"K_path0"``),
-    absorption data, and optionally the weighted compensator, the
-    exponential local martingale at ``lam_m``, the resolvent approximations
-    ``ah_spec = (hs, t_eval, n_sub)``, and the observation column at
-    ``tower_t``.
+def compensator_products(model, dt, horizon, n_paths, seed, probe_times, *, weighted=False):
+    """Stream an ensemble and reduce it to its compensators, one row per path:
+    ``"K_probe"`` and ``"X_probe"``, the compensator and the observed value
+    at ``probe_times``; ``"K_term"``, the compensator at the horizon;
+    ``"taus"``, ``"zs"`` and ``"absorbed"``, the length, pin and grid
+    absorption index; ``"frak"``, the weighted compensator at
+    ``probe_times`` when ``weighted`` (else None); and ``"K_path0"``, the
+    whole compensator row of path 0.
 
     Each block that :func:`~infobridge.paths.iter_ensemble_chunks` streams
-    (at most 2**20 grid values) goes through the compensator module's one
-    reduction: :func:`~infobridge.compensator.compensator_rows` for the
-    plain and weighted compensators, ``exp_martingale`` for M and
-    ``band_integrand`` for the resolvent approximations.  Local time is
-    the occupation estimator, the expected local time of each step given
-    its grid values, and the weighted compensator weights pin ``k``'s term
-    by the pin level, where that local time grows.  Raises ``ValueError``
-    for fewer than one path.
+    goes through :func:`~infobridge.compensator.compensator_rows`, with the
+    occupation estimator of local time (the expected local time of each step
+    given its grid values).  Raises ``ValueError`` for fewer than one path.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
     n_steps = int(round(horizon / dt))
     kernel = comp.IntensityKernel(model, dt, horizon)
-    lam_mid = comp.midpoint_kernel(kernel, dt, n_steps)
+    kernel_mid = comp.midpoint_kernel(kernel, dt, n_steps)
     idx = _probe_indices(probe_times, dt)
-    idx_frak = _probe_indices(frak_times, dt)
     pins = model.pinning.points
 
-    hs, bands = (), None
-    if ah_spec is not None:
-        hs, ah_t, ah_n = ah_spec
-        n_ah = int(round(ah_t / dt))
-        t_ah = dt * np.arange(n_ah)
-        bands = filtering.BandProbabilityCache(model, hs, s_min=dt, s_max=ah_t)
-
-    out = {"K_probe": [], "K_term": [], "taus": [], "zs": [],
-           "frak": [], "mart_m": [], "ah": {h: [] for h in hs},
-           "K_at_ah_t": [], "tower_x": []}
-    done = 0
+    out = {key: [] for key in ("K_probe", "K_term", "X_probe", "taus", "zs", "absorbed", "frak")}
     for ens in paths.iter_ensemble_chunks(model, dt, horizon, n_paths, seed):
-        m = len(ens)
         d_locals = [localtime.occupation_increments(ens.values, ens.taus, dt, z)
                     for z in pins]
-        K = comp.compensator_rows(lam_mid, d_locals)
-        out["K_probe"].append(K[:, idx])
-        # Basic slices are views: copy the columns so that no block
-        # outlives its pass.
-        out["K_term"].append(K[:, -1].copy())
-        if not done:
+        K = comp.compensator_rows(kernel_mid, d_locals)
+        if not out["K_term"]:
             path0 = K[0].copy()
+        out["K_probe"].append(K[:, idx])
+        # a basic slice is a view: copy the column so that no block outlives its pass
+        out["K_term"].append(K[:, -1].copy())
+        out["X_probe"].append(ens.values[:, idx])
         out["taus"].append(ens.taus)
         out["zs"].append(ens.zs)
-        if idx_frak or lam_m is not None:
-            frak = comp.compensator_rows(lam_mid, d_locals, pins)[:, idx_frak]
-            if idx_frak:
-                out["frak"].append(frak)
-            if lam_m is not None:
-                absorbed = ens.absorbed_indices[:, None] <= np.asarray(idx_frak)[None, :]
-                out["mart_m"].append(comp.exp_martingale(lam_m, frak, absorbed,
-                                                         ens.values[:, idx_frak]))
-        if bands is not None:
-            take = max(0, min(m, ah_n - done))
-            if take:
-                ladder = bands(np.broadcast_to(t_ah[1:], (take, n_ah - 1)),
-                               ens.values[:take, 1:n_ah])
-                for h, cond in zip(hs, ladder):
-                    band = comp.band_integrand(model, h, t_ah, ens.taus[:take], cond)
-                    out["ah"][h].append(band.sum(axis=1) * dt / h)
-                out["K_at_ah_t"].append(K[:take, n_ah].copy())
-        if tower_t is not None:
-            out["tower_x"].append(ens.values[:, int(round(tower_t / dt))].copy())
-        done += m
+        out["absorbed"].append(ens.absorbed_indices)
+        if weighted:
+            out["frak"].append(comp.compensator_rows(kernel_mid, d_locals, pins)[:, idx])
         del K, d_locals  # freed before the next block is simulated
-    result = {k: (np.concatenate(v) if v else None) for k, v in out.items() if k != "ah"}
-    result["ah"] = {h: np.concatenate(a) for h, a in out["ah"].items()}
+    result = {k: (np.concatenate(v) if v else None) for k, v in out.items()}
     result["K_path0"] = path0
     return result
+
+
+def _resolvent_approximations(ens, bands):
+    """Meyer's A^h of each path of ``ens`` at its horizon, by width h of the
+    ladder table ``bands``: the sum over the grid steps of
+    :func:`~infobridge.compensator.band_integrand`, times ``dt / h``.  The
+    table is read in blocks of rows of at most 2**20 values of the ladder."""
+    n, dt = ens.n_steps, ens.dt
+    t = dt * np.arange(n)
+    rows = max(1, paths._CELLS // (len(bands.h) * n))
+    blocks = []
+    for lo in range(0, len(ens), rows):
+        x, taus = ens.values[lo:lo + rows, 1:n], ens.taus[lo:lo + rows]
+        ladder = bands(np.broadcast_to(t[1:], x.shape), x)
+        blocks.append([comp.band_integrand(bands.model, h, t, taus, cond).sum(axis=1) * dt / h
+                       for h, cond in zip(bands.h, ladder)])
+    return dict(zip(bands.h, np.concatenate(blocks, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +272,11 @@ _SCALES = {
 
 @dataclass
 class VerificationContext:
-    """The suite's master seed and scale, and its cached ensemble reductions:
-    ``fast`` picks the row of the two scales whose values become attributes
-    (``dt_fine``, ``n_compensator``, ``n_terminal``, ``n_bridge``,
-    ``n_brownian``, ``n_quadratic``)."""
+    """The suite's master seed and scale, its cached ensemble reductions and
+    its one band table (:attr:`band_ladder`): ``fast`` picks the row of the
+    two scales whose values become attributes (``dt_fine``,
+    ``n_compensator``, ``n_terminal``, ``n_bridge``, ``n_brownian``,
+    ``n_quadratic``)."""
 
     master_seed: int = 20260810
     fast: bool = False
@@ -311,13 +291,11 @@ class VerificationContext:
         # and the keyword arguments of compensator_products.
         self._ensembles = {
             "expA": (self.model_single_pin(), self.exp_horizon, self.n_compensator,
-                     dict(probe_times=self.EXP_PROBES,
-                          ah_spec=(self.AH_LADDER, 1.0, self.n_terminal))),
+                     dict(probe_times=self.EXP_PROBES)),
             "uniB": (self.model_two_pin_symmetric(), 2.0, self.n_compensator,
                      dict(probe_times=self.UNI_PROBES)),
             "uniB2": (self.model_two_pin_asymmetric(), 2.0, self.n_compensator,
-                      dict(probe_times=self.FRAK_PROBES, frak_times=self.FRAK_PROBES,
-                           lam_m=self.LAM_M, tower_t=self.TOWER_T)),
+                      dict(probe_times=(self.TOWER_T, *self.FRAK_PROBES), weighted=True)),
             "uniC": (self.model_bounded_support(), 3.0, 500,
                      dict(probe_times=(1.5, 3.0))),
         }
@@ -351,6 +329,7 @@ class VerificationContext:
 
     dt = 1e-3  # grid step of the compensator and bridge products; not a field
     AH_LADDER = (0.1, 0.03, 0.01)
+    AH_T = 1.0  # time of the resolvent approximations, one of EXP_PROBES
     EXP_PROBES = (0.5, 1.0, 2.0)
     UNI_PROBES = (0.5, 1.0, 2.0)
     FRAK_PROBES = (0.8, 1.2, 1.8)
@@ -369,6 +348,12 @@ class VerificationContext:
             self._cache[key] = compensator_products(
                 model, self.dt, horizon, n_paths, seed, **kwargs) | {"seed": seed}
         return self._cache[key]
+
+    @functools.cached_property
+    def band_ladder(self):
+        """The band table of ``meyer_refinement``, free of the seed: built once."""
+        return filtering.BandProbabilityCache(self.model_single_pin(), self.AH_LADDER,
+                                              s_min=self.dt, s_max=self.AH_T)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +443,7 @@ def criterion_filter_tower(ctx, attempt):
     prod = ctx.products("uniB2", attempt)
     model = ctx.model_two_pin_asymmetric()
     t, u = ctx.TOWER_T, ctx.TOWER_U
-    taus, zs, x_t = prod["taus"], prod["zs"], prod["tower_x"]
+    taus, zs, x_t = prod["taus"], prod["zs"], prod["X_probe"][:, 0]
     alive = taus > t
     est_surv = np.zeros(taus.size)
     est_pin = np.where(alive, 0.0, zs)
@@ -556,7 +541,7 @@ def criterion_weighted_compensator(ctx, attempt):
     model = ctx.model_two_pin_asymmetric()
     ez = model.pinning.mean()
     rep = martingale_expectation_test(
-        "weighted_compensator", prod["frak"], ctx.FRAK_PROBES,
+        "weighted_compensator", prod["frak"][:, 1:], ctx.FRAK_PROBES,
         lambda t: ez * float(model.length.cdf(t)), seed=prod["seed"])
     rep.details["pin_mean"] = ez
     return rep
@@ -566,8 +551,11 @@ def criterion_martingale_M(ctx, attempt):
     """The exponential local martingale of the weighted compensator has
     unit mean (bounded configuration, small argument)."""
     prod = ctx.products("uniB2", attempt)
+    absorbed = prod["absorbed"][:, None] <= _probe_indices(ctx.FRAK_PROBES, ctx.dt)
+    values = comp.exp_martingale(ctx.LAM_M, prod["frak"][:, 1:], absorbed,
+                                 prod["X_probe"][:, 1:])
     rep = martingale_expectation_test(
-        "martingale_M", prod["mart_m"], ctx.FRAK_PROBES,
+        "martingale_M", values, ctx.FRAK_PROBES,
         lambda t: 1.0, seed=prod["seed"])
     rep.details["lambda"] = ctx.LAM_M
     return rep
@@ -577,8 +565,13 @@ def criterion_meyer_refinement(ctx, attempt):
     """The resolvent approximation converges to the compensator: the gap of
     the ensemble means shrinks strictly along the h-ladder."""
     prod = ctx.products("expA", attempt)
-    k1 = prod["K_at_ah_t"]
-    gaps = [abs(float(prod["ah"][h].mean() - k1.mean())) for h in ctx.AH_LADDER]
+    n = ctx.n_terminal
+    # The first n paths again, to AH_T only: each path has its own streams,
+    # so these rows are the leading columns of the product's rows.
+    ens = paths.simulate_ensemble(ctx.model_single_pin(), ctx.dt, ctx.AH_T, n, prod["seed"])
+    ah = _resolvent_approximations(ens, ctx.band_ladder)
+    k1 = prod["K_probe"][:n, ctx.EXP_PROBES.index(ctx.AH_T)]
+    gaps = [abs(float(ah[h].mean() - k1.mean())) for h in ctx.AH_LADDER]
     return refinement_report("meyer_refinement", [f"h={h}" for h in ctx.AH_LADDER],
                              gaps, seed=prod["seed"], n=int(k1.size))
 

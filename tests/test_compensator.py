@@ -29,11 +29,20 @@ from infobridge import (
     martingale_expectation_test,
     simulate_ensemble,
 )
-from infobridge.compensator import compensator_rows, intensity_row, midpoint_kernel
+from infobridge.compensator import (
+    compensator_rows,
+    exp_martingale,
+    intensity_row,
+    midpoint_kernel,
+)
 from infobridge.filtering import BandProbabilityCache
 from infobridge.kernels import QuadratureError
 from infobridge.localtime import occupation_increments
-from infobridge.verify import VerificationContext, compensator_products
+from infobridge.verify import (
+    VerificationContext,
+    _resolvent_approximations,
+    compensator_products,
+)
 
 
 class TestIntensityKernel:
@@ -100,8 +109,17 @@ def exp_bundle(single_pin_exp):
     """Shared module-scale ensemble reduction for the unbounded config."""
     return compensator_products(single_pin_exp, dt=2e-3, horizon=7.0,
                                 n_paths=1500, seed=314,
-                                probe_times=EXP_PROBES,
-                                ah_spec=((0.1, 0.03), 1.0, 800))
+                                probe_times=EXP_PROBES)
+
+
+@pytest.fixture(scope="module")
+def exp_ah(single_pin_exp):
+    """The resolvent approximations at t = 1 of the first 800 paths of
+    ``exp_bundle``, drawn again to t = 1, by width h."""
+    dt = 2e-3
+    ens = simulate_ensemble(single_pin_exp, dt, 1.0, 800, seed=314)
+    bands = BandProbabilityCache(single_pin_exp, (0.1, 0.03), s_min=dt, s_max=1.0)
+    return _resolvent_approximations(ens, bands)
 
 
 class TestCompensatorK:
@@ -144,16 +162,18 @@ class TestCompensatorK:
         model = ModelSpec(UniformLaw(0.5, 2.0), PinningLaw([-1.0, 2.0], [0.6, 0.4]))
         times = (0.8, 1.2, 1.8)
         prod = compensator_products(model, dt=dt, horizon=2.0, n_paths=3, seed=99,
-                                    probe_times=times, frak_times=times, lam_m=0.25)
+                                    probe_times=times, weighted=True)
         kern = IntensityKernel(model, dt=dt, horizon=2.0)
         idx = [int(round(t / dt)) for t in times]
+        mart_m = exp_martingale(0.25, prod["frak"], prod["absorbed"][:, None] <= idx,
+                                prod["X_probe"])
         for i, p in enumerate(simulate_ensemble(model, dt, 2.0, 3, seed=99)):
             lts = [occupation_local_time(p, z) for z in model.pinning.points]
             frak = compensator_frak(model, p, lts, kern)
             np.testing.assert_allclose(frak.values[idx], prod["frak"][i],
                                        rtol=1e-10, atol=1e-14)
             np.testing.assert_allclose(martingale_M(p, frak, 0.25)[idx],
-                                       prod["mart_m"][i], rtol=1e-10)
+                                       mart_m[i], rtol=1e-10)
 
     def test_curve_shape_invariants(self, two_pin_symmetric):
         dt = 1e-3
@@ -287,8 +307,7 @@ class TestWeightedCompensator:
     def test_mean_tracks_pin_mean_times_cdf(self):
         model = ModelSpec(UniformLaw(0.5, 2.0), PinningLaw([-1.0, 2.0], [0.6, 0.4]))
         prod = compensator_products(model, dt=2e-3, horizon=2.0, n_paths=1500,
-                                    seed=99, probe_times=(0.8, 1.2, 1.8),
-                                    frak_times=(0.8, 1.2, 1.8))
+                                    seed=99, probe_times=(0.8, 1.2, 1.8), weighted=True)
         ez = model.pinning.mean()
         report = martingale_expectation_test(
             "module_frak", prod["frak"], (0.8, 1.2, 1.8),
@@ -307,20 +326,20 @@ class TestMeyerApproximation:
             curve = meyer_approx_Ah(two_pin_symmetric, p, 0.1, bands)
             assert np.all(np.diff(curve.values[p.absorbed_index:]) == 0.0)
 
-    def test_terminal_mean_fubini(self, single_pin_exp, exp_bundle):
+    def test_terminal_mean_fubini(self, single_pin_exp, exp_ah):
         # E[A^h at t] = (1/h) int_0^t (F(s+h) - F(s)) ds, computable in
         # closed form for the exponential law
         for h in (0.1, 0.03):
-            a1 = exp_bundle["ah"][h]
+            a1 = exp_ah[h]
             s = np.linspace(0.0, 1.0, 20001)
             f = single_pin_exp.length.cdf
             target = np.trapezoid(f(s + h) - f(s), s) / h
             stderr = a1.std(ddof=1) / math.sqrt(a1.size)
             assert abs(a1.mean() - target) <= 3.5 * stderr + 0.01 * target
 
-    def test_cache_route_matches_ensemble_pipeline(self, single_pin_exp, exp_bundle):
-        # per path with a band table from the same ladder, the resolvent
-        # approximation at t = 1 is the streamed reduction's row
+    def test_cache_route_matches_ensemble_pipeline(self, single_pin_exp, exp_ah):
+        # per path of the horizon-7 ensemble, with a band table from the same
+        # ladder, the resolvent approximation at t = 1 is the helper's row
         dt, ladder = 2e-3, (0.1, 0.03)
         ens = simulate_ensemble(single_pin_exp, dt, 7.0, 3, seed=314)
         bands = BandProbabilityCache(single_pin_exp, ladder, s_min=dt, s_max=1.0)
@@ -329,13 +348,13 @@ class TestMeyerApproximation:
             for i in range(3):
                 curve = meyer_approx_Ah(single_pin_exp, ens.path(i), h,
                                         band_fn=lambda s, x: bands(s, x)[k])
-                np.testing.assert_allclose(curve.values[n_ah], exp_bundle["ah"][h][i],
+                np.testing.assert_allclose(curve.values[n_ah], exp_ah[h][i],
                                            rtol=1e-12)
 
-    def test_approaches_compensator(self, exp_bundle):
-        k1 = exp_bundle["K_at_ah_t"]
-        gap_large = abs(exp_bundle["ah"][0.1].mean() - k1.mean())
-        gap_small = abs(exp_bundle["ah"][0.03].mean() - k1.mean())
+    def test_approaches_compensator(self, exp_bundle, exp_ah):
+        k1 = exp_bundle["K_probe"][:800, EXP_PROBES.index(1.0)]
+        gap_large = abs(exp_ah[0.1].mean() - k1.mean())
+        gap_small = abs(exp_ah[0.03].mean() - k1.mean())
         assert gap_small < gap_large
 
 
@@ -380,9 +399,10 @@ class TestExponentialMartingales:
 
     def test_weighted_martingale_unit_mean(self):
         model = ModelSpec(UniformLaw(0.5, 2.0), PinningLaw([-1.0, 2.0], [0.6, 0.4]))
+        times = (0.8, 1.2, 1.8)
         prod = compensator_products(model, dt=2e-3, horizon=2.0, n_paths=1500,
-                                    seed=77, probe_times=(1.0,),
-                                    frak_times=(0.8, 1.2, 1.8), lam_m=0.25)
-        report = martingale_expectation_test(
-            "module_M", prod["mart_m"], (0.8, 1.2, 1.8), lambda t: 1.0)
+                                    seed=77, probe_times=times, weighted=True)
+        absorbed = prod["absorbed"][:, None] <= [int(round(t / 2e-3)) for t in times]
+        mart_m = exp_martingale(0.25, prod["frak"], absorbed, prod["X_probe"])
+        report = martingale_expectation_test("module_M", mart_m, times, lambda t: 1.0)
         assert report.passed, report.details

@@ -98,8 +98,9 @@ class TestPosterior:
         assert state.point_mass == (1.3, 1.0)
         assert state.pin_probs[1] == 1.0
         assert state.expectation(lambda r, z: r * z) == pytest.approx(1.3)
-        assert state.survival(1.35) == 0.0
-        assert state.survival(1.25) == 1.0
+        # the length 1.3 is at most t = 1.4, so it exceeds no u >= t
+        assert state.survival(1.4) == 0.0
+        assert state.survival(2.5) == 0.0
 
     def test_absorbed_off_pin_rejected(self, two_pin_symmetric):
         with pytest.raises(ValueError):
@@ -113,6 +114,14 @@ class TestPosterior:
         # t must be finite and positive, and an absorption time lie in (0, t]
         with pytest.raises(ValueError, match="t must be|tau must"):
             posterior(UNIFORM_EDGE, t, -1.0, absorbed=absorbed, tau=tau)
+
+    @pytest.mark.parametrize("absorbed", [True, False])
+    @pytest.mark.parametrize("u", [math.nan, 0.5, 0.999])
+    def test_survival_needs_u_from_t(self, absorbed, u):
+        # absorbed or not, survival(u) is defined for u >= t only
+        state = posterior(UNIFORM_EDGE, 1.0, -1.0 if absorbed else 0.3, absorbed=absorbed)
+        with pytest.raises(ValueError):
+            state.survival(u)
 
     def test_absorbed_at_the_observation_time(self):
         state = posterior(UNIFORM_EDGE, 1.0, -1.0, absorbed=True, tau=1.0)

@@ -370,6 +370,25 @@ class TestQuadraticVariation:
         assert abs(quadratic_variation(path, 1.0) - 1.0) < 0.05
 
 
+class TestHorizon:
+    @given(model_i=st.integers(0, 1), n_short=st.integers(1, 60), extra=st.integers(0, 150),
+           n_paths=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_shorter_horizon_gives_leading_columns(self, model_i, n_short, extra, n_paths,
+                                                   seed):
+        # at one seed, a shorter horizon draws the same lengths and pins, and
+        # its rows are the leading columns of the longer ensemble's rows
+        model = (ModelSpec(ExponentialLaw(1.0), PinningLaw([0.0], [1.0])),
+                 ModelSpec(UniformLaw(0.05, 2.0), PinningLaw([-1.0, 1.0], [0.5, 0.5])))[model_i]
+        dt = 0.01
+        short = simulate_ensemble(model, dt, n_short * dt, n_paths, seed)
+        long = simulate_ensemble(model, dt, (n_short + extra) * dt, n_paths, seed)
+        np.testing.assert_array_equal(short.values, long.values[:, :n_short + 1])
+        np.testing.assert_array_equal(short.taus, long.taus)
+        np.testing.assert_array_equal(short.zs, long.zs)
+        np.testing.assert_array_equal(short.absorbed_indices,
+                                      np.minimum(long.absorbed_indices, n_short + 1))
+
+
 class TestSerialization:
     def test_ensemble_round_trip(self, two_pin_symmetric, tmp_path):
         ens = simulate_ensemble(two_pin_symmetric, dt=0.02, horizon=1.0,
@@ -412,6 +431,28 @@ class TestSerialization:
         fp.write_bytes(data[:8] + struct.pack("<dqqq", dt, n_steps, n_paths, 31) + data[40:])
         with pytest.raises(ValueError, match=match):
             load_ensemble(str(fp))
+
+    @pytest.mark.parametrize("column, value", [
+        (0, math.nan), (0, 0.0), (0, -0.5), (0, -math.inf),
+        (1, math.nan), (1, math.inf), (1, -math.inf)])
+    def test_rejects_bad_length_or_pin(self, single_pin_exp, tmp_path, column, value):
+        # a NaN or non-positive length, or a non-finite pin, in the file's
+        # (length, pin) pairs would load into NaN local time
+        ens = simulate_ensemble(single_pin_exp, dt=0.01, horizon=1.0, n_paths=3, seed=31)
+        (ens.taus, ens.zs)[column][1] = value
+        fp = tmp_path / "ensemble.bin"
+        save_ensemble(ens, str(fp))
+        with pytest.raises(ValueError, match="corrupt ensemble file"):
+            load_ensemble(str(fp))
+
+    def test_infinite_length_loads_unabsorbed(self, single_pin_exp, tmp_path):
+        ens = simulate_ensemble(single_pin_exp, dt=0.01, horizon=1.0, n_paths=3, seed=31)
+        ens.taus[1] = math.inf
+        fp = tmp_path / "ensemble.bin"
+        save_ensemble(ens, str(fp))
+        back = load_ensemble(str(fp))
+        np.testing.assert_array_equal(back.taus, ens.taus)
+        assert back.absorbed_indices[1] == ens.n_steps + 1
 
     def test_rejects_foreign_file(self, tmp_path):
         fp = tmp_path / "junk.bin"

@@ -10,7 +10,7 @@ import pytest
 from scipy.special import kolmogorov
 
 from infobridge import compensator as comp
-from infobridge import paths, verify
+from infobridge import filtering, paths, verify
 from infobridge import (
     EnsembleSummary,
     TestReport,
@@ -80,24 +80,28 @@ class TestKSStatistic:
 
 class TestCompensatorProducts:
     def test_blocking_does_not_change_products(self, two_pin_asymmetric):
-        # One block of 30 paths against blocks of 7: the resolvent
-        # approximations' first 17 paths then end inside the third block.
+        # One block of 30 paths against blocks of 7, both compensators
         dt, horizon = 0.01, 2.0
         products = []
         for cells in (paths._CELLS, 7 * 201):
             with mock.patch.object(paths, "_CELLS", cells):
                 products.append(compensator_products(
-                    two_pin_asymmetric, dt, horizon, 30, seed=5, probe_times=(0.5, 2.0),
-                    frak_times=(0.5, 1.0), lam_m=0.5, ah_spec=((0.1, 0.03), 1.0, 17),
-                    tower_t=1.0))
+                    two_pin_asymmetric, dt, horizon, 30, seed=5,
+                    probe_times=(0.5, 1.0, 2.0), weighted=True))
         one, blocked = products
-        assert one.keys() == blocked.keys()
-        for key in one.keys() - {"ah"}:
+        assert one.keys() == blocked.keys() == {"K_probe", "K_term", "K_path0", "X_probe",
+                                                "taus", "zs", "absorbed", "frak"}
+        for key in one:
             np.testing.assert_array_equal(one[key], blocked[key], err_msg=key)
-        assert one["ah"].keys() == blocked["ah"].keys() == {0.1, 0.03}
-        for h, a in one["ah"].items():
-            assert a.shape == (17,)
-            np.testing.assert_array_equal(a, blocked["ah"][h])
+        assert one["frak"].shape == one["X_probe"].shape == (30, 3)
+
+    def test_frak_only_when_weighted(self, two_pin_asymmetric):
+        prod = compensator_products(two_pin_asymmetric, 0.01, 1.0, 4, seed=5,
+                                    probe_times=(0.5, 1.0))
+        assert prod["frak"] is None
+        ens = paths.simulate_ensemble(two_pin_asymmetric, 0.01, 1.0, 4, seed=5)
+        np.testing.assert_array_equal(prod["X_probe"], ens.values[:, [50, 100]])
+        np.testing.assert_array_equal(prod["absorbed"], ens.absorbed_indices)
 
     @pytest.mark.parametrize("n_paths", [0, -3])
     def test_rejects_no_paths(self, two_pin_asymmetric, n_paths):
@@ -146,8 +150,51 @@ class TestScales:
                         "UniformLaw(a=0.5, b=2)", "UniformLaw(a=0.5, b=1.5)"]
         assert [c[1] for c in calls] == [ctx.exp_horizon, 2.0, 2.0, 3.0]
         assert [c[2] for c in calls] == [ctx.n_compensator] * 3 + [500]
-        assert calls[0][3]["ah_spec"] == (ctx.AH_LADDER, 1.0, ctx.n_terminal)
-        assert calls[2][3]["tower_t"] == ctx.TOWER_T
+        assert [c[3] for c in calls] == [
+            dict(probe_times=(0.5, 1.0, 2.0)), dict(probe_times=(0.5, 1.0, 2.0)),
+            # filter_tower reads the first probe, the weighted criteria the rest
+            dict(probe_times=(0.75, 0.8, 1.2, 1.8), weighted=True),
+            dict(probe_times=(1.5, 3.0))]
+
+
+class TestResolventApproximations:
+    def test_rows_do_not_interact(self, two_pin_asymmetric):
+        # the first 17 of 30 paths give the A^h of the 17 paths alone, a
+        # one-path ensemble its own row, and the table read in blocks of 7
+        # rows (2 widths x 100 steps each) the read in one block
+        dt, hs = 0.01, (0.1, 0.03)
+        bands = filtering.BandProbabilityCache(two_pin_asymmetric, hs, s_min=dt, s_max=1.0)
+        ens = {n: paths.simulate_ensemble(two_pin_asymmetric, dt, 1.0, n, seed=5)
+               for n in (30, 17, 1)}
+        ah = {n: verify._resolvent_approximations(e, bands) for n, e in ens.items()}
+        with mock.patch.object(paths, "_CELLS", 7 * 2 * 100):
+            blocked = verify._resolvent_approximations(ens[30], bands)
+        for h in hs:
+            assert ah[30][h].shape == (30,)
+            np.testing.assert_array_equal(ah[30][h][:17], ah[17][h])
+            np.testing.assert_array_equal(ah[30][h][:1], ah[1][h])
+            np.testing.assert_array_equal(blocked[h], ah[30][h])
+
+    def test_band_table_built_once(self, monkeypatch):
+        # the table does not depend on the seed: one build serves attempts 0-3
+        ctx = VerificationContext(master_seed=3, fast=True)
+        builds = []
+        table = filtering.BandProbabilityCache
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return table(*args, **kwargs)
+
+        def products(model, dt, horizon, n_paths, seed, **kwargs):
+            return {"K_probe": np.zeros((n_paths, 3))}
+
+        monkeypatch.setattr(filtering, "BandProbabilityCache", counting)
+        monkeypatch.setattr(verify, "compensator_products", products)
+        for attempt in range(4):
+            report = verify.criterion_meyer_refinement(ctx, attempt)
+            assert report.n == ctx.n_terminal
+            assert report.seed == ctx.seed_for("expA", attempt)
+        assert len(builds) == 1
 
 
 class TestMartingaleExpectation:
