@@ -59,7 +59,8 @@ class PosteriorState:
     ``survival(u)`` the conditional probability that the length exceeds
     ``u >= t``, and ``expectation(g)`` integrates a user function ``g(r, z)``
     against the mixture by quadrature.  Absorbed: the law is the point mass
-    ``point_mass``.  Either way ``survival(u)`` raises ``ValueError`` unless ``u >= t``.
+    ``point_mass``.  Either way ``survival(u)`` takes a scalar or an array
+    and raises ``ValueError`` unless ``u >= t``.
     """
 
     t: float
@@ -71,9 +72,9 @@ class PosteriorState:
 
     def survival(self, u):
         if self.absorbed:
-            if not u >= self.t:
+            if not np.all(np.asarray(u) >= self.t):
                 raise ValueError("need u >= t")
-            return 1.0 if u < self.point_mass[0] else 0.0
+            return np.zeros(np.shape(u)) if np.ndim(u) else 0.0
         return survival_probability(self._model, self.t, self.observed_x, u)
 
     def expectation(self, g):
@@ -86,7 +87,7 @@ class PosteriorState:
         t, probs = self.t, self._model.pinning.probs
         q = kernels.tail_integrals(self._model, t, self.observed_x,
                                    weight=(lambda lag, z: g(t + lag, z), lambda z, x: 1.0))
-        return float((probs @ q.moment)[0] / (probs @ q.mass)[0])
+        return float((probs @ q.moment)[0] / kernels._normalizer(probs @ q.mass, t)[0])
 
 
 def posterior(model, t, x, absorbed=False, tau=None):
@@ -97,7 +98,8 @@ def posterior(model, t, x, absorbed=False, tau=None):
     point mass at (tau, x).
 
     Raises ``ValueError`` for a ``t`` that is not finite and positive (NaN
-    included), and for a ``tau`` outside ``(0, t]``.
+    included), and for a ``tau`` outside ``(0, t]``; not absorbed, raises
+    ``QuadratureError`` as :func:`pin_posterior` does.
     """
     if not 0.0 < t < math.inf:
         raise ValueError("t must be finite and strictly positive")
@@ -120,24 +122,26 @@ def posterior(model, t, x, absorbed=False, tau=None):
 
 def pin_posterior(model, t, x):
     """Conditional pin weights at ``(t, x)``; vectorized over ``x`` (rows of
-    the returned array are pins)."""
+    the returned array are pins).  Raises ``QuadratureError`` past the
+    truncation point of an unbounded length law."""
     x_arr = _as_row(x)
     mass = kernels.tail_integrals(model, t, x_arr).mass
     weighted = model.pinning.probs[:, None] * mass
-    out = weighted / weighted.sum(axis=0, keepdims=True)
+    out = weighted / kernels._normalizer(weighted.sum(axis=0, keepdims=True), t)
     return out[:, 0] if np.ndim(x) == 0 else out
 
 
 def survival_probability(model, t, x, u):
     """P(length > u | path up to t, not yet absorbed); vectorized over ``x``,
     and a sequence of times ``u`` adds a leading axis.  All times come from
-    one quadrature pass."""
+    one quadrature pass.  Raises ``QuadratureError`` past the truncation
+    point of an unbounded length law."""
     if np.any(np.asarray(u) < t):
         raise ValueError("need u >= t")
     x_arr = _as_row(x)
     q = kernels.tail_integrals(model, t, x_arr, uppers=u)
     probs = model.pinning.probs
-    out = np.clip((probs @ q.tail) / (probs @ q.mass), 0.0, 1.0)
+    out = np.clip((probs @ q.tail) / kernels._normalizer(probs @ q.mass, t), 0.0, 1.0)
     out = out if np.ndim(x) else out[:, 0]
     out = out if np.ndim(u) else out[0]
     return out if np.ndim(out) else float(out)
@@ -149,11 +153,12 @@ def band_probability(model, t, x, h, *, table=False):
     come from one quadrature pass, and each band is summed over its own
     panels rather than formed as one minus a survival probability.
     ``table`` takes the first, unchecked pass of the tail rule of
-    :func:`~infobridge.kernels.tail_integrals`, as tables do."""
+    :func:`~infobridge.kernels.tail_integrals`, as tables do.  Raises
+    ``QuadratureError`` past the truncation point of an unbounded length law."""
     x_arr = _as_row(x)
     q = kernels.tail_integrals(model, t, x_arr, uppers=t + np.atleast_1d(h), table=table)
     probs = model.pinning.probs
-    out = np.clip((probs @ q.band) / (probs @ q.mass), 0.0, 1.0)
+    out = np.clip((probs @ q.band) / kernels._normalizer(probs @ q.mass, t), 0.0, 1.0)
     out = out if np.ndim(x) else out[:, 0]
     return out if np.ndim(h) else out[0]
 
@@ -212,7 +217,8 @@ class TransitionLaw:
 
 
 def transition_law(model, t, x, u):
-    """Transition law of the observed process between times ``0 < t < u < inf``."""
+    """Transition law of the observed process between times ``0 < t < u < inf``.
+    Raises ``QuadratureError`` past the truncation point of an unbounded length law."""
     if not (0.0 < t < u < math.inf):
         raise ValueError("need 0 < t < u < inf")
     k = _pin_index(model, x)
@@ -223,7 +229,7 @@ def transition_law(model, t, x, u):
         return TransitionLaw(t=t, u=u, x=float(x), atoms=atoms,
                              _model=model, _log_den=-math.inf)
     q = kernels.tail_integrals(model, t, x, uppers=(u,))
-    den = float(model.pinning.probs @ q.mass[:, 0])
+    den = float(kernels._normalizer(model.pinning.probs @ q.mass[:, 0], t))
     log_den = math.log(den) + float(q.scale[0])
     atoms = model.pinning.probs * q.band[0, :, 0] / den
     return TransitionLaw(t=t, u=u, x=float(x), atoms=atoms,
@@ -241,13 +247,15 @@ def drift(model, s, x, *, table=False):
     ``table`` takes the first, unchecked pass of the tail rule of
     :func:`~infobridge.kernels.tail_integrals`, as tables do.  The pull's
     ``1/(r - s)`` joins the quadrature weights and ``z_i - x`` multiplies
-    each pin's panel sums, so the drift is 0 on a single pin."""
+    each pin's panel sums, so the drift is 0 on a single pin.  Raises
+    ``QuadratureError`` past the truncation point of an unbounded length law."""
     if not (0.0 < s < model.support_sup):
         raise ValueError("s must lie strictly inside the support of the length law")
     x_arr = _as_row(x)
     q = kernels.tail_integrals(model, s, x_arr, table=table,
                                weight=(lambda lag, z: 1.0 / lag, lambda z, x: z - x))
-    out = (model.pinning.probs @ q.moment) / (model.pinning.probs @ q.mass)
+    probs = model.pinning.probs
+    out = (probs @ q.moment) / kernels._normalizer(probs @ q.mass, s)
     return out if np.ndim(x) else float(out[0])
 
 
@@ -280,26 +288,36 @@ class _Table:
     :func:`_space_grid`.  By Brownian scaling the small-time structure is a
     function of x / sqrt(s), which the geometric |x| ladder resolves at
     every time, so one grid serves small and late times alike.
-    ``row_fn(s, xs)`` fills one time node and returns ``(n_x,)``, or
-    ``(m, n_x)`` for m quantities tabulated together; reads then carry the
-    leading axis.  Reads are bilinear in (log s, x), and queries outside the
-    table, at +-inf too, read its clamped edge; a NaN time or value raises
-    ``ValueError``.
+    ``quantity(s, xs, table)`` is q by quadrature, its first pass when
+    ``table``; it returns ``(n_x,)``, or ``(m, n_x)`` for m quantities
+    tabulated together, and reads then carry the leading axis.  Reads are
+    bilinear in (log s, x), and queries outside the table, at +-inf too,
+    read its clamped edge; a NaN time or value raises ``ValueError``.  A q
+    with a pole ``1/(sup - s)`` at a bounded support edge (``_edge_pole``)
+    is tabulated times ``sup - s`` and divided by it on read.
     """
 
-    def __init__(self, model, row_fn, s_min, s_max):
-        if not (0.0 < s_min < s_max <= model.support_sup):
+    _edge_pole = False
+
+    def __init__(self, model, quantity, s_min, s_max):
+        sup = model.support_sup
+        if not (0.0 < s_min < s_max <= sup):
             raise ValueError("need 0 < s_min < s_max within the length support")
+        self.model, self._quantity = model, quantity
         self.s_min = s_min
-        self.s_max = hi = min(s_max, model.support_sup * (1.0 - 1e-9))
+        self.s_max = hi = min(s_max, sup * (1.0 - 1e-9))
         n_s = math.ceil(_ROWS_PER_DECADE * math.log10(hi / s_min)) + 1
         self.s_nodes = np.geomspace(s_min, hi, n_s)
         self._ls = np.log(self.s_nodes)
         self.x_nodes = _space_grid(model, s_min, s_max)
-        self.rows = np.stack([row_fn(s, self.x_nodes) for s in self.s_nodes], axis=-2)
+        self.rows = np.stack([quantity(s, self.x_nodes, True) for s in self.s_nodes], axis=-2)
+        self._edge = sup if self._edge_pole and math.isfinite(sup) else None
+        if self._edge is not None:
+            self.rows = self.rows * (sup - self.s_nodes)[:, None]
 
     def __call__(self, s, x):
-        ls = np.log(np.clip(s, self.s_nodes[0], self.s_nodes[-1]))
+        sc = np.clip(s, self.s_nodes[0], self.s_nodes[-1])
+        ls = np.log(sc)
         xc = np.clip(x, self.x_nodes[0], self.x_nodes[-1])
         if np.isnan(ls + xc).any():  # both are finite once clamped, unless NaN
             raise ValueError("table read at a NaN time or value")
@@ -308,83 +326,73 @@ class _Table:
         ws = (ls - self._ls[i]) / (self._ls[i + 1] - self._ls[i])
         wx = (xc - self.x_nodes[j]) / (self.x_nodes[j + 1] - self.x_nodes[j])
         t = self.rows
-        return ((1 - ws) * (1 - wx) * t[..., i, j] + ws * (1 - wx) * t[..., i + 1, j]
-                + (1 - ws) * wx * t[..., i, j + 1] + ws * wx * t[..., i + 1, j + 1])
+        out = ((1 - ws) * (1 - wx) * t[..., i, j] + ws * (1 - wx) * t[..., i + 1, j]
+               + (1 - ws) * wx * t[..., i, j + 1] + ws * wx * t[..., i + 1, j + 1])
+        return out if self._edge is None else out / (self._edge - sc)
+
+    def max_rel_error(self, n_probe):
+        """Interpolation error against the checked quadrature at ``n_probe``
+        random states, relative to the direct value floored at
+        ``_error_floor(direct)``; one value per quantity tabulated together.
+        The states lie where paths live: the diffusive sqrt(time) envelope
+        early, the pin neighborhoods later."""
+        rng = np.random.default_rng(0)
+        s = np.exp(rng.uniform(math.log(self.s_min), math.log(self.s_max), n_probe))
+        pts = self.model.pinning.points
+        lo, hi = min(-1.0, pts.min() - 1.0), max(1.0, pts.max() + 1.0)
+        envelope = 6.0 * np.sqrt(s)
+        diffusive = np.sqrt(s) * rng.uniform(-4.0, 4.0, n_probe)
+        settled = np.clip(rng.uniform(lo, hi, n_probe), -envelope, envelope)
+        x = np.where(rng.uniform(size=n_probe) < 0.6, diffusive, settled)
+        direct = np.stack([self._quantity(si, xi, False) for si, xi in zip(s, x)], axis=-1)
+        scale = np.maximum(np.abs(direct), self._error_floor(direct))
+        err = np.max(np.abs(self(s, x) - direct) / scale, axis=-1)
+        return err if np.ndim(err) else float(err)
 
 
-def _probe_states(model, table, n_probe):
-    """Random states over the time range of ``table``, weighted toward where
-    paths actually live: the diffusive sqrt(time) envelope early, the pin
-    neighborhoods later."""
-    rng = np.random.default_rng(0)
-    s = np.exp(rng.uniform(math.log(table.s_min), math.log(table.s_max), n_probe))
-    pts = model.pinning.points
-    lo = min(-1.0, pts.min() - 1.0)
-    hi = max(1.0, pts.max() + 1.0)
-    envelope = 6.0 * np.sqrt(s)
-    diffusive = np.sqrt(s) * rng.uniform(-4.0, 4.0, n_probe)
-    settled = np.clip(rng.uniform(lo, hi, n_probe), -envelope, envelope)
-    x = np.where(rng.uniform(size=n_probe) < 0.6, diffusive, settled)
-    return s, x
-
-
-class DriftCache:
+class DriftCache(_Table):
     """Drift tabulated on a (time, space) grid for fast pathwise use.
 
     Per-step quadrature would dominate the runtime of innovation and
     compensator sweeps by two orders of magnitude; the table is filled once
     (one vectorized quadrature row per time node) and interpolated
-    bilinearly in (log time, space).  ``max_rel_error`` measures the
-    interpolation against direct quadrature at random probe points.
+    bilinearly in (log time, space).  The pull ``(z_i - x)/(r - s)`` gives
+    the drift a pole at a bounded support edge.  The drift crosses zero,
+    where a pure relative error is ill-defined, so ``max_rel_error`` floors
+    its scale at the median drift magnitude.
     """
 
+    _edge_pole = True
+
     def __init__(self, model, s_min, s_max):
-        self.model = model
-        self._table = _Table(model, lambda s, xs: drift(model, s, xs, table=True),
-                             s_min, s_max)
+        super().__init__(model, lambda s, x, table: drift(model, s, x, table=table),
+                         s_min, s_max)
 
-    def __call__(self, s, x):
-        return self._table(s, x)
-
-    def max_rel_error(self, n_probe=200):
-        """Interpolation error at random reachable states, relative with an
-        absolute floor at the median drift magnitude (the drift crosses
-        zero, where a pure relative error is ill-defined)."""
-        s, x = _probe_states(self.model, self._table, n_probe)
-        direct = np.array([drift(self.model, si, xi) for si, xi in zip(s, x)])
-        approx = self(s, x)
-        scale = np.quantile(np.abs(direct), 0.5)
-        return float(np.max(np.abs(approx - direct) / np.maximum(np.abs(direct), scale)))
+    def _error_floor(self, direct):
+        return np.quantile(np.abs(direct), 0.5)
 
 
-class BandProbabilityCache:
+class BandProbabilityCache(_Table):
     """Tabulated conditional probability that absorption happens within
     ``(s, s + h)`` given the observation at ``s``, for one width ``h`` or a
     ladder of widths; same layout and time range as :class:`DriftCache`.
 
     Each table row is one :func:`band_probability` pass that fills every
     width of the ladder.  Tables are bilinear in (log time, space); with a
-    ladder, values carry a leading axis over it.
+    ladder, values carry a leading axis over it, and so does
+    ``max_rel_error``, relative to the band mass itself.
     """
 
     def __init__(self, model, h, s_min, s_max):
-        self.model = model
-        self.h = tuple(map(float, h)) if np.ndim(h) else float(h)
-        self._table = _Table(
-            model, lambda s, xs: band_probability(model, s, xs, self.h, table=True),
-            s_min, s_max)
+        self.h = h = tuple(map(float, h)) if np.ndim(h) else float(h)
+        super().__init__(model, lambda s, x, table: band_probability(model, s, x, h, table=table),
+                         s_min, s_max)
 
     def __call__(self, s, x):
-        return np.clip(self._table(s, x), 0.0, 1.0)
+        return np.clip(super().__call__(s, x), 0.0, 1.0)
 
-    def max_rel_error(self, n_probe=100):
-        """Against direct quadrature at reachable states, relative to the
-        band mass itself; one value per width of the ladder."""
-        s, x = _probe_states(self.model, self._table, n_probe)
-        direct = np.stack([band_probability(self.model, si, xi, self.h)
-                           for si, xi in zip(s, x)], axis=-1)
-        err = np.max(np.abs(self(s, x) - direct) / np.maximum(direct, 1e-3), axis=-1)
-        return err if np.ndim(err) else float(err)
+    def _error_floor(self, direct):
+        return 1e-3
 
 
 def innovation_path(model, path, drift_fn):

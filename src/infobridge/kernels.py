@@ -361,13 +361,19 @@ def tail_integrals(model, s, x, *, uppers=(), weight=None, table=False):
 # ---------------------------------------------------------------------------
 
 
+def _normalizer(total, s):
+    """``total``, the pin-summed mass that divides a conditional ratio at time
+    ``s``; ``QuadratureError`` where an entry is not positive (zero or NaN)."""
+    if not np.all(total > 0.0):
+        raise QuadratureError(f"mixture weight underflowed at s={s}")
+    return total
+
+
 def log_mix_weight(s, x, model):
     """Log of :func:`mix_weight`; preferred inside ratios."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     q = tail_integrals(model, s, x_arr)
-    total = model.pinning.probs @ q.mass
-    if np.any(total <= 0.0):
-        raise QuadratureError(f"mixture weight underflowed at s={s}")
+    total = _normalizer(model.pinning.probs @ q.mass, s)
     out = np.log(total) + q.scale + log_gaussian_density(s, x_arr)
     return out if np.ndim(x) else out.item()
 

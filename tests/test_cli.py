@@ -162,6 +162,15 @@ class TestPosterior:
         assert np.all(np.isfinite(rows)) and np.all((rows[:, 1] >= 0.0) & (rows[:, 1] <= 1.0))
         assert np.all(np.diff(rows[:, 1]) <= 0.0)
 
+    def test_past_the_truncation_point_exits_with_quadrature_code(self, tmp_path, capsys):
+        # t = 30 lies past the truncation point of Exp(1) (about 23): no
+        # mass is left to condition on, so no curve is written
+        out = tmp_path / "out"
+        assert main(["posterior", "--t", "30", "--x", "0", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("quadrature failure:") and err.count("\n") == 1
+        assert not any(out.iterdir())
+
     def test_survival_matches_quadrature_oracle(self, tmp_path):
         cfg = _write_config(tmp_path)
         main(["posterior", "--config", str(cfg), "--t", "0.5", "--x", "0.2"])

@@ -25,8 +25,9 @@ from infobridge import (
     survival_probability,
     transition_law,
 )
-from infobridge.filtering import BandProbabilityCache, _space_grid, _Table
-from infobridge.kernels import log_mix_weight
+from infobridge.compensator import intensity_row
+from infobridge.filtering import BandProbabilityCache, _space_grid, _Table, band_probability
+from infobridge.kernels import QuadratureError, log_mix_weight
 from infobridge.verify import VerificationContext
 
 
@@ -101,6 +102,9 @@ class TestPosterior:
         # the length 1.3 is at most t = 1.4, so it exceeds no u >= t
         assert state.survival(1.4) == 0.0
         assert state.survival(2.5) == 0.0
+        # times in an array, as in the live state
+        np.testing.assert_array_equal(state.survival([1.4, 2.5]), [0.0, 0.0])
+        assert state.survival(np.full((2, 3), 1.5)).shape == (2, 3)
 
     def test_absorbed_off_pin_rejected(self, two_pin_symmetric):
         with pytest.raises(ValueError):
@@ -368,7 +372,7 @@ class TestPinLevels:
 
     @pytest.mark.parametrize("model", [PIN_LEVEL_MODELS[0], PIN_LEVEL_MODELS[2]])
     def test_cache_rows_at_pin_nodes_are_finite(self, model):
-        table = DriftCache(model, s_min=1e-3, s_max=1.0)._table
+        table = DriftCache(model, s_min=1e-3, s_max=1.0)
         at_pins = np.isin(table.x_nodes, model.pinning.points)
         assert at_pins.sum() == len(model.pinning)
         rows = table.rows[:, at_pins]
@@ -426,6 +430,49 @@ class TestFarStates:
         assert 0.0 <= survival_probability(model, s, x, u) <= 1.0
 
 
+OBSERVER_MODELS = [ModelSpec(ExponentialLaw(1.0), PinningLaw([0.0], [1.0])),
+                   ModelSpec(GammaLaw(2.0), PinningLaw([-1.0, 0.5], [0.5, 0.5]))]
+
+
+@st.composite
+def observer_states(draw):
+    """A model with an unbounded length law, a time log-uniform from 1e-3 to
+    2.5 times its truncation point, and a value within 4 sqrt(s)."""
+    model = draw(st.sampled_from(OBSERVER_MODELS))
+    top = 2.5 * model.length.truncation_point(1e-10)
+    s = math.exp(draw(st.floats(math.log(1e-3), math.log(top))))
+    return model, s, draw(st.floats(-4.0, 4.0)) * math.sqrt(s)
+
+
+class TestObserverDomain:
+    """Every observer function returns a finite value in range, or raises
+    ``QuadratureError`` where the mixture weight has no mass (past the
+    truncation point of the length law)."""
+
+    @given(observer_states())
+    @settings(max_examples=300)
+    def test_finite_in_range_or_quadrature_error(self, state):
+        model, s, x = state
+        checks = [
+            (lambda: pin_posterior(model, s, x),
+             lambda p: np.all((p >= 0.0) & (p <= 1.0)) and abs(p.sum() - 1.0) <= 1e-12),
+            (lambda: survival_probability(model, s, x, s + 0.5), lambda p: 0.0 <= p <= 1.0),
+            (lambda: band_probability(model, s, x, 0.1), lambda p: 0.0 <= p <= 1.0),
+            (lambda: transition_law(model, s, x, s + 0.1).atoms,
+             lambda a: np.all(a >= 0.0) and a.sum() <= 1.0 + 1e-12),
+            (lambda: drift(model, s, x), math.isfinite),
+            (lambda: posterior(model, s, x).expectation(lambda r, z: r),
+             lambda m: s * (1.0 - 1e-12) <= m < math.inf),
+            (lambda: intensity_row(model, s), lambda k: np.all((k >= 0.0) & (k < math.inf))),
+        ]
+        for value, in_range in checks:
+            try:
+                result = value()
+            except QuadratureError:
+                continue
+            assert in_range(result)
+
+
 class TestDriftCache:
     def test_single_pin_interpolation_tolerance(self, single_pin_exp):
         # s_min 1e-4 is the table of the full acceptance run's
@@ -441,12 +488,20 @@ class TestDriftCache:
             cache = DriftCache(model, s_min=1e-3, s_max=1.0)
             assert cache.max_rel_error(n_probe=150) <= 2e-2
 
+    def test_bounded_law_reads_toward_the_edge(self):
+        # the drift has a pole 1/(sup - s) at the support edge; the table
+        # holds (sup - s) times the drift, so a read between the last two
+        # time nodes tracks direct quadrature
+        cache = DriftCache(UNIFORM_EDGE, 1e-3, 2.0)
+        assert cache(1.958, 1.36) == pytest.approx(drift(UNIFORM_EDGE, 1.958, 1.36), rel=0.05)
+        assert cache.max_rel_error(n_probe=150) <= 0.2
+
     def test_queries_clamp(self, single_pin_exp):
         cache = DriftCache(single_pin_exp, s_min=1e-3, s_max=1.0)
         assert np.isfinite(cache(1e-6, 0.1))
         assert np.isfinite(cache(5.0, 0.1))
-        assert cache(0.5, math.inf) == cache(0.5, cache._table.x_nodes[-1])
-        assert cache(math.inf, -math.inf) == cache(1.0, cache._table.x_nodes[0])
+        assert cache(0.5, math.inf) == cache(0.5, cache.x_nodes[-1])
+        assert cache(math.inf, -math.inf) == cache(1.0, cache.x_nodes[0])
         for s, x in ((0.5, math.nan), (math.nan, 0.1), ([0.5, 0.6], [0.1, math.nan])):
             with pytest.raises(ValueError, match="NaN"):
                 cache(s, x)
@@ -463,7 +518,7 @@ class TestDriftCache:
             make(two_pin_symmetric, s_min, s_max)
 
 
-def _synthetic_rows(s, xs):
+def _synthetic_rows(s, xs, table):
     return np.sin(3.0 * xs) * np.log(s) + xs * xs * s
 
 
@@ -472,8 +527,9 @@ _READ_TABLES = [_Table(_EXP, _synthetic_rows, 1e-3, 1.0),
                 _Table(UNIFORM_EDGE, _synthetic_rows, 0.01, 1.9)]
 # The second table's rows stacked with their negation, which reads exactly
 # as the negated read.
-_STACKED = _Table(UNIFORM_EDGE, lambda s, xs: np.stack([_synthetic_rows(s, xs),
-                                                        -_synthetic_rows(s, xs)]), 0.01, 1.9)
+_STACKED = _Table(UNIFORM_EDGE, lambda s, xs, table: np.stack([_synthetic_rows(s, xs, table),
+                                                               -_synthetic_rows(s, xs, table)]),
+                  0.01, 1.9)
 
 
 @st.composite
