@@ -93,6 +93,9 @@ class IntensityKernel:
     """
 
     def __init__(self, model, dt, horizon):
+        for name, value in (("dt", dt), ("horizon", horizon)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
         self.model = model
         sup = model.length.support_sup
         s_min = dt / 2

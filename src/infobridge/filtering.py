@@ -80,13 +80,19 @@ class PosteriorState:
     def expectation(self, g):
         """Conditional mean of ``g(length, pin)``; ``g`` must broadcast over
         an array of lengths for a scalar pin, or return a scalar; it joins
-        the quadrature weights once per pass."""
+        the quadrature weights once per pass.  Raises ``ValueError`` where
+        ``g`` returns NaN or +-inf."""
+        def finite(r, z):
+            out = g(r, z)
+            if not np.isfinite(out).all():
+                raise ValueError("g returned a value that is not finite")
+            return out
         if self.absorbed:
             tau, z = self.point_mass
-            return float(np.asarray(g(np.asarray([tau]), z)).ravel()[0])
+            return float(np.asarray(finite(np.asarray([tau]), z)).ravel()[0])
         t, probs = self.t, self._model.pinning.probs
         q = kernels.tail_integrals(self._model, t, self.observed_x,
-                                   weight=(lambda lag, z: g(t + lag, z), lambda z, x: 1.0))
+                                   weight=(lambda lag, z: finite(t + lag, z), lambda z, x: 1.0))
         return float((probs @ q.moment)[0] / kernels._normalizer(probs @ q.mass, t)[0])
 
 
@@ -301,8 +307,8 @@ class _Table:
 
     def __init__(self, model, quantity, s_min, s_max):
         sup = model.support_sup
-        if not (0.0 < s_min < s_max <= sup):
-            raise ValueError("need 0 < s_min < s_max within the length support")
+        if not (0.0 < s_min < s_max <= sup and s_max < math.inf):
+            raise ValueError("need 0 < s_min < s_max < inf within the length support")
         self.model, self._quantity = model, quantity
         self.s_min = s_min
         self.s_max = hi = min(s_max, sup * (1.0 - 1e-9))
@@ -321,13 +327,22 @@ class _Table:
         xc = np.clip(x, self.x_nodes[0], self.x_nodes[-1])
         if np.isnan(ls + xc).any():  # both are finite once clamped, unless NaN
             raise ValueError("table read at a NaN time or value")
+        n = self.x_nodes.size
         i = np.clip(np.searchsorted(self._ls, ls) - 1, 0, self._ls.size - 2)
-        j = np.clip(np.searchsorted(self.x_nodes, xc) - 1, 0, self.x_nodes.size - 2)
+        j = np.clip(np.searchsorted(self.x_nodes, xc) - 1, 0, n - 2)
         ws = (ls - self._ls[i]) / (self._ls[i + 1] - self._ls[i])
         wx = (xc - self.x_nodes[j]) / (self.x_nodes[j + 1] - self.x_nodes[j])
-        t = self.rows
-        out = ((1 - ws) * (1 - wx) * t[..., i, j] + ws * (1 - wx) * t[..., i + 1, j]
-               + (1 - ws) * wx * t[..., i, j + 1] + ws * wx * t[..., i + 1, j + 1])
+        # corners (i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1) of the flat
+        # rows, summed in place: a read of many paths holds few arrays its size
+        corner, flat = i * n + j, self.rows.reshape(*self.rows.shape[:-2], -1)
+        del i, j, ls, xc
+        vs, vx = 1 - ws, 1 - wx
+        out = np.take(flat, corner, axis=-1)
+        out *= vs * vx
+        for step, a, b in ((n, ws, vx), (1, vs, wx), (n + 1, ws, wx)):
+            term = np.take(flat, corner + step, axis=-1)
+            term *= a * b
+            out += term
         return out if self._edge is None else out / (self._edge - sc)
 
     def max_rel_error(self, n_probe):

@@ -37,10 +37,15 @@ pass unchecked, as their interpolation error dominates.  Exponents are
 rescaled by their maximum before exponentiation, and the observed values go
 in blocks of at most 2**20 exponent cells, so nothing overflows and
 temporaries stay small; cells below -746, where ``exp`` is exactly 0.0 but
-slow, are set to 0.0 without it.  A moment's weight is ``w(lag, z) c(z, x)``:
-``w`` joins the panel weights and ``c`` multiplies the panel sums before the
-check, so a moment on a pin level settles although the integral of ``w``
-may diverge there.
+slow, are set to 0.0 without it, and so are whole panels: a value skips
+those where z^2/(2 r_lo) - (z - x)^2/(2 lag_hi), a bound of their exponents
+from the panel's edges, lies more than 746 below its largest exponent at a
+panel's centre node.  Both come from the cells' own monotone operations, so
+only cells that would be 0.0 are skipped and the scale stays; sums move in
+the last bit only, where BLAS blocks a group of values (by window start)
+differently.  A moment's weight is ``w(lag, z) c(z, x)``: ``w`` joins the
+panel weights and ``c`` multiplies the panel sums before the check, so a
+moment on a pin level settles although the integral of ``w`` may diverge.
 
 All functions here are pure; they can be called from any number of workers
 with no shared mutable state.
@@ -76,6 +81,7 @@ _MAX_PANELS = 1920
 _TRUNCATION_MASS = 1e-10
 _CELLS = 2 ** 20  # exponent cells per block of x, so that the temporaries stay small
 _UNDERFLOW = -746.0  # exp(e) is exactly 0.0 for every e below -745.14
+_GROUPS = 8  # groups of observed values by window start, each on its own panel range
 
 # QUADPACK qk21: the Kronrod abscissae in [0, 1), descending to the centre,
 # every second one an abscissa of the 10-point Gauss rule; their Kronrod
@@ -101,6 +107,7 @@ _WG[1::2] = [0.066671344308688137593568809893332, 0.1494513491505805931457763396
 #: The 21 nodes on [-1, 1], ascending, and one row of weights per rule:
 #: Kronrod, then Gauss.
 _UNIT_NODES = np.concatenate((-_XGK, _XGK[-2::-1]))
+_UNIT_OFFSETS = _UNIT_NODES + 1.0  # the nodes from each panel's lower edge, in half widths
 _UNIT_WEIGHTS = np.stack([np.concatenate((w, w[-2::-1])) for w in (_WGK, _WG)])
 
 
@@ -164,9 +171,19 @@ def _panel_rule(edges):
     their weights: one row per rule, Kronrod then the embedded Gauss."""
     lo = edges[:-1, None]
     half = 0.5 * (edges[1:, None] - lo)
-    nodes = lo + half * (_UNIT_NODES + 1.0)
+    nodes = lo + half * _UNIT_OFFSETS
     weights = half * _UNIT_WEIGHTS[:, None, :]
     return nodes.ravel(), weights.reshape(len(_UNIT_WEIGHTS), -1)
+
+
+def _ladder(v_hi):
+    """``np.geomspace(1e-9 * v_hi, v_hi, 30)`` bit for bit, without the
+    argument handling that costs a one-value query most of its set-up."""
+    lo = 1e-9 * v_hi
+    a, b = np.log10(lo), np.log10(v_hi)
+    out = np.power(10.0, np.arange(_BASE_PANELS, dtype=float) * ((b - a) / (_BASE_PANELS - 1)) + a)
+    out[0], out[-1] = lo, v_hi
+    return out
 
 
 def _tail_edges(law, s, upper, uppers):
@@ -177,8 +194,8 @@ def _tail_edges(law, s, upper, uppers):
         return np.zeros(1)
     v_lo, v_hi = math.sqrt(max(law.support_inf - s, 0.0)), math.sqrt(upper - s)
     cuts = [math.sqrt(b - s) for b in (*law.breakpoints, *uppers) if s < b < upper]
-    edges = np.union1d(np.geomspace(1e-9 * v_hi, v_hi, _BASE_PANELS), [0.0, v_lo, *cuts])
-    return edges[edges >= v_lo]
+    edges = np.sort(np.concatenate((_ladder(v_hi), (0.0, v_lo, *cuts))))
+    return edges[(edges >= v_lo) & np.concatenate(([True], edges[1:] != edges[:-1]))]
 
 
 class TailIntegrals(NamedTuple):
@@ -192,12 +209,32 @@ class TailIntegrals(NamedTuple):
     tail: np.ndarray  #: (n_uppers, n_pins, n_x): over (u_k, inf)
 
 
+def _window(s, x, edges, points, lag, pull):
+    """Per observed value, the first and one past the last panel that can
+    hold an exponent within 746 of its top, from ``lag`` and ``pull`` at the
+    nodes as :func:`_evaluate` forms them (see the module's docstring)."""
+    z, centre, n_panels = points[:, None, None], _UNIT_NODES.size // 2, edges.size - 1
+    bound_pull, panel = z * z / (2.0 * (s + edges[:-1, None] ** 2)), np.arange(n_panels)[:, None]
+    first, last = np.empty(x.size, dtype=int), np.empty(x.size, dtype=int)
+    rows = max(1, _CELLS // (pull.size + 1))
+    for lo in range(0, x.size, rows):
+        block = slice(lo, lo + rows)
+        d2 = (z - x[block]) ** 2
+        bound = (bound_pull - d2 / (2.0 * edges[1:, None] ** 2)).max(axis=0, initial=-np.inf)
+        top = (pull[:, :, centre] - d2 / (2.0 * lag[:, centre])).max(axis=(0, 1), initial=-np.inf)
+        keep = ~(bound - top < _UNDERFLOW)
+        first[block] = np.where(keep, panel, n_panels).min(axis=0, initial=n_panels)
+        last[block] = np.where(keep, panel + 1, 0).max(axis=0, initial=0)
+    return first, last
+
+
 def _evaluate(law, s, x, edges, points, weight):
     """Exponent scale ``(n_x,)`` and the scaled sums ``(n_rules, 1 [+ 1],
     n_pins, n_panels, n_x)`` over the 21 nodes of every panel between
-    ``edges``: per rule each panel's mass and, given a weight, moment."""
+    ``edges``: per rule each panel's mass and, given a weight, moment; each
+    group of values by :func:`_window` start on the panels its windows span."""
     v, w = _panel_rule(edges)
-    n_pins, n_panels, n_nodes = len(points), edges.size - 1, _UNIT_NODES.size
+    n_panels, n_nodes = edges.size - 1, _UNIT_NODES.size
     r = s + v * v
     f = law.pdf(r)
     # One (n_rules, 21) block of weights per panel, so that one batched
@@ -207,30 +244,39 @@ def _evaluate(law, s, x, edges, points, weight):
     lag, r = (v * v).reshape(n_panels, n_nodes, 1), r.reshape(n_panels, n_nodes, 1)
     # The moment's w(lag, z) joins the panel weights, once per pin and pass.
     w_moment, c_moment = weight or (None, None)
-    moment = [] if weight is None else [base * w_moment(lag.transpose(0, 2, 1), z) for z in points]
+    moment, c = (None, None) if weight is None else (
+        np.stack([base * w_moment(lag.transpose(0, 2, 1), z) for z in points]),
+        np.stack([np.broadcast_to(c_moment(z, x), x.shape) for z in points])[:, None, None])
     # Nodes outside the support must not set the exponent scale: the
     # integrand vanishes there however large the exponent.
-    dead = (f == 0.0).reshape(lag.shape)
-    sums = np.empty((len(w), 1 + (weight is not None), n_pins, n_panels, x.size))
+    z = points[:, None, None, None]
+    pull = np.where(f.reshape(lag.shape) == 0.0, -np.inf, z * z / (2.0 * r))
+    first, last = _window(s, x, edges, points, lag, pull)
+    sums = np.zeros((len(w), 1 + (weight is not None), len(points), n_panels, x.size))
     scale = np.empty(x.size)
-    rows = max(1, _CELLS // (n_pins * v.size + 1))
-    for lo in range(0, x.size, rows):
-        block = slice(lo, lo + rows)
-        expo = np.empty((n_pins, n_panels, n_nodes, x[block].size))
-        for i, z in enumerate(points):
-            np.divide((z - x[block]) ** 2, 2.0 * lag, out=expo[i])
-            np.subtract(np.where(dead, -np.inf, z * z / (2.0 * r)), expo[i], out=expo[i])
-        top = expo.max(axis=(0, 1, 2), initial=-np.inf)
-        scale[block] = top = np.where(np.isfinite(top), top, 0.0)
-        with np.errstate(under="ignore"):
-            for i, z in enumerate(points):
-                g = np.subtract(expo[i], top, out=expo[i])
-                live = g >= _UNDERFLOW  # exp is slow where it rounds to 0.0
+    # one exponent buffer per call: blocks of varying size would spread the heap
+    buf = np.empty(max(min(x.size * pull.size, _CELLS), pull.size))
+    order, n_groups = np.argsort(first, kind="stable"), min(_GROUPS, x.size)
+    for k in range(n_groups):
+        group = order[k * x.size // n_groups:(k + 1) * x.size // n_groups]
+        p = slice(first[group].min(), last[group].max())
+        rows = max(1, _CELLS // (pull[:, p].size + 1))
+        for lo in range(0, group.size, rows):
+            block = group[lo:lo + rows]
+            expo = buf[:pull[:, p].size * block.size].reshape(len(points), -1, n_nodes, block.size)
+            np.divide((z - x[block]) ** 2, 2.0 * lag[p], out=expo)
+            np.subtract(pull[:, p], expo, out=expo)
+            top = expo.max(axis=(0, 1, 2), initial=-np.inf)
+            scale[block] = top = np.where(np.isfinite(top), top, 0.0)
+            g = np.subtract(expo, top, out=expo)
+            live = g >= _UNDERFLOW  # exp is slow where it rounds to 0.0
+            with np.errstate(under="ignore"):
                 np.exp(g, out=g, where=live)
-                np.copyto(g, 0.0, where=~live)
-                sums[:, 0, i, :, block] = np.moveaxis(base @ g, 1, 0)
-                if moment:
-                    sums[:, 1, i, :, block] = np.moveaxis(moment[i] @ g, 1, 0) * c_moment(z, x[block])
+            np.copyto(g, 0.0, where=~live)
+            sums[:, 0, :, p][..., block] = (base[p] @ g).transpose(2, 0, 1, 3)
+            if moment is not None:
+                weighted = (moment[:, p] @ g) * c[..., block]
+                sums[:, 1, :, p][..., block] = weighted.transpose(2, 0, 1, 3)
     return scale, sums
 
 
@@ -281,9 +327,10 @@ def tail_integrals(model, s, x, *, uppers=(), weight=None, table=False):
         The moment's integrand factor ``w(lag, z_i) * c(z_i, x)``.  ``w`` is
         called once per pass with ``lag = r - s`` over the nodes, shaped
         ``(n_panels, 1, 21)``, and joins the panel weights; a scalar result
-        broadcasts.  ``c`` is called with (a block of) the observed values and
-        multiplies every panel's sums before they are checked, so a moment
-        settles on a pin level even where the integral of ``w`` diverges.
+        broadcasts.  ``c`` is called once per pin and pass with the observed
+        values and multiplies every panel's sums before they are checked, so
+        a moment settles on a pin level even where the integral of ``w``
+        diverges.
     table : bool
         Return the first pass unchecked, for interpolation tables.
 

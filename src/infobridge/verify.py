@@ -273,10 +273,10 @@ _SCALES = {
 @dataclass
 class VerificationContext:
     """The suite's master seed and scale, its cached ensemble reductions and
-    its one band table (:attr:`band_ladder`): ``fast`` picks the row of the
-    two scales whose values become attributes (``dt_fine``,
-    ``n_compensator``, ``n_terminal``, ``n_bridge``, ``n_brownian``,
-    ``n_quadratic``)."""
+    its two seed-free tables (:attr:`band_ladder`, :attr:`qv_drift`):
+    ``fast`` picks the row of the two scales whose values become attributes
+    (``dt_fine``, ``n_compensator``, ``n_terminal``, ``n_bridge``,
+    ``n_brownian``, ``n_quadratic``)."""
 
     master_seed: int = 20260810
     fast: bool = False
@@ -330,6 +330,7 @@ class VerificationContext:
     dt = 1e-3  # grid step of the compensator and bridge products; not a field
     AH_LADDER = (0.1, 0.03, 0.01)
     AH_T = 1.0  # time of the resolvent approximations, one of EXP_PROBES
+    QV_HORIZON = 1.0  # horizon of the quadratic-variation paths
     EXP_PROBES = (0.5, 1.0, 2.0)
     UNI_PROBES = (0.5, 1.0, 2.0)
     FRAK_PROBES = (0.8, 1.2, 1.8)
@@ -354,6 +355,11 @@ class VerificationContext:
         """The band table of ``meyer_refinement``, free of the seed: built once."""
         return filtering.BandProbabilityCache(self.model_single_pin(), self.AH_LADDER,
                                               s_min=self.dt, s_max=self.AH_T)
+
+    @functools.cached_property
+    def qv_drift(self):
+        """The drift table of ``quadratic_variation``, free of the seed: built once."""
+        return filtering.DriftCache(self.model_single_pin(), self.dt_fine, self.QV_HORIZON)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +410,9 @@ def criterion_quadratic_variation(ctx, attempt):
     seed = ctx.seed_for("qv", attempt)
     model = ctx.model_single_pin()
     dt = ctx.dt_fine
-    horizon = 1.0
+    horizon = ctx.QV_HORIZON
     probes = (0.25, 0.5, 1.0)
     idx = _probe_indices(probes, dt)
-    cache = filtering.DriftCache(model, s_min=dt, s_max=horizon)
     qv_x = []
     qv_i = []
     clocks = []
@@ -418,7 +423,7 @@ def criterion_quadratic_variation(ctx, attempt):
         qv_x.append(cum[:, idx])
         innov = np.empty_like(ens.values)
         for i in range(len(ens)):
-            innov[i] = filtering.innovation_path(model, ens.path(i), drift_fn=cache)
+            innov[i] = filtering.innovation_path(model, ens.path(i), drift_fn=ctx.qv_drift)
         di2 = np.diff(innov, axis=1) ** 2
         cumi = np.zeros_like(innov)
         np.cumsum(di2, axis=1, out=cumi[:, 1:])

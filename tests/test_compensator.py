@@ -84,6 +84,16 @@ class TestIntensityKernel:
         with pytest.raises(ValueError):
             intensity_row(two_pin_symmetric, 2.5)
 
+    @pytest.mark.parametrize("model", ["single_pin_exp", "two_pin_symmetric"])
+    @pytest.mark.parametrize("name,dt,horizon", [
+        *[("dt", bad, 2.0) for bad in (math.inf, math.nan, 0.0, -1e-3)],
+        *[("horizon", 1e-3, bad) for bad in (math.inf, math.nan, 0.0, -2.0)],
+    ])
+    def test_step_and_horizon_checked(self, request, model, name, dt, horizon):
+        # one error naming the argument, before any row is built
+        with pytest.raises(ValueError, match=f"^{name} must be finite and strictly positive"):
+            IntensityKernel(request.getfixturevalue(model), dt, horizon)
+
     def test_infinite_times_clamp_and_nan_raises(self, single_pin_exp):
         kern = IntensityKernel(single_pin_exp, dt=1e-3, horizon=2.0)
         np.testing.assert_array_equal(kern([-math.inf, math.inf]),

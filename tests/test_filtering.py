@@ -136,6 +136,14 @@ class TestPosterior:
         state = posterior(two_pin_symmetric, t=0.8, x=0.0)
         assert state.pin_probs[0] == pytest.approx(0.5, abs=1e-14)
 
+    @pytest.mark.parametrize("absorbed", [False, True])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_expectation_of_a_non_finite_g_raises(self, absorbed, bad):
+        # live, g is bad past r = 1.5 only; absorbed, at the point mass
+        state = posterior(UNIFORM_EDGE, 1.0, -1.0 if absorbed else 0.3, absorbed=absorbed)
+        with pytest.raises(ValueError, match="not finite"):
+            state.expectation(lambda r, z: np.where((r > 1.5) | absorbed, bad, 1.0))
+
     def test_expectation_of_constant(self, two_pin_asymmetric):
         state = posterior(two_pin_asymmetric, t=0.5, x=0.2)
         assert state.expectation(lambda r, z: np.ones_like(r)) == pytest.approx(1.0, rel=1e-9)
@@ -473,6 +481,10 @@ class TestObserverDomain:
             assert in_range(result)
 
 
+_TABLE_MAKERS = [lambda model, s_min, s_max: DriftCache(model, s_min, s_max),
+                 lambda model, s_min, s_max: BandProbabilityCache(model, 0.1, s_min, s_max)]
+
+
 class TestDriftCache:
     def test_single_pin_interpolation_tolerance(self, single_pin_exp):
         # s_min 1e-4 is the table of the full acceptance run's
@@ -506,16 +518,18 @@ class TestDriftCache:
             with pytest.raises(ValueError, match="NaN"):
                 cache(s, x)
 
-    @pytest.mark.parametrize("make", [
-        lambda model, s_min, s_max: DriftCache(model, s_min, s_max),
-        lambda model, s_min, s_max: BandProbabilityCache(model, 0.1, s_min, s_max),
-    ], ids=["drift", "band"])
+    @pytest.mark.parametrize("make", _TABLE_MAKERS, ids=["drift", "band"])
     @pytest.mark.parametrize("s_min,s_max", [(1.0, 0.5), (0.0, 1.0), (0.5, 2.5)])
     def test_time_range_checked(self, two_pin_symmetric, make, s_min, s_max):
         # a descending range, a zero start and an end past the support
         # (sup 2) are rejected by both tables before any row is filled
         with pytest.raises(ValueError, match="need 0 < s_min < s_max"):
             make(two_pin_symmetric, s_min, s_max)
+
+    @pytest.mark.parametrize("make", _TABLE_MAKERS, ids=["drift", "band"])
+    def test_infinite_end_rejected_on_an_unbounded_law(self, single_pin_exp, make):
+        with pytest.raises(ValueError, match="need 0 < s_min < s_max < inf"):
+            make(single_pin_exp, 0.1, math.inf)
 
 
 def _synthetic_rows(s, xs, table):
@@ -532,12 +546,38 @@ _STACKED = _Table(UNIFORM_EDGE, lambda s, xs, table: np.stack([_synthetic_rows(s
                   0.01, 1.9)
 
 
+class _PoleTable(_Table):
+    _edge_pole = True
+
+
+# A table divided by sup - s on read, and a ladder of three widths as the
+# A^h band table has.
+_POLE = _PoleTable(UNIFORM_EDGE, _synthetic_rows, 0.01, 1.9)
+_LADDER = _Table(_EXP, lambda s, xs, table: np.stack([_synthetic_rows(s, xs, table) * h
+                                                      for h in (0.1, 0.03, 0.01)]), 1e-3, 1.0)
+
+
+def _bilinear(table, s, x):
+    """The four-corner formula of the tables' reads, with one temporary per
+    term, as the reference of the in-place read."""
+    sc = np.clip(s, table.s_nodes[0], table.s_nodes[-1])
+    ls, xc = np.log(sc), np.clip(x, table.x_nodes[0], table.x_nodes[-1])
+    i = np.clip(np.searchsorted(table._ls, ls) - 1, 0, table._ls.size - 2)
+    j = np.clip(np.searchsorted(table.x_nodes, xc) - 1, 0, table.x_nodes.size - 2)
+    ws = (ls - table._ls[i]) / (table._ls[i + 1] - table._ls[i])
+    wx = (xc - table.x_nodes[j]) / (table.x_nodes[j + 1] - table.x_nodes[j])
+    t = table.rows
+    out = ((1 - ws) * (1 - wx) * t[..., i, j] + ws * (1 - wx) * t[..., i + 1, j]
+           + (1 - ws) * wx * t[..., i, j + 1] + ws * wx * t[..., i + 1, j + 1])
+    return out if table._edge is None else out / (table._edge - sc)
+
+
 @st.composite
-def table_reads(draw):
+def table_reads(draw, tables=tuple(_READ_TABLES)):
     """A table and query points below ``s_min``, past ``s_max`` and
     log-uniform in between, with values up to 20 away (past the table's
     space nodes)."""
-    table = draw(st.sampled_from(_READ_TABLES))
+    table = draw(st.sampled_from(tables))
     lo, hi = math.log(table.s_min), math.log(table.s_max)
     times = st.one_of(st.floats(lo + math.log(1e-3), lo).map(math.exp),
                       st.floats(hi, hi + math.log(3.0)).map(math.exp),
@@ -580,6 +620,14 @@ class TestTableRead:
             table(s, x)
         with pytest.raises(ValueError, match="NaN"):
             _STACKED(s, x)
+
+    @given(table_reads([*_READ_TABLES, _STACKED, _POLE, _LADDER]))
+    @settings(max_examples=200)
+    def test_read_is_the_bilinear_formula_bit_for_bit(self, case):
+        table, s, x = case
+        assert table(s, x).tobytes() == _bilinear(table, s, x).tobytes()
+        assert np.asarray(table(s[0], x[0])).tobytes() == np.asarray(
+            _bilinear(table, s[0], x[0])).tobytes()
 
     @given(table_reads())
     def test_stacked_rows_keep_their_leading_axis(self, case):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import riemann
@@ -348,6 +348,91 @@ class TestUnderflowSkip:
     def test_floor_is_below_the_last_subnormal(self):
         assert math.exp(kernels._UNDERFLOW) == 0.0
         assert math.exp(kernels._UNDERFLOW + 1.0) > 0.0  # not far below it
+
+
+WINDOW_MODELS = [
+    ModelSpec(ExponentialLaw(1.0), PinningLaw([0.0], [1.0])),
+    ModelSpec(UniformLaw(0.5, 2.0), PinningLaw([-1.0, 2.0], [0.6, 0.4])),
+    ModelSpec(GammaLaw(2.0), PinningLaw([-1.0, 0.5], [0.3, 0.7])),
+    ModelSpec(GammaLaw(0.5, 2.0), PinningLaw([0.0, 3.0], [0.5, 0.5])),
+    ModelSpec(TruncatedExponentialLaw(1.0, 3.0), PinningLaw([-1.0, 1.0], [0.5, 0.5])),
+]
+
+
+@st.composite
+def window_states(draw):
+    """A model, a time log-uniform in [1e-4, 0.95 sup] (sup taken as 8 for an
+    unbounded law), 1 to 40 observed values up to 4 sqrt(s) beyond the
+    farthest pin, up to three band edges, the drift's weight or none, and
+    the first or the checked pass."""
+    model = draw(st.sampled_from(WINDOW_MODELS))
+    s = math.exp(draw(st.floats(math.log(1e-4), math.log(0.95 * min(model.support_sup, 8.0)))))
+    reach = 4.0 * math.sqrt(s) + float(np.max(np.abs(model.pinning.points)))
+    x = draw(st.lists(st.floats(-reach, reach), min_size=1, max_size=40))
+    widths = draw(st.lists(st.floats(1e-6, 3.0), max_size=3))
+    return model, s, np.array(x), s + np.sort(widths), draw(st.booleans()), draw(st.booleans())
+
+
+def _dense_window(s, x, edges, *nodes):
+    return np.zeros(x.size, dtype=int), np.full(x.size, edges.size - 1)
+
+
+class TestWindow:
+    """Each observed value is evaluated on its window of panels only: every
+    cell left out is one that the dense evaluation sets to 0.0, so the sums
+    move only where BLAS rounds a group's columns differently."""
+
+    @given(window_states())
+    @settings(max_examples=300)
+    # next to the pin: the drift refines, and the refined passes have windows too
+    @example((WINDOW_MODELS[0], 0.5, np.array([1e-10, 0.3, -2.5]), np.array([0.6]), True, False))
+    def test_skipped_cells_underflow_and_sums_match_dense(self, state):
+        model, s, x, uppers, weighted, table = state
+        weight = (lambda lag, z: 1.0 / lag, lambda z, x: z - x) if weighted else None
+        window, windows = kernels._window, []
+
+        def recording(*args):
+            windows.append((args[1], args[2], *window(*args)))
+            return windows[-1][2:]
+
+        results = []
+        for spy in (recording, _dense_window):
+            with mock.patch.object(kernels, "_window", spy):
+                try:
+                    results.append(tail_integrals(model, s, x, uppers=uppers, weight=weight,
+                                                  table=table))
+                except QuadratureError:
+                    results.append(None)
+        windowed, dense = results
+        assert (windowed is None) == (dense is None)
+        if dense is not None:
+            np.testing.assert_array_equal(windowed.scale, dense.scale)
+            for a, b in zip(windowed, dense):
+                if b is not None:
+                    np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-300)
+        # the dense exponents, formed here, of every pass
+        law, points = model.length, model.pinning.points
+        for xs, edges, first, last in windows:
+            v, _ = kernels._panel_rule(edges)
+            r, lag = s + v * v, v * v
+            expo = np.stack([np.where(law.pdf(r) == 0.0, -np.inf, z * z / (2.0 * r))[:, None]
+                             - (z - xs) ** 2 / (2.0 * lag)[:, None] for z in points])
+            top = expo.max(axis=(0, 1))
+            g = expo - np.where(np.isfinite(top), top, 0.0)
+            g = g.reshape(len(points), edges.size - 1, -1, xs.size).max(axis=(0, 2))
+            panel = np.arange(edges.size - 1)[:, None]
+            skipped = (panel < first) | (panel >= last)
+            assert np.all(g[skipped] < kernels._UNDERFLOW)
+
+
+class TestLadder:
+    def test_ladder_is_geomspace_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        tops = np.concatenate((np.exp(rng.uniform(-25.0, 25.0, 10_000)),
+                               rng.uniform(1e-3, 8.0, 10_000)))
+        differ = [v for v in map(float, tops)
+                  if kernels._ladder(v).tobytes() != np.geomspace(1e-9 * v, v, 30).tobytes()]
+        assert differ == []
 
 
 class TestNonFiniteInput:

@@ -196,6 +196,25 @@ class TestResolventApproximations:
             assert report.seed == ctx.seed_for("expA", attempt)
         assert len(builds) == 1
 
+    def test_drift_table_built_once(self, monkeypatch):
+        # the quadratic-variation drift table is seed-free too
+        ctx = VerificationContext(master_seed=3, fast=True)
+        builds = []
+
+        class Counting:
+            def __init__(self, model, s_min, s_max):
+                builds.append((s_min, s_max))
+
+            def __call__(self, s, x):
+                return np.zeros(np.shape(x))
+
+        monkeypatch.setattr(filtering, "DriftCache", Counting)
+        monkeypatch.setattr(ctx, "n_quadratic", 20)
+        for attempt in range(4):
+            report = verify.criterion_quadratic_variation(ctx, attempt)
+            assert report.seed == ctx.seed_for("qv", attempt)
+        assert builds == [(ctx.dt_fine, 1.0)]
+
 
 class TestMartingaleExpectation:
     def test_unbiased_ensemble_passes(self):
