@@ -34,18 +34,28 @@ its own once the two agree on every per-pin mass, band, tail and moment
 whose own error breaks its 1/n_panels share of a failing tolerance, up to
 1,920 panels.  The drift and band tables (``table=True``) take the first
 pass unchecked, as their interpolation error dominates.  Exponents are
-rescaled by their maximum before exponentiation, and the observed values go
-in blocks of at most 2**20 exponent cells, so nothing overflows and
-temporaries stay small; cells below -746, where ``exp`` is exactly 0.0 but
-slow, are set to 0.0 without it, and so are whole panels: a value skips
-those where z^2/(2 r_lo) - (z - x)^2/(2 lag_hi), a bound of their exponents
-from the panel's edges, lies more than 746 below its largest exponent at a
-panel's centre node.  Both come from the cells' own monotone operations, so
-only cells that would be 0.0 are skipped and the scale stays; sums move in
-the last bit only, where BLAS blocks a group of values (by window start)
-differently.  A moment's weight is ``w(lag, z) c(z, x)``: ``w`` joins the
-panel weights and ``c`` multiplies the panel sums before the check, so a
-moment on a pin level settles although the integral of ``w`` may diverge.
+rescaled by their maximum before exponentiation, so nothing overflows;
+cells below -746, where ``exp`` is exactly 0.0 but slow, are set to 0.0
+without it.  A pass of more than 8 values (``_GROUPS``) goes in blocks of
+at most 2**20 exponent cells, so that temporaries stay small, and skips
+whole panels the same way: a value skips those where
+z^2/(2 r_lo) - (z - x)^2/(2 lag_hi), a bound of their exponents from the
+panel's edges, lies more than 746 below its largest exponent at a panel's
+centre node.  Both come from the cells' own monotone operations, so only
+cells that would be 0.0 are skipped and the scale stays; sums move in the
+last bit only, where BLAS blocks a group of values (by window start)
+differently.  A pass of at most 8 values, every scalar query among them, is
+one block over every panel, at most 8 times one value's cells: each value
+would be a group of its own, and every cell its window leaves out is 0.0 in
+the block too, so the scale and the panel sums are those of the windows.
+The block's cells go (value, pin, panel, node), so every panel sum is the
+same matrix-vector product as for one value alone and no value moves; only
+a pin's moment that is exactly 0 may change its sign.  Such a pass skips
+the window bounds, the sort and the group loop, which cost a one-value
+query time and saved it none.  A moment's weight is
+``w(lag, z) c(z, x)``: ``w`` joins the panel weights and ``c`` multiplies
+the panel sums before the check, so a moment on a pin level settles
+although the integral of ``w`` may diverge.
 
 All functions here are pure; they can be called from any number of workers
 with no shared mutable state.
@@ -53,6 +63,7 @@ with no shared mutable state.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -107,7 +118,7 @@ _WG[1::2] = [0.066671344308688137593568809893332, 0.1494513491505805931457763396
 #: The 21 nodes on [-1, 1], ascending, and one row of weights per rule:
 #: Kronrod, then Gauss.
 _UNIT_NODES = np.concatenate((-_XGK, _XGK[-2::-1]))
-_UNIT_OFFSETS = _UNIT_NODES + 1.0  # the nodes from each panel's lower edge, in half widths
+_UNIT_OFFSETS = 0.5 * (_UNIT_NODES + 1.0)  # the nodes from each panel's lower edge, in widths
 _UNIT_WEIGHTS = np.stack([np.concatenate((w, w[-2::-1])) for w in (_WGK, _WG)])
 
 
@@ -168,12 +179,11 @@ def bridge_marginal_density(t, r, z, x):
 
 def _panel_rule(edges):
     """Kronrod nodes on the panels delimited by ``edges``, ascending, and
-    their weights: one row per rule, Kronrod then the embedded Gauss."""
+    their weights ``(n_panels, n_rules, 21)`` for twice the integral (the 2
+    of the Jacobian 2v of r = s + v^2): Kronrod, then the embedded Gauss."""
     lo = edges[:-1, None]
-    half = 0.5 * (edges[1:, None] - lo)
-    nodes = lo + half * _UNIT_OFFSETS
-    weights = half * _UNIT_WEIGHTS[:, None, :]
-    return nodes.ravel(), weights.reshape(len(_UNIT_WEIGHTS), -1)
+    width = edges[1:, None] - lo
+    return (lo + width * _UNIT_OFFSETS).ravel(), width[:, None] * _UNIT_WEIGHTS
 
 
 def _ladder(v_hi):
@@ -193,9 +203,23 @@ def _tail_edges(law, s, upper, uppers):
     if s >= upper:
         return np.zeros(1)
     v_lo, v_hi = math.sqrt(max(law.support_inf - s, 0.0)), math.sqrt(upper - s)
-    cuts = [math.sqrt(b - s) for b in (*law.breakpoints, *uppers) if s < b < upper]
-    edges = np.sort(np.concatenate((_ladder(v_hi), (0.0, v_lo, *cuts))))
-    return edges[(edges >= v_lo) & np.concatenate(([True], edges[1:] != edges[:-1]))]
+    ladder = _ladder(v_hi)
+    if v_lo >= ladder[0]:
+        ladder = ladder[ladder > v_lo]
+    cuts = [c for c in {math.sqrt(b - s) for b in (*law.breakpoints, *uppers) if s < b < upper}
+            if c > v_lo]
+    return _merged(np.concatenate(((v_lo,), ladder)), cuts)
+
+
+def _merged(edges, more):
+    """The sorted union of ascending unique ``edges`` and ``more``: what
+    ``np.union1d`` returns, without its overhead."""
+    if not len(more):
+        return edges
+    out = np.concatenate((edges, more))
+    out.sort()
+    new = out[1:] != out[:-1]
+    return out if new.all() else out[np.concatenate(([True], new))]
 
 
 class TailIntegrals(NamedTuple):
@@ -228,54 +252,79 @@ def _window(s, x, edges, points, lag, pull):
     return first, last
 
 
+def _scaled_exp(pull, lag, d, out, axes):
+    """Per value the largest exponent cell ``pull - d^2 / (2 lag)`` (0 where
+    none is finite), taken over ``axes``, and in ``out`` the cells'
+    exponentials after that shift.  Cells below -746 are set to 0.0 without
+    ``exp``, which is slow where it rounds to 0.0."""
+    np.divide(d ** 2, 2.0 * lag, out=out)
+    np.subtract(pull, out, out=out)
+    top = out.max(axis=axes, keepdims=True, initial=-np.inf)
+    top[~np.isfinite(top)] = 0.0
+    g = np.subtract(out, top, out=out)
+    live = g >= _UNDERFLOW
+    with np.errstate(under="ignore"):
+        np.exp(g, out=g, where=live)
+    np.copyto(g, 0.0, where=~live)
+    return top.ravel(), g
+
+
 def _evaluate(law, s, x, edges, points, weight):
     """Exponent scale ``(n_x,)`` and the scaled sums ``(n_rules, 1 [+ 1],
     n_pins, n_panels, n_x)`` over the 21 nodes of every panel between
-    ``edges``: per rule each panel's mass and, given a weight, moment; each
-    group of values by :func:`_window` start on the panels its windows span."""
+    ``edges``: per rule each panel's mass and, given a weight, moment.  At
+    most ``_GROUPS`` values go as one block over every panel; more go in
+    groups by :func:`_window` start, each on the panels its windows span."""
     v, w = _panel_rule(edges)
-    n_panels, n_nodes = edges.size - 1, _UNIT_NODES.size
-    r = s + v * v
+    n_panels, n_nodes, n_pins = edges.size - 1, _UNIT_NODES.size, points.size
+    lag = v * v
+    r = s + lag
     f = law.pdf(r)
     # One (n_rules, 21) block of weights per panel, so that one batched
     # matmul sums every panel; the Jacobian 2v cancels the 1/v.
-    base = (2.0 * np.sqrt(r) * f * w).reshape(len(w), n_panels, n_nodes)
-    base = np.ascontiguousarray(base.transpose(1, 0, 2))
-    lag, r = (v * v).reshape(n_panels, n_nodes, 1), r.reshape(n_panels, n_nodes, 1)
-    # The moment's w(lag, z) joins the panel weights, once per pin and pass.
-    w_moment, c_moment = weight or (None, None)
-    moment, c = (None, None) if weight is None else (
-        np.stack([base * w_moment(lag.transpose(0, 2, 1), z) for z in points]),
-        np.stack([np.broadcast_to(c_moment(z, x), x.shape) for z in points])[:, None, None])
+    base = (np.sqrt(r) * f).reshape(n_panels, 1, n_nodes) * w
+    lag, r = lag.reshape(n_panels, n_nodes, 1), r.reshape(n_panels, n_nodes, 1)
+    # The moment's w(lag, z) joins the panel weights, once per pin and pass,
+    # and c(z, x) multiplies the panel sums.
+    moment = c = None
+    if weight is not None:
+        w_moment, c_moment = weight
+        moment, c = np.empty((n_pins,) + base.shape), np.empty((n_pins, x.size))
+        for i, zi in enumerate(points):
+            np.multiply(base, w_moment(lag.transpose(0, 2, 1), zi), out=moment[i])
+            c[i] = c_moment(zi, x)
     # Nodes outside the support must not set the exponent scale: the
     # integrand vanishes there however large the exponent.
     z = points[:, None, None, None]
     pull = np.where(f.reshape(lag.shape) == 0.0, -np.inf, z * z / (2.0 * r))
+    sums = np.zeros((len(_UNIT_WEIGHTS), 1 + (weight is not None), n_pins, n_panels, x.size))
+    if x.size <= _GROUPS:
+        # Each value would be a group of its own, and every cell its window
+        # leaves out is 0.0 here too.  The cells go (value, pin, panel, node),
+        # so that every panel sum is the same matrix-vector product for one
+        # value as for several.
+        cells = np.empty((x.size, n_pins, n_panels, n_nodes, 1))
+        scale, g = _scaled_exp(pull, lag, z - x[:, None, None, None, None], cells, (1, 2, 3, 4))
+        sums[:, 0] = (base @ g)[..., 0].transpose(3, 1, 2, 0)
+        if moment is not None:
+            sums[:, 1] = ((moment @ g)[..., 0] * c.T[:, :, None, None]).transpose(3, 1, 2, 0)
+        return scale, sums
     first, last = _window(s, x, edges, points, lag, pull)
-    sums = np.zeros((len(w), 1 + (weight is not None), len(points), n_panels, x.size))
     scale = np.empty(x.size)
     # one exponent buffer per call: blocks of varying size would spread the heap
     buf = np.empty(max(min(x.size * pull.size, _CELLS), pull.size))
-    order, n_groups = np.argsort(first, kind="stable"), min(_GROUPS, x.size)
-    for k in range(n_groups):
-        group = order[k * x.size // n_groups:(k + 1) * x.size // n_groups]
+    order = np.argsort(first, kind="stable")
+    for k in range(_GROUPS):
+        group = order[k * x.size // _GROUPS:(k + 1) * x.size // _GROUPS]
         p = slice(first[group].min(), last[group].max())
         rows = max(1, _CELLS // (pull[:, p].size + 1))
         for lo in range(0, group.size, rows):
             block = group[lo:lo + rows]
-            expo = buf[:pull[:, p].size * block.size].reshape(len(points), -1, n_nodes, block.size)
-            np.divide((z - x[block]) ** 2, 2.0 * lag[p], out=expo)
-            np.subtract(pull[:, p], expo, out=expo)
-            top = expo.max(axis=(0, 1, 2), initial=-np.inf)
-            scale[block] = top = np.where(np.isfinite(top), top, 0.0)
-            g = np.subtract(expo, top, out=expo)
-            live = g >= _UNDERFLOW  # exp is slow where it rounds to 0.0
-            with np.errstate(under="ignore"):
-                np.exp(g, out=g, where=live)
-            np.copyto(g, 0.0, where=~live)
+            expo = buf[:pull[:, p].size * block.size].reshape(n_pins, -1, n_nodes, block.size)
+            scale[block], g = _scaled_exp(pull[:, p], lag[p], z - x[block], expo, (0, 1, 2))
             sums[:, 0, :, p][..., block] = (base[p] @ g).transpose(2, 0, 1, 3)
             if moment is not None:
-                weighted = (moment[:, p] @ g) * c[..., block]
+                weighted = (moment[:, p] @ g) * c[:, None, None, block]
                 sums[:, 1, :, p][..., block] = weighted.transpose(2, 0, 1, 3)
     return scale, sums
 
@@ -284,20 +333,29 @@ def _quantities(panels, below):
     """Per rule the mass, bands, tails and moment ``(n_rules, 1 + 2 n_uppers
     [+ 1], n_pins, n_x)`` of ``panels``, ``below[k]`` of them under ``u_k``."""
     if below.size == 0:
-        return panels.sum(axis=3)
-    zero = np.zeros(panels.shape[:3] + (1, panels.shape[4]))
+        return np.add.reduce(panels, axis=3)
+    n_rules, parts, n_pins, n_panels, n_x = panels.shape
     # [p]: panels p and up (so no tail exceeds its total), and those below p.
-    down = np.concatenate((np.cumsum(panels[..., ::-1, :], axis=3)[..., ::-1, :], zero), axis=3)
-    up = np.concatenate((zero[:, 0], np.cumsum(panels[:, 0], axis=2)), axis=2)
-    return np.concatenate((down[:, :1, :, 0], np.moveaxis(up[:, :, below], 2, 1),
-                           np.moveaxis(down[:, 0, :, below], 0, 1), down[:, 1:, :, 0]), axis=1)
+    down = np.zeros(panels.shape[:3] + (n_panels + 1, n_x))
+    np.add.accumulate(panels[..., ::-1, :], axis=3, out=down[..., :n_panels, :][..., ::-1, :])
+    up = np.zeros((n_rules, n_pins, n_panels + 1, n_x))
+    np.add.accumulate(panels[:, 0], axis=2, out=up[:, :, 1:])
+    n_up = below.size
+    out = np.empty((n_rules, 2 * n_up + parts, n_pins, n_x))
+    out[:, 0] = down[:, 0, :, 0]
+    for k, b in enumerate(below):
+        out[:, 1 + k], out[:, 1 + n_up + k] = up[:, :, b], down[:, 0, :, b]
+    out[:, 1 + 2 * n_up:] = down[:, 1:, :, 0]
+    return out
 
 
 def _panel_excess(diff, probs, share, below):
     """Per panel, the largest ratio of its Kronrod - Gauss difference ``diff``
-    (per part, pin, panel, x; the pin sum is added) to its ``share`` of the
-    tolerance (per quantity, pin, x; inf where settled) of a quantity it enters."""
-    diff = np.concatenate((diff, np.tensordot(probs, diff, (0, 1))[:, None]), axis=1)
+    (per part, pin, panel, x; with band edges the pin sum is added) to its
+    ``share`` of the tolerance (per quantity, pin, x; inf where settled) of a
+    quantity it enters."""
+    if below.size:
+        diff = np.concatenate((diff, np.tensordot(probs, diff, (0, 1))[:, None]), axis=1)
     n_up, p = below.size, np.arange(diff.shape[2])
     inside = np.ones((share.shape[0], p.size), dtype=bool)
     inside[1:1 + n_up] = p < below[:, None]
@@ -305,6 +363,22 @@ def _panel_excess(diff, probs, share, below):
     part = (np.arange(share.shape[0]) > 2 * n_up).astype(int)  # the moment is part 1
     ratio = (np.abs(diff)[part] / share[:, :, None]).max(axis=(1, 3))
     return np.where(inside, ratio, 0.0).max(axis=0)
+
+
+_NO_BANDS = np.zeros(0, dtype=int)
+
+
+@functools.lru_cache
+def _abs_tol(n_q, n_pins, n_up):
+    """The absolute tolerance per quantity and pin.  With band edges the pin
+    sums follow as one more pin; they settle relative alone, and only those
+    of bands and tails, the numerators of probabilities that may be tiny."""
+    abs_tol = np.full((n_q, n_pins + (n_up > 0), 1), _ABS_TOL)
+    if n_up:
+        abs_tol[:, -1] = np.inf
+        abs_tol[1:1 + 2 * n_up, -1] = np.finfo(float).tiny
+    abs_tol.flags.writeable = False
+    return abs_tol
 
 
 def tail_integrals(model, s, x, *, uppers=(), weight=None, table=False):
@@ -319,7 +393,7 @@ def tail_integrals(model, s, x, *, uppers=(), weight=None, table=False):
         Observation time, ``0 < s <`` the support supremum of the length law.
     x : float or 1-d array
         Observed value(s); the integrals are evaluated for every entry.
-    uppers : sequence of float
+    uppers : float or 1-d sequence of float
         Band edges ``u_k``: per-pin masses over ``(s, u_k)`` and
         ``(u_k, inf)`` are returned too.  Edges at or below ``s`` give empty
         bands; edges past the truncation point give empty tails.
@@ -345,45 +419,52 @@ def tail_integrals(model, s, x, *, uppers=(), weight=None, table=False):
     ------
     ValueError
         For an ``s`` that is not finite or not inside the support of the
-        length law, a non-finite ``x`` or a NaN band edge; an edge at
-        ``+inf`` is allowed and gives empty tails.
+        length law, an ``x`` that is not finite, a NaN band edge, or values
+        or edges of more than one dimension; an edge at ``+inf`` is allowed
+        and gives empty tails.
     QuadratureError
         When some value has not settled at 1,920 panels.
     """
     law, points, probs = model.length, model.pinning.points, model.pinning.probs
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    uppers = np.atleast_1d(np.asarray(uppers, dtype=float))
-    if not (math.isfinite(s) and np.isfinite(x).all()) or np.isnan(uppers).any():
+    x, uppers = np.asarray(x, dtype=float), np.asarray(uppers, dtype=float)
+    if x.ndim > 1 or uppers.ndim > 1:
+        raise ValueError("observed values and band edges must be floats or 1-d arrays")
+    x, uppers = x.reshape(-1), uppers.reshape(-1).tolist()
+    n_up = len(uppers)
+    if not (math.isfinite(s) and np.isfinite(x).all()) or any(map(math.isnan, uppers)):
         raise ValueError("observation time and values must be finite, band edges not NaN")
     if s <= 0.0:
         raise ValueError("observation time must be strictly positive")
     if s >= law.support_sup:
         raise ValueError("model exhausted: observation time at or past the "
                          "support supremum of the length law")
-    upper = law.truncation_point(_TRUNCATION_MASS)
-    v_up = np.sqrt(np.clip(uppers - s, 0.0, None))
-    bands = slice(1, 1 + 2 * uppers.size)
-    n_q = bands.stop + (weight is not None)
-    # Pin sums, carried as one more pin, settle relative alone, and only those
-    # of bands and tails: numerators of probabilities that may be tiny.
-    abs_tol = np.full((n_q, len(points) + 1, 1), _ABS_TOL)
-    abs_tol[:, -1] = np.inf
-    abs_tol[bands, -1] = np.finfo(float).tiny
-    edges = _tail_edges(law, s, upper, uppers)
-    out, scale = np.empty((n_q, len(points), x.size)), np.empty(x.size)
-    todo = np.arange(x.size)  # the x not yet settled, each on its own
+    edges = _tail_edges(law, s, law.truncation_point(_TRUNCATION_MASS), uppers)
+    v_up = [math.sqrt(max(u - s, 0.0)) for u in uppers]
+    n_q = 1 + 2 * n_up + (weight is not None)
+    abs_tol = _abs_tol(n_q, points.size, n_up)
+    out = scale = todo = None  # todo: once a value fails, those not yet settled
     while True:
-        top, panels = _evaluate(law, s, x[todo], edges, points, weight)
-        below = np.searchsorted(edges[1:], v_up, side="right")  # panels under each band edge
+        top, panels = _evaluate(law, s, x if todo is None else x[todo], edges, points, weight)
+        # panels under each band edge
+        below = np.searchsorted(edges[1:], v_up, side="right") if n_up else _NO_BANDS
         if table:
             out, scale = _quantities(panels[:1], below)[0], top
             break
-        kronrod, gauss = (np.concatenate((q, (probs @ q)[:, None]), axis=1)
-                          for q in _quantities(panels, below))
+        q = _quantities(panels, below)
+        if n_up:  # the pin sums, as one more pin
+            q = np.concatenate((q, (probs @ q)[:, :, None]), axis=2)
+        kronrod, gauss = q
         tol = _REL_TOL * np.abs(kronrod) + abs_tol
-        bad = ~(np.abs(kronrod - gauss) <= tol)
+        settled = np.abs(kronrod - gauss) <= tol
+        if out is None:
+            if settled.all():  # every value on the first pass
+                out, scale = kronrod[:, :points.size].copy(), top
+                break
+            out, scale = np.empty((n_q, points.size, x.size)), np.empty(x.size)
+            todo = np.arange(x.size)
+        bad = ~settled
         fails = bad.any(axis=(0, 1))
-        out[..., todo[~fails]] = kronrod[:, :-1, ~fails]
+        out[..., todo[~fails]] = kronrod[:, :points.size, ~fails]
         scale[todo[~fails]] = top[~fails]
         if not fails.any():
             break
@@ -392,15 +473,15 @@ def tail_integrals(model, s, x, *, uppers=(), weight=None, table=False):
         excess = _panel_excess((panels[0] - panels[1])[..., fails], probs,
                                np.where(bad, tol, np.inf)[..., fails] / (edges.size - 1), below)
         split = excess >= min(excess.max(), 1.0)
-        refined = np.union1d(edges, 0.5 * (edges[:-1] + edges[1:])[split])
+        refined = _merged(edges, 0.5 * (edges[:-1] + edges[1:])[split])
         todo = todo[fails]
         if refined.size - 1 > _MAX_PANELS or refined.size == edges.size:
             raise QuadratureError(
-                f"tail quadrature did not converge (s={s}, uppers={uppers.tolist()}, "
+                f"tail quadrature did not converge (s={s}, uppers={uppers}, "
                 f"x in [{x[todo].min():.3g}, {x[todo].max():.3g}], panels={edges.size - 1})")
         edges = refined
     return TailIntegrals(out[0], None if weight is None else out[-1], scale,
-                         out[1:1 + uppers.size], out[1 + uppers.size:bands.stop])
+                         out[1:1 + n_up], out[1 + n_up:1 + 2 * n_up])
 
 
 # ---------------------------------------------------------------------------

@@ -355,9 +355,10 @@ def simulate_brownian_motion(dt, horizon, rng):
 
 def quadratic_variation(path, t):
     """Sum of squared grid increments up to time ``t``; consistent estimator
-    of ``t`` capped at the realized length."""
-    if t > path.horizon + 1e-12:
-        raise ValueError("t beyond the simulated horizon")
+    of ``t`` capped at the realized length.  Raises ``ValueError`` for a
+    ``t`` outside ``[0, horizon]``."""
+    if not 0.0 <= t <= path.horizon + 1e-12:
+        raise ValueError(f"t={t} outside the simulated range [0, {path.horizon}]")
     k = int(math.floor(t / path.dt + 1e-12))
     d = np.diff(path.values[: k + 1])
     return float(d @ d)

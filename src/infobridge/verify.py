@@ -205,10 +205,13 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times, *, weig
     Each block that :func:`~infobridge.paths.iter_ensemble_chunks` streams
     goes through :func:`~infobridge.compensator.compensator_rows`, with the
     occupation estimator of local time (the expected local time of each step
-    given its grid values).  Raises ``ValueError`` for fewer than one path.
+    given its grid values).  Raises ``ValueError`` for fewer than one path
+    or a probe time outside ``[0, horizon]``.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
+    if not all(0.0 <= t <= horizon for t in probe_times):
+        raise ValueError(f"probe times must lie in [0, horizon={horizon}]: {list(probe_times)}")
     n_steps = int(round(horizon / dt))
     kernel = comp.IntensityKernel(model, dt, horizon)
     kernel_mid = comp.midpoint_kernel(kernel, dt, n_steps)

@@ -16,6 +16,7 @@ from infobridge import (
     GammaLaw,
     ModelSpec,
     PinningLaw,
+    TruncatedExponentialLaw,
     UniformLaw,
     drift,
     innovation_path,
@@ -439,28 +440,40 @@ class TestFarStates:
 
 
 OBSERVER_MODELS = [ModelSpec(ExponentialLaw(1.0), PinningLaw([0.0], [1.0])),
-                   ModelSpec(GammaLaw(2.0), PinningLaw([-1.0, 0.5], [0.5, 0.5]))]
+                   ModelSpec(GammaLaw(2.0), PinningLaw([-1.0, 0.5], [0.5, 0.5])),
+                   ModelSpec(GammaLaw(0.5, 2.0), PinningLaw([0.0, 3.0], [0.5, 0.5])),
+                   ModelSpec(UniformLaw(0.5, 2.0), PinningLaw([-1.0, 2.0], [0.6, 0.4])),
+                   ModelSpec(TruncatedExponentialLaw(1.0, 3.0),
+                             PinningLaw([-1.0, 1.0], [0.5, 0.5]))]
 
 
 @st.composite
 def observer_states(draw):
-    """A model with an unbounded length law, a time log-uniform from 1e-3 to
-    2.5 times its truncation point, and a value within 4 sqrt(s)."""
+    """A model, a time log-uniform from 1e-3 to 2.5 times the truncation
+    point of its length law (the support edge of a bounded law), or for a
+    bounded law one from 1e-9 to 0.1 of the edge below it, and a value
+    within 4 sqrt(s)."""
     model = draw(st.sampled_from(OBSERVER_MODELS))
-    top = 2.5 * model.length.truncation_point(1e-10)
-    s = math.exp(draw(st.floats(math.log(1e-3), math.log(top))))
+    sup = model.support_sup
+    if math.isfinite(sup) and draw(st.booleans()):
+        s = sup * (1.0 - 10.0 ** draw(st.floats(-9.0, -1.0)))
+    else:
+        top = 2.5 * model.length.truncation_point(1e-10)
+        s = math.exp(draw(st.floats(math.log(1e-3), math.log(top))))
     return model, s, draw(st.floats(-4.0, 4.0)) * math.sqrt(s)
 
 
 class TestObserverDomain:
     """Every observer function returns a finite value in range, or raises
     ``QuadratureError`` where the mixture weight has no mass (past the
-    truncation point of the length law)."""
+    truncation point of the length law), or ``ValueError`` at or past the
+    support edge of a bounded law."""
 
     @given(observer_states())
-    @settings(max_examples=300)
+    @settings(max_examples=500)
     def test_finite_in_range_or_quadrature_error(self, state):
         model, s, x = state
+        errors = (QuadratureError, ValueError) if s >= model.support_sup else QuadratureError
         checks = [
             (lambda: pin_posterior(model, s, x),
              lambda p: np.all((p >= 0.0) & (p <= 1.0)) and abs(p.sum() - 1.0) <= 1e-12),
@@ -476,7 +489,7 @@ class TestObserverDomain:
         for value, in_range in checks:
             try:
                 result = value()
-            except QuadratureError:
+            except errors:
                 continue
             assert in_range(result)
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import riemann
 from infobridge import (
+    CustomLengthLaw,
     ExponentialLaw,
     GammaLaw,
     ModelSpec,
@@ -261,9 +262,10 @@ class TestRule:
         length = edges[-1]
         for rule, top in ((0, 31), (1, 19)):
             for d in range(top + 1):
-                # (v/length)^d is positive on the panels: no cancellation
-                exact = length / (d + 1)
-                assert abs(w[rule] @ (v / length) ** d - exact) <= 1e-13 * exact
+                # (v/length)^d is positive on the panels: no cancellation;
+                # the weights carry the 2 of the Jacobian
+                exact = 2.0 * length / (d + 1)
+                assert abs(w[:, rule].ravel() @ (v / length) ** d - exact) <= 1e-13 * exact
 
     @given(exp_drift_states())
     @settings(max_examples=200)
@@ -356,19 +358,25 @@ WINDOW_MODELS = [
     ModelSpec(GammaLaw(2.0), PinningLaw([-1.0, 0.5], [0.3, 0.7])),
     ModelSpec(GammaLaw(0.5, 2.0), PinningLaw([0.0, 3.0], [0.5, 0.5])),
     ModelSpec(TruncatedExponentialLaw(1.0, 3.0), PinningLaw([-1.0, 1.0], [0.5, 0.5])),
+    # U(0.5, 2) as a custom law, whose panels start at 0: the nodes below 0.5
+    # lie outside the support, where the exponent must not set the scale
+    ModelSpec(CustomLengthLaw(lambda r: np.where((r >= 0.5) & (r <= 2.0), 1.0 / 1.5, 0.0),
+                              lambda t: np.clip((t - 0.5) / 1.5, 0.0, 1.0),
+                              lambda q: 0.5 + 1.5 * q, support_sup=2.0, breakpoints=(0.5,)),
+              PinningLaw([-1.0, 2.0], [0.6, 0.4])),
 ]
 
 
 @st.composite
-def window_states(draw):
+def window_states(draw, n_min, n_max):
     """A model, a time log-uniform in [1e-4, 0.95 sup] (sup taken as 8 for an
-    unbounded law), 1 to 40 observed values up to 4 sqrt(s) beyond the
-    farthest pin, up to three band edges, the drift's weight or none, and
-    the first or the checked pass."""
+    unbounded law), ``n_min`` to ``n_max`` observed values up to 4 sqrt(s)
+    beyond the farthest pin, up to three band edges, the drift's weight or
+    none, and the first or the checked pass."""
     model = draw(st.sampled_from(WINDOW_MODELS))
     s = math.exp(draw(st.floats(math.log(1e-4), math.log(0.95 * min(model.support_sup, 8.0)))))
     reach = 4.0 * math.sqrt(s) + float(np.max(np.abs(model.pinning.points)))
-    x = draw(st.lists(st.floats(-reach, reach), min_size=1, max_size=40))
+    x = draw(st.lists(st.floats(-reach, reach), min_size=n_min, max_size=n_max))
     widths = draw(st.lists(st.floats(1e-6, 3.0), max_size=3))
     return model, s, np.array(x), s + np.sort(widths), draw(st.booleans()), draw(st.booleans())
 
@@ -377,18 +385,73 @@ def _dense_window(s, x, edges, *nodes):
     return np.zeros(x.size, dtype=int), np.full(x.size, edges.size - 1)
 
 
-class TestWindow:
-    """Each observed value is evaluated on its window of panels only: every
-    cell left out is one that the dense evaluation sets to 0.0, so the sums
-    move only where BLAS rounds a group's columns differently."""
+def _drift_weight(weighted):
+    return (lambda lag, z: 1.0 / lag, lambda z, x: z - x) if weighted else None
 
-    @given(window_states())
+
+def _own_exponents(model, s, xs, edges):
+    """The exponent cells ``(n_pins, n_nodes, n_x)`` of a pass, formed here
+    as the engine forms them, nodes outside the support at -inf."""
+    law, points = model.length, model.pinning.points
+    v, _ = kernels._panel_rule(edges)
+    r, lag = s + v * v, v * v
+    return np.stack([np.where(law.pdf(r) == 0.0, -np.inf, z * z / (2.0 * r))[:, None]
+                     - (z - xs) ** 2 / (2.0 * lag)[:, None] for z in points])
+
+
+def _own_pass(model, s, xs, edges, weight):
+    """The scale and the panel sums ``(n_rules, 1 [+ 1], n_pins, n_panels,
+    n_x)`` of a pass, formed here with ``exp`` on every cell and no window."""
+    law, points = model.length, model.pinning.points
+    expo = _own_exponents(model, s, xs, edges)
+    top = expo.max(axis=(0, 1))
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(under="ignore"):
+        cells = np.exp(expo - top).reshape(len(points), edges.size - 1, 21, xs.size)
+    v, w = kernels._panel_rule(edges)
+    r = s + v * v
+    base = (np.sqrt(r) * law.pdf(r)).reshape(-1, 1, 21) * w
+    parts = [np.einsum("prn,ipnx->ripx", base, cells)]
+    if weight is not None:
+        lag = (v * v).reshape(-1, 1, 21)
+        moment = np.stack([base * weight[0](lag, z) for z in points])
+        c = np.stack([np.broadcast_to(weight[1](z, xs), xs.shape) for z in points])
+        parts.append(np.einsum("iprn,ipnx->ripx", moment, cells) * c[:, None])
+    return top, np.stack(parts, axis=1)
+
+
+def _passes(call):
+    """The result of ``call()``, None where it raises ``QuadratureError``,
+    and every pass it made: (values, edges, scale, panel sums)."""
+    evaluate, passes = kernels._evaluate, []
+
+    def recording(law, s, x, edges, points, weight):
+        scale, sums = evaluate(law, s, x, edges, points, weight)
+        passes.append((x, edges, scale, sums))
+        return scale, sums
+
+    with mock.patch.object(kernels, "_evaluate", recording):
+        try:
+            return call(), passes
+        except QuadratureError:
+            return None, passes
+
+
+class TestWindow:
+    """A pass of more than ``_GROUPS`` values is evaluated on each value's
+    window of panels only: every cell left out is one that the dense
+    evaluation sets to 0.0, so the sums move only where BLAS rounds a
+    group's columns differently.  A pass of at most ``_GROUPS`` values is one
+    block over every panel, and reads what the windows read."""
+
+    @given(window_states(kernels._GROUPS + 1, 40))
     @settings(max_examples=300)
     # next to the pin: the drift refines, and the refined passes have windows too
-    @example((WINDOW_MODELS[0], 0.5, np.array([1e-10, 0.3, -2.5]), np.array([0.6]), True, False))
+    @example((WINDOW_MODELS[0], 0.5, np.concatenate((np.arange(1.0, 10.0) * 1e-10, [0.3, -2.5])),
+              np.array([0.6]), True, False))
     def test_skipped_cells_underflow_and_sums_match_dense(self, state):
         model, s, x, uppers, weighted, table = state
-        weight = (lambda lag, z: 1.0 / lag, lambda z, x: z - x) if weighted else None
+        weight = _drift_weight(weighted)
         window, windows = kernels._window, []
 
         def recording(*args):
@@ -411,18 +474,50 @@ class TestWindow:
                 if b is not None:
                     np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-300)
         # the dense exponents, formed here, of every pass
-        law, points = model.length, model.pinning.points
         for xs, edges, first, last in windows:
-            v, _ = kernels._panel_rule(edges)
-            r, lag = s + v * v, v * v
-            expo = np.stack([np.where(law.pdf(r) == 0.0, -np.inf, z * z / (2.0 * r))[:, None]
-                             - (z - xs) ** 2 / (2.0 * lag)[:, None] for z in points])
+            expo = _own_exponents(model, s, xs, edges)
             top = expo.max(axis=(0, 1))
             g = expo - np.where(np.isfinite(top), top, 0.0)
-            g = g.reshape(len(points), edges.size - 1, -1, xs.size).max(axis=(0, 2))
+            g = g.reshape(len(model.pinning), edges.size - 1, -1, xs.size).max(axis=(0, 2))
             panel = np.arange(edges.size - 1)[:, None]
             skipped = (panel < first) | (panel >= last)
             assert np.all(g[skipped] < kernels._UNDERFLOW)
+
+    @given(window_states(1, kernels._GROUPS))
+    @settings(max_examples=300)
+    # next to the pin: the drift refines, on a band edge
+    @example((WINDOW_MODELS[0], 0.5, np.array([1e-10, 0.3, -2.5]), np.array([0.6]), True, False))
+    # on the upper pin before the support starts: the largest exponent
+    # outside the support must not set the scale
+    @example((WINDOW_MODELS[5], 0.1, np.array([2.0, 1.9, -1.0]), np.array([]), False, False))
+    def test_block_reads_what_the_windows_read(self, state):
+        model, s, x, uppers, weighted, table = state
+        weight = _drift_weight(weighted)
+        copies = kernels._GROUPS + 1  # so every pass of the padded call is windowed
+
+        def call(values):
+            return lambda: tail_integrals(model, s, values, uppers=uppers, weight=weight,
+                                          table=table)
+
+        block, block_passes = _passes(call(x))
+        padded, padded_passes = _passes(call(np.repeat(x, copies)))
+        assert (block is None) == (padded is None)
+        assert len(block_passes) == len(padded_passes)
+        for (xs, edges, scale, sums), (xs_pad, edges_pad, scale_pad, sums_pad) in zip(
+                block_passes, padded_passes):
+            assert xs.size <= kernels._GROUPS < xs_pad.size
+            np.testing.assert_array_equal(edges, edges_pad)
+            np.testing.assert_array_equal(xs, xs_pad[::copies])
+            np.testing.assert_array_equal(scale, scale_pad[::copies])
+            np.testing.assert_allclose(sums, sums_pad[..., ::copies], rtol=1e-14, atol=1e-300)
+            own_scale, own_sums = _own_pass(model, s, xs, edges, weight)
+            np.testing.assert_array_equal(scale, own_scale)
+            np.testing.assert_allclose(sums, own_sums, rtol=1e-13, atol=1e-300)
+        if block is not None:
+            np.testing.assert_array_equal(block.scale, padded.scale[::copies])
+            for a, b in zip(block, padded):
+                if b is not None:
+                    np.testing.assert_allclose(a, b[..., ::copies], rtol=1e-14, atol=1e-300)
 
 
 class TestLadder:
@@ -474,6 +569,27 @@ class TestNonFiniteInput:
     def test_public_functions_reject(self, model, call):
         with pytest.raises(ValueError, match="must be finite"):
             call(model)
+
+
+class TestValueShape:
+    """Observed values are a float or a 1-d array, band edges a float or a
+    sequence: more dimensions raise ``ValueError`` before any quadrature,
+    whatever the number of values."""
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 1), (9, 1)])
+    @pytest.mark.parametrize("call", [
+        lambda m, x: tail_integrals(m, 0.7, x),
+        lambda m, x: drift(m, 0.7, x),
+        lambda m, x: pin_posterior(m, 0.7, x),
+        lambda m, x: survival_probability(m, 0.7, x, 0.8),
+        lambda m, x: band_probability(m, 0.7, x, 0.1),
+        lambda m, x: tail_integrals(m, 0.7, 0.1, uppers=x + 0.8),
+    ], ids=["tail-integrals", "drift", "pin-posterior", "survival", "band", "band-edges"])
+    def test_more_than_one_dimension_rejected(self, shape, call):
+        # (2, 3) raised IndexError from inside the window
+        model = ModelSpec(UniformLaw(0.5, 2.0), PinningLaw([-1.0, 2.0], [0.6, 0.4]))
+        with pytest.raises(ValueError, match="1-d"):
+            call(model, np.zeros(shape))
 
 
 class TestBandEdges:

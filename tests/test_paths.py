@@ -364,6 +364,13 @@ class TestQuadraticVariation:
         means = np.mean([quadratic_variation(p, p.horizon) / p.tau for p in ens])
         assert abs(means - 1.0) < 0.02
 
+    @pytest.mark.parametrize("t", [-1.0, -1e-9, 1.5, math.nan])
+    def test_time_outside_the_path_rejected(self, single_pin_exp, t):
+        # t = -1 at dt 0.01 summed values[:-99]
+        path = simulate_information_path(single_pin_exp, dt=0.01, horizon=1.0, seed=0)
+        with pytest.raises(ValueError, match="outside"):
+            quadratic_variation(path, t)
+
     def test_brownian_motion_helper(self):
         path = simulate_brownian_motion(dt=1e-4, horizon=1.0, rng=5)
         assert not path.absorbed

@@ -112,6 +112,18 @@ class TestCompensatorProducts:
                                      probe_times=(0.5,))
 
 
+    @pytest.mark.parametrize("probes", [(-0.5,), (2.0,), (0.5, math.nan)],
+                             ids=["before-start", "past-horizon", "nan"])
+    def test_rejects_probe_outside_the_horizon(self, two_pin_asymmetric, probes):
+        # -0.5 at dt 0.01 read column -50, the compensator 0.5 before the
+        # horizon; 2.0 on a horizon of 1 raised IndexError
+        with mock.patch.object(comp, "IntensityKernel",
+                               side_effect=AssertionError("kernel built")):
+            with pytest.raises(ValueError, match="probe times"):
+                compensator_products(two_pin_asymmetric, 0.01, 1.0, 4, seed=5,
+                                     probe_times=probes)
+
+
 class TestScales:
     NAMES = ("dt_fine", "n_compensator", "n_terminal", "n_bridge", "n_brownian",
              "n_quadratic")
