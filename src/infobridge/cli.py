@@ -117,13 +117,15 @@ def cmd_posterior(cfg, t, x):
 
 
 def cmd_compensator(cfg):
-    """Plain compensator of every path at the quarters of the horizon, and
-    the whole curve of path 0, both from the verification suite's ensemble
-    reduction; local time is the occupation estimator, the expected local
-    time given the grid values, which has no bandwidth."""
+    """Plain compensator of every path at the grid times nearest the
+    quarters of the horizon, and the whole curve of path 0, both from the
+    verification suite's ensemble reduction; local time is the occupation
+    estimator, the expected local time given the grid values, which has no
+    bandwidth.  The summary labels the grid times it read."""
     model = cfg.model_spec()
     out = _ensure_out(cfg)
-    probes = [cfg.horizon * k / 4 for k in (1, 2, 3, 4)]
+    n = paths._n_steps(cfg.dt, cfg.horizon)
+    probes = [cfg.horizon * round(n * k / 4) / n for k in (1, 2, 3, 4)]  # grid times
     prod = verify.compensator_products(model, cfg.dt, cfg.horizon, cfg.n_paths,
                                        cfg.seed_or(0), probe_times=probes)
     k0 = prod["K_path0"]
@@ -196,8 +198,10 @@ def main(argv=None):
             raise ValueError("t must lie strictly inside the support of the length law")
         if args.command == "posterior" and not math.isfinite(args.x):
             raise ValueError("x must be a finite number")
-        if args.command == "compensator" and cfg.n_paths < 2:
-            raise ValueError("the compensator summary needs at least two paths")
+        if args.command == "compensator":
+            if cfg.n_paths < 2:
+                raise ValueError("the compensator summary needs at least two paths")
+            comp._check_step(cfg.model_spec(), cfg.dt)
     except OSError as exc:
         print(f"io failure: {exc}", file=sys.stderr)
         return 3

@@ -75,27 +75,36 @@ def intensity_row(model, s):
     pts = model.pinning.points
     if f == 0.0:
         return np.zeros(len(pts))
-    q = kernels.tail_integrals(model, s, pts)
-    den = kernels._normalizer(model.pinning.probs @ q.mass, s)
+    q, den = kernels._conditional(model, s, pts)
     expo = pts * pts / (2.0 * s) - q.scale  # >= 0 and O(grid spacing): stable
     return model.pinning.probs * f * _SQRT_2PI * math.sqrt(s) * np.exp(expo) / den
+
+
+def _check_step(model, dt):
+    """``ValueError`` unless the first step midpoint ``dt / 2``, where the
+    kernel grid starts, lies below the support supremum of the length law."""
+    if not dt / 2 < model.support_sup:
+        raise ValueError(f"dt={dt} is too large: the first step midpoint dt/2 must lie "
+                         f"below the support supremum {model.support_sup} of the length law")
 
 
 class IntensityKernel:
     """Per-pin kernel tabulated in time with monotone cubic interpolation.
 
     The grid has 320 geometric nodes from ``dt / 2``, the first step
-    midpoint.  With bounded support, 80 more approach the support edge,
-    where the kernel blows up like ``(sup - s)^(-1/2)``, and the tabulated
-    quantity is the kernel times ``sqrt(sup - s)``, which stays bounded.
-    Each node is one :func:`intensity_row`, by the checked tail rule.
-    Queries clamp to the tabulated range.
+    midpoint, which must lie below the support supremum (``ValueError``
+    naming ``dt`` otherwise).  With bounded support, 80 more approach the
+    support edge, where the kernel blows up like ``(sup - s)^(-1/2)``, and
+    the tabulated quantity is the kernel times ``sqrt(sup - s)``, which
+    stays bounded.  Each node is one :func:`intensity_row`, by the checked
+    tail rule.  Queries clamp to the tabulated range.
     """
 
     def __init__(self, model, dt, horizon):
         for name, value in (("dt", dt), ("horizon", horizon)):
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and strictly positive, got {value}")
+        _check_step(model, dt)
         self.model = model
         sup = model.length.support_sup
         s_min = dt / 2

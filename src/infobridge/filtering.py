@@ -9,10 +9,20 @@ posterior pin weights, conditional survival, the one-step transition law
 (atoms on the pin levels plus a continuous part), and the conditional mean
 displacement rate (drift) whose cumulative removal turns the observed path
 into a stopped Brownian motion.
+
+Each ratio makes one read, ``kernels._conditional``: one tail pass and the
+mixture weight that divides the ratio, ``QuadratureError`` where it is not
+positive.  Only :meth:`TransitionLaw.continuous_density`, where the mass is
+a numerator that may be 0, reads the engine itself.  A float ``x`` gives a
+float (pin weights: one array over the pins) and a 1-d array one entry per
+value.  Every public function takes the checked pass of the tail rule; only
+the rows of :class:`DriftCache` and :class:`BandProbabilityCache` take its
+first pass, through the private ``_drift_row`` and ``_band_row``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -33,10 +43,6 @@ __all__ = [
     "BandProbabilityCache",
     "innovation_path",
 ]
-
-
-def _as_row(x):
-    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
 def _pin_index(model, x):
@@ -90,10 +96,10 @@ class PosteriorState:
         if self.absorbed:
             tau, z = self.point_mass
             return float(np.asarray(finite(np.asarray([tau]), z)).ravel()[0])
-        t, probs = self.t, self._model.pinning.probs
-        q = kernels.tail_integrals(self._model, t, self.observed_x,
-                                   weight=(lambda lag, z: finite(t + lag, z), lambda z, x: 1.0))
-        return float((probs @ q.moment)[0] / kernels._normalizer(probs @ q.mass, t)[0])
+        t, x = self.t, self.observed_x
+        q, mass = kernels._conditional(self._model, t, x,
+                                       weight=(lambda lag, z: finite(t + lag, z), lambda z, x: 1.0))
+        return kernels._unwrap(x, (self._model.pinning.probs @ q.moment) / mass)
 
 
 def posterior(model, t, x, absorbed=False, tau=None):
@@ -130,11 +136,9 @@ def pin_posterior(model, t, x):
     """Conditional pin weights at ``(t, x)``; vectorized over ``x`` (rows of
     the returned array are pins).  Raises ``QuadratureError`` past the
     truncation point of an unbounded length law."""
-    x_arr = _as_row(x)
-    mass = kernels.tail_integrals(model, t, x_arr).mass
-    weighted = model.pinning.probs[:, None] * mass
-    out = weighted / kernels._normalizer(weighted.sum(axis=0, keepdims=True), t)
-    return out[:, 0] if np.ndim(x) == 0 else out
+    q, _ = kernels._conditional(model, t, x)
+    weighted = model.pinning.probs[:, None] * q.mass
+    return kernels._unwrap(x, weighted / weighted.sum(axis=0, keepdims=True))
 
 
 def survival_probability(model, t, x, u):
@@ -144,29 +148,26 @@ def survival_probability(model, t, x, u):
     point of an unbounded length law."""
     if np.any(np.asarray(u) < t):
         raise ValueError("need u >= t")
-    x_arr = _as_row(x)
-    q = kernels.tail_integrals(model, t, x_arr, uppers=u)
-    probs = model.pinning.probs
-    out = np.clip((probs @ q.tail) / kernels._normalizer(probs @ q.mass, t), 0.0, 1.0)
-    out = out if np.ndim(x) else out[:, 0]
-    out = out if np.ndim(u) else out[0]
-    return out if np.ndim(out) else float(out)
+    q, mass = kernels._conditional(model, t, x, uppers=u)
+    out = np.clip((model.pinning.probs @ q.tail) / mass, 0.0, 1.0)
+    return kernels._unwrap(x, out if np.ndim(u) else out[0])
 
 
-def band_probability(model, t, x, h, *, table=False):
+def band_probability(model, t, x, h):
     """P(length in (t, t + h] | path up to t, not yet absorbed), vectorized
     over ``x``; a sequence of widths ``h`` adds a leading axis.  All widths
     come from one quadrature pass, and each band is summed over its own
-    panels rather than formed as one minus a survival probability.
-    ``table`` takes the first, unchecked pass of the tail rule of
-    :func:`~infobridge.kernels.tail_integrals`, as tables do.  Raises
+    panels rather than formed as one minus a survival probability.  Raises
     ``QuadratureError`` past the truncation point of an unbounded length law."""
-    x_arr = _as_row(x)
-    q = kernels.tail_integrals(model, t, x_arr, uppers=t + np.atleast_1d(h), table=table)
-    probs = model.pinning.probs
-    out = np.clip((probs @ q.band) / kernels._normalizer(probs @ q.mass, t), 0.0, 1.0)
-    out = out if np.ndim(x) else out[:, 0]
-    return out if np.ndim(h) else out[0]
+    return _band_row(model, h, t, x, False)
+
+
+def _band_row(model, h, t, x, table):
+    """:func:`band_probability`, from the first, unchecked pass of the tail
+    rule when ``table``, as :class:`BandProbabilityCache` rows are."""
+    q, mass = kernels._conditional(model, t, x, uppers=t + np.atleast_1d(h), table=table)
+    out = np.clip((model.pinning.probs @ q.band) / mass, 0.0, 1.0)
+    return kernels._unwrap(x, out if np.ndim(h) else out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -193,21 +194,15 @@ class TransitionLaw:
     _log_den: float = field(repr=False)
 
     def continuous_density(self, y):
-        y_arr = _as_row(y)
-        if not math.isfinite(self._log_den):
-            out = np.zeros(y_arr.size)
-            return out if np.ndim(y) else 0.0
-        model = self._model
-        if self.u >= model.support_sup:
-            surv = np.zeros(y_arr.size)
-        else:
+        # the mass is a numerator here, and may be 0: no kernels._conditional
+        y_arr, model = np.atleast_1d(np.asarray(y, dtype=float)), self._model
+        surv = np.zeros(y_arr.size)
+        if math.isfinite(self._log_den) and self.u < model.support_sup:
             q = kernels.tail_integrals(model, self.u, y_arr)
             log_gauss = kernels.log_gaussian_density(self.u - self.t, y_arr, self.x)
             with np.errstate(under="ignore"):
                 surv = (model.pinning.probs @ q.mass) * np.exp(q.scale + log_gauss - self._log_den)
-        on_pin = np.isin(y_arr, model.pinning.points)
-        out = np.where(on_pin, 0.0, surv)
-        return out if np.ndim(y) else float(out[0])
+        return kernels._unwrap(y, np.where(np.isin(y_arr, model.pinning.points), 0.0, surv))
 
     def total_mass(self):
         """Numerical normalization check: atom masses plus the trapezoid
@@ -234,8 +229,8 @@ def transition_law(model, t, x, u):
         atoms[k] = 1.0
         return TransitionLaw(t=t, u=u, x=float(x), atoms=atoms,
                              _model=model, _log_den=-math.inf)
-    q = kernels.tail_integrals(model, t, x, uppers=(u,))
-    den = float(kernels._normalizer(model.pinning.probs @ q.mass[:, 0], t))
+    q, mass = kernels._conditional(model, t, x, uppers=(u,))
+    den = float(mass[0])
     log_den = math.log(den) + float(q.scale[0])
     atoms = model.pinning.probs * q.band[0, :, 0] / den
     return TransitionLaw(t=t, u=u, x=float(x), atoms=atoms,
@@ -247,22 +242,23 @@ def transition_law(model, t, x, u):
 # ---------------------------------------------------------------------------
 
 
-def drift(model, s, x, *, table=False):
+def drift(model, s, x):
     """Conditional mean displacement rate at ``(s, x)``: the mixture average
-    of the bridge pull ``(z_i - x)/(r - s)``.  Vectorized over ``x``;
-    ``table`` takes the first, unchecked pass of the tail rule of
-    :func:`~infobridge.kernels.tail_integrals`, as tables do.  The pull's
-    ``1/(r - s)`` joins the quadrature weights and ``z_i - x`` multiplies
-    each pin's panel sums, so the drift is 0 on a single pin.  Raises
-    ``QuadratureError`` past the truncation point of an unbounded length law."""
-    if not (0.0 < s < model.support_sup):
-        raise ValueError("s must lie strictly inside the support of the length law")
-    x_arr = _as_row(x)
-    q = kernels.tail_integrals(model, s, x_arr, table=table,
-                               weight=(lambda lag, z: 1.0 / lag, lambda z, x: z - x))
-    probs = model.pinning.probs
-    out = (probs @ q.moment) / kernels._normalizer(probs @ q.mass, s)
-    return out if np.ndim(x) else float(out[0])
+    of the bridge pull ``(z_i - x)/(r - s)``.  Vectorized over ``x``.  The
+    pull's ``1/(r - s)`` joins the quadrature weights and ``z_i - x``
+    multiplies each pin's panel sums, so the drift is 0 on a single pin.
+    Raises ``ValueError`` for an ``s`` outside the support of the length
+    law, and ``QuadratureError`` past the truncation point of an unbounded
+    length law."""
+    return _drift_row(model, s, x, False)
+
+
+def _drift_row(model, s, x, table):
+    """:func:`drift`, from the first, unchecked pass of the tail rule when
+    ``table``, as :class:`DriftCache` rows are."""
+    q, mass = kernels._conditional(model, s, x, table=table,
+                                   weight=(lambda lag, z: 1.0 / lag, lambda z, x: z - x))
+    return kernels._unwrap(x, (model.pinning.probs @ q.moment) / mass)
 
 
 _ROWS_PER_DECADE = 60
@@ -380,8 +376,7 @@ class DriftCache(_Table):
     _edge_pole = True
 
     def __init__(self, model, s_min, s_max):
-        super().__init__(model, lambda s, x, table: drift(model, s, x, table=table),
-                         s_min, s_max)
+        super().__init__(model, functools.partial(_drift_row, model), s_min, s_max)
 
     def _error_floor(self, direct):
         return np.quantile(np.abs(direct), 0.5)
@@ -392,16 +387,15 @@ class BandProbabilityCache(_Table):
     ``(s, s + h)`` given the observation at ``s``, for one width ``h`` or a
     ladder of widths; same layout and time range as :class:`DriftCache`.
 
-    Each table row is one :func:`band_probability` pass that fills every
-    width of the ladder.  Tables are bilinear in (log time, space); with a
-    ladder, values carry a leading axis over it, and so does
+    Each table row is one first pass of :func:`band_probability` that fills
+    every width of the ladder.  Tables are bilinear in (log time, space);
+    with a ladder, values carry a leading axis over it, and so does
     ``max_rel_error``, relative to the band mass itself.
     """
 
     def __init__(self, model, h, s_min, s_max):
         self.h = h = tuple(map(float, h)) if np.ndim(h) else float(h)
-        super().__init__(model, lambda s, x, table: band_probability(model, s, x, h, table=table),
-                         s_min, s_max)
+        super().__init__(model, functools.partial(_band_row, model, h), s_min, s_max)
 
     def __call__(self, s, x):
         return np.clip(super().__call__(s, x), 0.0, 1.0)

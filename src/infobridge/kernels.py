@@ -32,30 +32,25 @@ its own once the two agree on every per-pin mass, band, tail and moment
 (1e-9 relative or 1e-13 absolute) and on the pin sums of bands and tails
 (1e-9 relative); the others are evaluated again with every panel bisected
 whose own error breaks its 1/n_panels share of a failing tolerance, up to
-1,920 panels.  The drift and band tables (``table=True``) take the first
-pass unchecked, as their interpolation error dominates.  Exponents are
-rescaled by their maximum before exponentiation, so nothing overflows;
-cells below -746, where ``exp`` is exactly 0.0 but slow, are set to 0.0
-without it.  A pass of more than 8 values (``_GROUPS``) goes in blocks of
-at most 2**20 exponent cells, so that temporaries stay small, and skips
-whole panels the same way: a value skips those where
-z^2/(2 r_lo) - (z - x)^2/(2 lag_hi), a bound of their exponents from the
-panel's edges, lies more than 746 below its largest exponent at a panel's
-centre node.  Both come from the cells' own monotone operations, so only
-cells that would be 0.0 are skipped and the scale stays; sums move in the
-last bit only, where BLAS blocks a group of values (by window start)
-differently.  A pass of at most 8 values, every scalar query among them, is
-one block over every panel, at most 8 times one value's cells: each value
-would be a group of its own, and every cell its window leaves out is 0.0 in
-the block too, so the scale and the panel sums are those of the windows.
-The block's cells go (value, pin, panel, node), so every panel sum is the
-same matrix-vector product as for one value alone and no value moves; only
-a pin's moment that is exactly 0 may change its sign.  Such a pass skips
-the window bounds, the sort and the group loop, which cost a one-value
-query time and saved it none.  A moment's weight is
-``w(lag, z) c(z, x)``: ``w`` joins the panel weights and ``c`` multiplies
-the panel sums before the check, so a moment on a pin level settles
-although the integral of ``w`` may diverge.
+1,920 panels.  ``table=True`` returns the first pass unchecked, for the
+drift and band tables only.  Exponents are rescaled by their maximum
+before exponentiation; cells below -746, where ``exp`` is exactly 0.0, are
+set to 0.0 without it.  A pass of more than 8 values (``_GROUPS``) goes in
+blocks of at most 2**20 exponent cells and evaluates each value only on
+its window: the panels where z^2/(2 r_lo) - (z - x)^2/(2 lag_hi), a bound
+of their exponents from the panel's edges, comes within 746 of its largest
+exponent at a panel's centre node.  Only cells that would be 0.0 are
+skipped, so the scale stays and a sum moves only in its last bit.  A pass
+of at most 8 values is one block over every panel, its cells laid out
+(value, pin, panel, node) so that every panel sum is the matrix-vector
+product of one value alone.  A moment's weight is ``w(lag, z) c(z, x)``:
+``w`` joins the panel weights and ``c`` multiplies the panel sums before
+the check, so a moment on a pin level settles although the integral of
+``w`` may diverge.
+
+Every conditional ratio reads :func:`_conditional`: one pass and its
+mixture weight ``probs @ mass``, checked positive.  The measurements behind
+these rules are in CHANGES.md and the BENCH_*.json files.
 
 All functions here are pure; they can be called from any number of workers
 with no shared mutable state.
@@ -489,21 +484,30 @@ def tail_integrals(model, s, x, *, uppers=(), weight=None, table=False):
 # ---------------------------------------------------------------------------
 
 
-def _normalizer(total, s):
-    """``total``, the pin-summed mass that divides a conditional ratio at time
-    ``s``; ``QuadratureError`` where an entry is not positive (zero or NaN)."""
-    if not np.all(total > 0.0):
+def _conditional(model, s, x, **options):
+    """The one read behind every conditional ratio at ``(s, x)``: the
+    :func:`tail_integrals` pass with ``options``, and the mixture weight
+    ``probs @ mass`` (up to ``exp(scale)``) that divides the ratio.  Raises
+    ``QuadratureError`` where that weight is not positive (zero or NaN)."""
+    q = tail_integrals(model, s, x, **options)
+    mass = model.pinning.probs @ q.mass
+    if not np.all(mass > 0.0):
         raise QuadratureError(f"mixture weight underflowed at s={s}")
-    return total
+    return q, mass
+
+
+def _unwrap(x, out):
+    """``out``, whose last axis runs over the observed values, shaped as
+    ``x`` was passed: for a float ``x`` its entry 0 on that axis, a Python
+    float where no axis is left."""
+    out = out if np.ndim(x) else out[..., 0]
+    return out if out.ndim else float(out)
 
 
 def log_mix_weight(s, x, model):
     """Log of :func:`mix_weight`; preferred inside ratios."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    q = tail_integrals(model, s, x_arr)
-    total = _normalizer(model.pinning.probs @ q.mass, s)
-    out = np.log(total) + q.scale + log_gaussian_density(s, x_arr)
-    return out if np.ndim(x) else out.item()
+    q, mass = _conditional(model, s, x)
+    return _unwrap(x, np.log(mass) + q.scale + log_gaussian_density(s, x))
 
 
 def mix_weight(s, x, model):

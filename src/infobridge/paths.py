@@ -110,9 +110,14 @@ class PathEnsemble:
         return (self.path(i) for i in range(len(self)))
 
 
+def _on_grid(n, dt, t):
+    """Whether ``n`` steps of ``dt`` make the time ``t``, to 1e-9 relative."""
+    return abs(n * dt - t) <= 1e-9 * max(1.0, t)
+
+
 def _n_steps(dt, horizon):
     n = int(round(horizon / dt))
-    if n < 1 or abs(n * dt - horizon) > 1e-9 * max(1.0, horizon):
+    if n < 1 or not _on_grid(n, dt, horizon):
         raise ValueError("horizon must be a positive multiple of dt")
     return n
 

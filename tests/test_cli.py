@@ -84,15 +84,18 @@ class TestRejectedInput:
         ["simulate", "--dt", "0.3", "--horizon", "1"],
         ["posterior", "--t", "2.5", "--x", "0.0"],
         ["compensator", "--paths", "1"],
+        ["compensator", "--dt", "4", "--horizon", "8"],
+        ["compensator", "--dt", "5", "--horizon", "10"],
         ["posterior", "--t", "0.5", "--x", "inf"],
         ["posterior", "--t", "0.5", "--x=-inf"],
         ["posterior", "--t", "0.5", "--x", "nan"],
         ["posterior", "--t", "nan", "--x", "0.0"],
-    ], ids=["negative-seed", "horizon-off-grid", "t-past-support", "one-path", "inf-x",
-            "minus-inf-x", "nan-x", "nan-t"])
+    ], ids=["negative-seed", "horizon-off-grid", "t-past-support", "one-path",
+            "midpoint-at-sup", "midpoint-past-sup", "inf-x", "minus-inf-x", "nan-x", "nan-t"])
     def test_exits_2_before_any_work(self, tmp_path, capsys, no_work, argv):
-        # U(0.5, 2) puts t = 2.5 past the support supremum; argparse reads
-        # inf and nan as floats
+        # U(0.5, 2) puts t = 2.5 past the support supremum, and the first
+        # step midpoint dt / 2 of the kernel grid at or past it; argparse
+        # reads inf and nan as floats
         cfg = _write_config(tmp_path, model={"tau": {"family": "uniform", "a": 0.5, "b": 2.0},
                                              "pinning": {"points": [-1.0, 1.0],
                                                          "probs": [0.5, 0.5]}})
@@ -287,6 +290,17 @@ class TestCompensatorCommand:
         cfg = _write_config(tmp_path, bandwidth_c=c)
         assert main(["compensator", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("config rejected:")
+
+    def test_summary_times_are_the_grid_times_read(self, tmp_path):
+        # dt 0.3 puts the quarters 0.225, 0.45 and 0.675 of the horizon 0.9
+        # off the grid: the summary labels the grid times whose K it reports
+        cfg = _write_config(tmp_path, dt=0.3, horizon=0.9, n_paths=50, seed=0)
+        assert main(["compensator", "--config", str(cfg)]) == 0
+        summary = json.loads((tmp_path / "out" / "compensator_summary.json").read_text())
+        assert summary["t"] == [0.3, 0.6, 0.6, 0.9]
+        model = ModelSpec.from_dict(json.loads(cfg.read_text())["model"])
+        prod = verify.compensator_products(model, 0.3, 0.9, 50, seed=0, probe_times=summary["t"])
+        assert summary["mean"] == prod["K_probe"].mean(axis=0).tolist()
 
     def test_unreachable_horizon_exits_with_quadrature_code(self, tmp_path, capsys,
                                                             monkeypatch):

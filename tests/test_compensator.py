@@ -94,6 +94,14 @@ class TestIntensityKernel:
         with pytest.raises(ValueError, match=f"^{name} must be finite and strictly positive"):
             IntensityKernel(request.getfixturevalue(model), dt, horizon)
 
+    @pytest.mark.parametrize("dt", [3.0, 4.0], ids=["midpoint-at-sup", "midpoint-past-sup"])
+    def test_first_midpoint_past_a_bounded_support_names_dt(self, dt):
+        # U(0.5, 1.5): the grid would start at dt / 2 >= 1.5; np.geomspace
+        # raised on a zero, or warned on the log of a negative edge
+        model = ModelSpec(UniformLaw(0.5, 1.5), PinningLaw([-1.0, 1.0], [0.5, 0.5]))
+        with pytest.raises(ValueError, match=f"^dt={dt} is too large"):
+            IntensityKernel(model, dt, 2 * dt)
+
     def test_infinite_times_clamp_and_nan_raises(self, single_pin_exp):
         kern = IntensityKernel(single_pin_exp, dt=1e-3, horizon=2.0)
         np.testing.assert_array_equal(kern([-math.inf, math.inf]),

@@ -27,7 +27,8 @@ from infobridge import (
     transition_law,
 )
 from infobridge.compensator import intensity_row
-from infobridge.filtering import BandProbabilityCache, _space_grid, _Table, band_probability
+from infobridge.filtering import (BandProbabilityCache, _drift_row, _space_grid, _Table,
+                                  band_probability)
 from infobridge.kernels import QuadratureError, log_mix_weight
 from infobridge.verify import VerificationContext
 
@@ -367,14 +368,14 @@ class TestPinLevels:
     @pytest.mark.parametrize("s", [1e-4, 1e-3, 0.1, 0.5, 2.0, 10.0])
     def test_single_pin_drift_is_zero(self, single_pin_exp, s):
         assert drift(single_pin_exp, s, 0.0) == 0.0
-        assert drift(single_pin_exp, s, 0.0, table=True) == 0.0
+        assert _drift_row(single_pin_exp, s, 0.0, True) == 0.0
 
     @pytest.mark.parametrize("model", PIN_LEVEL_MODELS[1:])
     @pytest.mark.parametrize("s", [0.7, 1.2])
     def test_two_pin_drift_matches_riemann_oracle(self, model, s):
         law, pins, probs = model.length, model.pinning.points, model.pinning.probs
         for z, direct, first_pass in zip(pins, drift(model, s, pins),
-                                         drift(model, s, pins, table=True)):
+                                         _drift_row(model, s, pins, True)):
             oracle = riemann.drift(s, z, pins, probs, riemann.uniform_pdf(law.a, law.b), law.b)
             assert direct == pytest.approx(oracle, rel=1e-8)
             assert first_pass == pytest.approx(oracle, rel=1e-8)
@@ -492,6 +493,52 @@ class TestObserverDomain:
             except errors:
                 continue
             assert in_range(result)
+
+
+@st.composite
+def value_batches(draw):
+    """A model of :class:`TestObserverDomain`, a time log-uniform from 1e-3
+    to 0.9 of its support edge (at most 5), and 2 to 8 values within
+    3 sqrt(s)."""
+    model = draw(st.sampled_from(OBSERVER_MODELS))
+    s = math.exp(draw(st.floats(math.log(1e-3), math.log(min(0.9 * model.support_sup, 5.0)))))
+    xs = draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=8))
+    return model, s, math.sqrt(s) * np.array(xs)
+
+
+class TestValueContract:
+    """Every observer ratio takes a float or a 1-d array of values: a float
+    gives a Python float (pin weights one array over the pins), bit for bit
+    entry 0 of the same call on ``[x]``; a batch gives one entry per value,
+    each the one-float read to 1e-9 relative (refinement splits panels for a
+    batch's failing values together, so the batch may read finer panels)."""
+
+    READS = {
+        "pin_posterior": lambda m, s, x: pin_posterior(m, s, x),
+        "survival": lambda m, s, x: survival_probability(m, s, x, s + 0.1),
+        "survival_seq": lambda m, s, x: survival_probability(m, s, x, (s + 0.1, s + 0.5)),
+        "band": lambda m, s, x: band_probability(m, s, x, 0.1),
+        "drift": lambda m, s, x: drift(m, s, x),
+        "log_mix_weight": lambda m, s, x: log_mix_weight(s, x, m),
+    }
+    @given(value_batches())
+    @settings(max_examples=150)
+    def test_float_and_batch(self, state):
+        model, s, xs = state
+        leading = {"pin_posterior": (len(model.pinning),), "survival_seq": (2,)}
+        for name, read in self.READS.items():
+            lead = leading.get(name, ())
+            one = read(model, s, float(xs[0]))
+            if lead:
+                assert type(one) is np.ndarray and one.shape == lead
+            else:
+                assert type(one) is float
+            assert np.asarray(one).tobytes() == read(model, s, xs[:1])[..., 0].tobytes()
+            batch = read(model, s, xs)
+            assert batch.shape == lead + (xs.size,)
+            for j, x in enumerate(xs):
+                np.testing.assert_allclose(batch[..., j], read(model, s, float(x)),
+                                           rtol=1e-9, atol=0.0, err_msg=name)
 
 
 _TABLE_MAKERS = [lambda model, s_min, s_max: DriftCache(model, s_min, s_max),

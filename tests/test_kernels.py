@@ -22,8 +22,8 @@ from infobridge import (
     gaussian_density,
     mix_weight,
 )
-from infobridge.filtering import (band_probability, drift, pin_posterior, survival_probability,
-                                  transition_law)
+from infobridge.filtering import (_band_row, _drift_row, band_probability, drift, pin_posterior,
+                                  survival_probability, transition_law)
 from infobridge import kernels
 from infobridge.kernels import (QuadratureError, log_gaussian_density, log_mix_weight,
                                 tail_integrals)
@@ -227,10 +227,10 @@ class TestTablePass:
         assert abs(rescaled - mass) <= 1e-9 * mass
         hs = (0.01, 0.1)
         band = band_probability(model, s, x, hs)
-        band_table = band_probability(model, s, x, hs, table=True)
+        band_table = _band_row(model, hs, s, x, True)
         assert np.all(np.abs(band_table - band) <= 1e-9 * np.maximum(band, 1e-3))
         mu = drift(model, s, x)
-        assert abs(drift(model, s, x, table=True) - mu) <= 1e-9 * max(abs(mu), 1e-2)
+        assert abs(_drift_row(model, s, x, True) - mu) <= 1e-9 * max(abs(mu), 1e-2)
 
 
 @st.composite

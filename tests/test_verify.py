@@ -50,7 +50,10 @@ class TestKSStatistic:
 
     def test_pvalue_matches_kolmogorov_series(self):
         # independent oracle: scipy's Kolmogorov survival function
-        for lam in (0.5, 0.8, 1.0, 1.36, 2.0):
+        # below lam 0.04, 100 terms of the alternating series read 0.3965 at
+        # 0.005, 0.8674 at 0.01 and 0.99969 at 0.02, where the p-value is 1
+        for lam in (0.005, 0.01, 0.02, 0.05, 0.1, 0.17, 0.18, 0.2, 0.3, 0.5, 0.8, 1.0,
+                    1.36, 2.0):
             ours = kolmogorov_pvalue(lam, 1)
             assert ours == pytest.approx(float(kolmogorov(lam)), abs=1e-10)
 
@@ -112,11 +115,13 @@ class TestCompensatorProducts:
                                      probe_times=(0.5,))
 
 
-    @pytest.mark.parametrize("probes", [(-0.5,), (2.0,), (0.5, math.nan)],
-                             ids=["before-start", "past-horizon", "nan"])
+    @pytest.mark.parametrize("probes", [(-0.5,), (2.0,), (0.5, math.nan), (0.505,),
+                                        (0.5, 0.995)],
+                             ids=["before-start", "past-horizon", "nan", "half-step", "off-grid"])
     def test_rejects_probe_outside_the_horizon(self, two_pin_asymmetric, probes):
         # -0.5 at dt 0.01 read column -50, the compensator 0.5 before the
-        # horizon; 2.0 on a horizon of 1 raised IndexError
+        # horizon; 2.0 on a horizon of 1 raised IndexError; 0.505 read
+        # column 50, the compensator at 0.5
         with mock.patch.object(comp, "IntensityKernel",
                                side_effect=AssertionError("kernel built")):
             with pytest.raises(ValueError, match="probe times"):
