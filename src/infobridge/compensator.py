@@ -25,7 +25,10 @@ of paths on one grid: the kernel is read once per grid at the step
 midpoints (:func:`midpoint_kernel`) and summed against the per-pin
 local-time increments of the block.  A single path is an ensemble of one:
 :func:`compensator_K` and :func:`compensator_frak` return row 0 of a
-one-row block.
+one-row block.  Since local time stops at absorption, a row is constant
+from one step past its absorption index on, so the ensemble pipeline
+(:func:`infobridge.verify.compensator_products`) holds one simulated block
+at a time and reduces it in groups of rows, each over its live window only.
 """
 
 from __future__ import annotations
@@ -93,11 +96,14 @@ class IntensityKernel:
 
     The grid has 320 geometric nodes from ``dt / 2``, the first step
     midpoint, which must lie below the support supremum (``ValueError``
-    naming ``dt`` otherwise).  With bounded support, 80 more approach the
-    support edge, where the kernel blows up like ``(sup - s)^(-1/2)``, and
-    the tabulated quantity is the kernel times ``sqrt(sup - s)``, which
-    stays bounded.  Each node is one :func:`intensity_row`, by the checked
-    tail rule.  Queries clamp to the tabulated range.
+    naming ``dt`` otherwise).  With bounded support they run to
+    ``sup - dt / 4`` and 80 more approach the support edge, where the kernel
+    blows up like ``(sup - s)^(-1/2)``, and the tabulated quantity is the
+    kernel times ``sqrt(sup - s)``, which stays bounded.  Every node lies in
+    ``[dt / 2, sup)``: where ``sup <= 3 dt / 4``, so that ``dt / 2`` is the
+    only step midpoint inside the support, the grid is ``dt / 2`` and the
+    approach nodes above it.  Each node is one :func:`intensity_row`, by the
+    checked tail rule.  Queries clamp to the tabulated range.
     """
 
     def __init__(self, model, dt, horizon):
@@ -114,6 +120,7 @@ class IntensityKernel:
             base = np.geomspace(s_min, s_hi, 320)
             approach = sup - np.geomspace(0.25 * dt, (sup - s_min) * 0.5, 80)
             grid = np.union1d(base, approach)
+            grid = grid[grid >= s_min]  # both ladders run below it when sup <= 3 dt / 4
             self._edge = sup
         else:
             s_hi = max(horizon, 2 * s_min)
@@ -143,9 +150,10 @@ class IntensityKernel:
 
     def max_rel_error(self, n_probe):
         """Tabulation error against direct quadrature at random interior
-        times (the last 2 % before a divergent support edge are excluded)."""
+        times (the last 2 % before a divergent support edge are excluded,
+        unless the grid starts there)."""
         rng = np.random.default_rng(0)
-        hi = self.s_grid[-1] if self._edge is None else self._edge * 0.98
+        hi = self.s_grid[-1] if self._edge is None else max(self._edge * 0.98, self.s_grid[0])
         s = np.exp(rng.uniform(math.log(self.s_grid[0]), math.log(hi), n_probe))
         direct = np.stack([intensity_row(self.model, float(si)) for si in s], axis=-1)
         return float(np.max(np.abs(self(s) - direct) / np.maximum(np.abs(direct), 1e-12)))

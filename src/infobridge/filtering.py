@@ -194,9 +194,15 @@ class TransitionLaw:
     _log_den: float = field(repr=False)
 
     def continuous_density(self, y):
-        # the mass is a numerator here, and may be 0: no kernels._conditional
-        y_arr, model = np.atleast_1d(np.asarray(y, dtype=float)), self._model
+        """Density of the not-yet-absorbed part at ``y``, a float or 1-d
+        array; ``ValueError`` for a ``y`` that is not finite or has more
+        dimensions, absorbed or not."""
+        y_arr, model = np.asarray(y, dtype=float), self._model
+        if y_arr.ndim > 1 or not np.isfinite(y_arr).all():
+            raise ValueError("density arguments must be finite floats or 1-d arrays")
+        y_arr = y_arr.reshape(-1)
         surv = np.zeros(y_arr.size)
+        # the mass is a numerator here, and may be 0: no kernels._conditional
         if math.isfinite(self._log_den) and self.u < model.support_sup:
             q = kernels.tail_integrals(model, self.u, y_arr)
             log_gauss = kernels.log_gaussian_density(self.u - self.t, y_arr, self.x)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx
 
-from .paths import _absorption_index, _live_groups
+from .paths import _live_groups, _live_steps
 
 __all__ = [
     "LocalTimeCurve",
@@ -73,7 +73,7 @@ def occupation_increments(values, taus, dt, level):
     values = np.atleast_2d(values)
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     inc = np.zeros((len(values), values.shape[1] - 1))
-    n_live = np.minimum(_absorption_index(taus, dt, inc.shape[1]) + 1, inc.shape[1])
+    n_live = _live_steps(taus, dt, inc.shape[1])
     far = _SKIP_SIGMAS * math.sqrt(dt)
     for group, m in _live_groups(n_live, max(1, _CELLS // (inc.shape[1] + 1))):
         x = values[group, :m + 1] - level

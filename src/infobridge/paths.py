@@ -130,6 +130,12 @@ def _absorption_index(taus, dt, n_points):
     return np.maximum(idx, 1)
 
 
+def _live_steps(taus, dt, n_steps):
+    """Steps of each path that can hold local time: to one past its absorption
+    index, as a margin against rounding, and at most ``n_steps``."""
+    return np.minimum(_absorption_index(taus, dt, n_steps) + 1, n_steps)
+
+
 def _live_groups(live, rows):
     """Row indices ascending in ``live``, ``rows`` at a time, each group with its maximum."""
     order = np.argsort(live)

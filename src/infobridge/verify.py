@@ -216,8 +216,13 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times, *, weig
     Each block that :func:`~infobridge.paths.iter_ensemble_chunks` streams
     goes through :func:`~infobridge.compensator.compensator_rows`, with the
     occupation estimator of local time (the expected local time of each step
-    given its grid values).  Raises ``ValueError`` for fewer than one path
-    or a probe time outside ``[0, horizon]`` or off the grid.
+    given its grid values), and is released before the next one is
+    simulated.  Local time stops at absorption, so each row's compensator is
+    constant from one step past its absorption index on: a block is reduced
+    in groups of rows of similar absorption, each only over its live window
+    of ``m`` steps, and a probe past column ``m`` reads column ``m``.
+    Raises ``ValueError`` for fewer than one path or a probe time outside
+    ``[0, horizon]`` or off the grid.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
@@ -229,23 +234,31 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times, *, weig
     kernel_mid = comp.midpoint_kernel(kernel, dt, n_steps)
     pins = model.pinning.points
 
+    group_rows = max(1, localtime._CELLS // (n_steps + 1))
     out = {key: [] for key in ("K_probe", "K_term", "X_probe", "taus", "zs", "absorbed", "frak")}
     for ens in paths.iter_ensemble_chunks(model, dt, horizon, n_paths, seed):
-        d_locals = [localtime.occupation_increments(ens.values, ens.taus, dt, z)
-                    for z in pins]
-        K = comp.compensator_rows(kernel_mid, d_locals)
-        if not out["K_term"]:
-            path0 = K[0].copy()
-        out["K_probe"].append(K[:, idx])
-        # a basic slice is a view: copy the column so that no block outlives its pass
-        out["K_term"].append(K[:, -1].copy())
+        # Fortran order, as ``K[:, idx]`` gives it: the summaries add probe columns in this layout
+        K_probe, frak = (np.empty((len(ens), len(idx)), order="F") for _ in range(2))
+        K_term = np.empty(len(ens))
+        for group, m in paths._live_groups(paths._live_steps(ens.taus, dt, n_steps), group_rows):
+            d_locals = [localtime.occupation_increments(ens.values[group, :m + 1], ens.taus[group],
+                                                        dt, z) for z in pins]
+            K = comp.compensator_rows(kernel_mid[:, :m], d_locals)  # constant from column m on
+            cols = np.minimum(idx, m)
+            K_probe[group], K_term[group] = K[:, cols], K[:, m]
+            if weighted:
+                frak[group] = comp.compensator_rows(kernel_mid[:, :m], d_locals, pins)[:, cols]
+            if not out["K_term"] and 0 in group:
+                path0 = np.pad(K[group.argmin()], (0, n_steps - m), mode="edge")
+        out["K_probe"].append(K_probe)
+        out["K_term"].append(K_term)
         out["X_probe"].append(ens.values[:, idx])
         out["taus"].append(ens.taus)
         out["zs"].append(ens.zs)
         out["absorbed"].append(ens.absorbed_indices)
         if weighted:
-            out["frak"].append(comp.compensator_rows(kernel_mid, d_locals, pins)[:, idx])
-        del K, d_locals  # freed before the next block is simulated
+            out["frak"].append(frak)
+        del ens  # freed before the next block is simulated
     result = {k: (np.concatenate(v) if v else None) for k, v in out.items()}
     result["K_path0"] = path0
     return result

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riemann
+from infobridge import localtime, paths
 from infobridge import (
     CompensatorCurve,
     ExponentialLaw,
@@ -101,6 +102,19 @@ class TestIntensityKernel:
         model = ModelSpec(UniformLaw(0.5, 1.5), PinningLaw([-1.0, 1.0], [0.5, 0.5]))
         with pytest.raises(ValueError, match=f"^dt={dt} is too large"):
             IntensityKernel(model, dt, 2 * dt)
+
+    @given(ratio=st.floats(0.5 + 1e-9, 1.0))
+    @settings(max_examples=20)
+    def test_grid_within_first_read_and_support(self, ratio):
+        # sup / dt in (0.5, 1]: below 3/4 both ladders ran down past dt / 2,
+        # to nodes the kernel is never read at
+        model = ModelSpec(UniformLaw(0.5, 1.5), PinningLaw([-1.0, 1.0], [0.5, 0.5]))
+        dt = 1.5 / ratio
+        kern = IntensityKernel(model, dt, 2 * dt)
+        assert kern.s_grid[0] == dt / 2 and kern.s_grid[-1] < 1.5
+        assert np.all(np.diff(kern.s_grid) > 0.0)
+        assert np.all(np.isfinite(kern(kern.s_grid)))
+        assert math.isfinite(kern.max_rel_error(n_probe=5))
 
     def test_infinite_times_clamp_and_nan_raises(self, single_pin_exp):
         kern = IntensityKernel(single_pin_exp, dt=1e-3, horizon=2.0)
@@ -273,6 +287,47 @@ def _prop_kernel_mid(i):
     return midpoint_kernel(kern, DT_PROP, int(round(H_PROP / DT_PROP)))
 
 
+#: (model, horizon, weighted) of the live-window property: a pin at the
+#: origin; two pins with the horizon past the support, so that every row's
+#: window ends before the grid does; and one negative pin the paths do not
+#: come near before absorption, whose weighted rows are -0.0 until then
+WINDOW_CASES = [
+    (PROP_MODELS[0], 2.0, False),
+    (PROP_MODELS[2], 3.0, True),
+    (ModelSpec(UniformLaw(5.0, 6.0), PinningLaw([-40.0], [1.0])), 1.0, True),
+    (ModelSpec(UniformLaw(5.0, 6.0), PinningLaw([-40.0], [1.0])), 7.0, True),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _window_kernel_mid(case_i):
+    model, horizon, _ = WINDOW_CASES[case_i]
+    kern = IntensityKernel(model, dt=DT_PROP, horizon=horizon)
+    return midpoint_kernel(kern, DT_PROP, int(round(horizon / DT_PROP)))
+
+
+def _dense_products(case_i, n_paths, seed, idx):
+    """The streamed reduction over full-width blocks: local time and
+    compensator over every column of a block, probes read by column."""
+    model, horizon, weighted = WINDOW_CASES[case_i]
+    kernel_mid = _window_kernel_mid(case_i)
+    pins = model.pinning.points
+    out = {"K_probe": [], "X_probe": [], "K_term": [], "frak": []}
+    for ens in paths.iter_ensemble_chunks(model, DT_PROP, horizon, n_paths, seed):
+        d = [occupation_increments(ens.values, ens.taus, DT_PROP, z) for z in pins]
+        K = compensator_rows(kernel_mid, d)
+        if not out["K_term"]:
+            path0 = K[0].copy()
+        out["K_probe"].append(K[:, idx])
+        out["X_probe"].append(ens.values[:, idx])
+        out["K_term"].append(K[:, -1].copy())
+        if weighted:
+            out["frak"].append(compensator_rows(kernel_mid, d, pins)[:, idx])
+    result = {k: (np.concatenate(v) if v else None) for k, v in out.items()}
+    result["K_path0"] = path0
+    return result
+
+
 class TestReduction:
     @given(model_i=st.integers(0, 3), n_paths=st.integers(1, 5),
            seed=st.integers(0, 2**32 - 1))
@@ -297,6 +352,45 @@ class TestReduction:
             one = [x[i:i + 1] for x in d]
             assert np.array_equal(compensator_rows(kernel_mid, one)[0], plain[i])
             assert np.array_equal(compensator_rows(kernel_mid, one, pins)[0], weighted[i])
+
+    @given(case_i=st.integers(0, len(WINDOW_CASES) - 1), n_paths=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), block_rows=st.integers(1, 6),
+           group_rows=st.integers(1, 4), probes=st.lists(st.floats(0.0, 1.0), max_size=3))
+    @settings(max_examples=50)
+    def test_live_windows_match_the_dense_reduction(self, case_i, n_paths, seed, block_rows,
+                                                    group_rows, probes):
+        # the streamed reduction over each group's live window gives, byte for
+        # byte and in the same layout, what full-width blocks give; blocks and
+        # groups are made small so that both split
+        model, horizon, weighted = WINDOW_CASES[case_i]
+        n_steps = int(round(horizon / DT_PROP))
+        idx = sorted({0, n_steps, *(int(p * n_steps) for p in probes)})
+        times = [i * DT_PROP for i in idx]
+        widths = []
+
+        def recording(values, taus, dt, level):
+            widths.append(values.shape[1] - 1)
+            assert widths[-1] == paths._live_steps(taus, dt, n_steps).max()
+            return occupation_increments(values, taus, dt, level)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(paths, "_CELLS", block_rows * (n_steps + 1))
+            mp.setattr(localtime, "_CELLS", group_rows * (n_steps + 1))
+            mp.setattr(localtime, "occupation_increments", recording)
+            got = compensator_products(model, DT_PROP, horizon, n_paths, seed, times,
+                                       weighted=weighted)
+            want = _dense_products(case_i, n_paths, seed, idx)
+        blocks = [min(block_rows, n_paths - first) for first in range(0, n_paths, block_rows)]
+        assert len(widths) == len(model.pinning) * sum(-(-b // group_rows) for b in blocks)
+        for key in ("K_probe", "X_probe", "frak", "K_term", "K_path0"):
+            if want[key] is None:
+                assert got[key] is None
+                continue
+            assert got[key].shape == want[key].shape
+            # summaries add along the paths, so the layout sets their rounding
+            assert got[key].flags.f_contiguous == want[key].flags.f_contiguous
+            assert got[key].flags.c_contiguous == want[key].flags.c_contiguous
+            assert got[key].tobytes(order="A") == want[key].tobytes(order="A"), key
 
 
 class TestWeightedCompensator:

@@ -254,6 +254,25 @@ class TestTransitionLaw:
         assert law.continuous_density(0.3) == 0.0
         assert law.total_mass() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("x", [0.0, 0.3], ids=["absorbed", "live"])
+    @pytest.mark.parametrize("y", [math.nan, math.inf, [0.1, math.nan], [[1.0, 2.0]]],
+                             ids=["nan", "inf", "nan-in-row", "2-d"])
+    def test_density_argument_checked_absorbed_or_not(self, single_pin_exp, x, y):
+        # an absorbed law answers no density, but checks its argument as a live one does
+        law = transition_law(single_pin_exp, 0.5, x, 0.6)
+        with pytest.raises(ValueError):
+            law.continuous_density(y)
+
+    @given(y=st.lists(st.floats(-5.0, 5.0), max_size=4) | st.floats(-5.0, 5.0))
+    @settings(max_examples=30)
+    def test_absorbed_density_keeps_shape(self, y):
+        model = ModelSpec(ExponentialLaw(1.0), PinningLaw([0.0], [1.0]))
+        dens = transition_law(model, 0.5, 0.0, 0.6).continuous_density(y)
+        if isinstance(y, float):
+            assert isinstance(dens, float) and dens == 0.0
+        else:
+            np.testing.assert_array_equal(dens, np.zeros(len(y)))
+
     def test_density_zero_on_pin_levels(self, two_pin_asymmetric):
         law = transition_law(two_pin_asymmetric, t=0.5, x=0.3, u=1.2)
         assert law.continuous_density(-1.0) == 0.0
