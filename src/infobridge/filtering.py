@@ -309,11 +309,11 @@ class _Table:
 
     def __init__(self, model, quantity, s_min, s_max):
         sup = model.support_sup
-        if not (0.0 < s_min < s_max <= sup and s_max < math.inf):
+        hi = min(s_max, sup * (1.0 - 1e-9))
+        if not (0.0 < s_min < hi and s_max <= sup and s_max < math.inf):  # the clamp may empty it
             raise ValueError("need 0 < s_min < s_max < inf within the length support")
         self.model, self._quantity = model, quantity
-        self.s_min = s_min
-        self.s_max = hi = min(s_max, sup * (1.0 - 1e-9))
+        self.s_min, self.s_max = s_min, hi
         n_s = math.ceil(_ROWS_PER_DECADE * math.log10(hi / s_min)) + 1
         self.s_nodes = np.geomspace(s_min, hi, n_s)
         self._ls = np.log(self.s_nodes)
@@ -404,7 +404,8 @@ class BandProbabilityCache(_Table):
         super().__init__(model, functools.partial(_band_row, model, h), s_min, s_max)
 
     def __call__(self, s, x):
-        return np.clip(super().__call__(s, x), 0.0, 1.0)
+        out = super().__call__(s, x)
+        return np.clip(out, 0.0, 1.0, out=out if np.ndim(out) else None)
 
     def _error_floor(self, direct):
         return 1e-3

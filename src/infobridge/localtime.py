@@ -37,7 +37,7 @@ __all__ = [
 #: level, on one side, adds less than exp(-2 * 6**2) = exp(-72) times
 #: sqrt(dt) and is skipped.
 _SKIP_SIGMAS = 6.0
-_CELLS = 2 ** 17  # steps per pass, so that the temporaries stay small
+_CELLS = 2 ** 17  # steps per pass, or ladder values per A^h row group, so temporaries stay small
 
 
 @dataclass(eq=False)

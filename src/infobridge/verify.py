@@ -267,11 +267,11 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times, *, weig
 def _resolvent_approximations(ens, bands):
     """Meyer's A^h of each path of ``ens`` at its horizon, by width h of the
     ladder table ``bands``: the sum over the grid steps of
-    :func:`~infobridge.compensator.band_integrand`, times ``dt / h``.  The
-    table is read in blocks of rows of at most 2**20 values of the ladder."""
+    :func:`~infobridge.compensator.band_integrand`, times ``dt / h``, over
+    row groups of at most ``localtime._CELLS`` values of the ladder."""
     n, dt = ens.n_steps, ens.dt
     t = dt * np.arange(n)
-    rows = max(1, paths._CELLS // (len(bands.h) * n))
+    rows = max(1, localtime._CELLS // (len(bands.h) * n))
     blocks = []
     for lo in range(0, len(ens), rows):
         x, taus = ens.values[lo:lo + rows, 1:n], ens.taus[lo:lo + rows]
@@ -416,12 +416,12 @@ def criterion_density_consistency(ctx, attempt):
 
 
 def criterion_bridge_exactness(ctx, attempt):
-    """Grid marginals of the fixed-length bridge pass KS against the exact
-    Gaussian marginal."""
+    """Grid marginals of the fixed-length bridge, simulated to the marginal's
+    time only, pass KS against the exact Gaussian marginal."""
     seed = ctx.seed_for("bridge", attempt)
     r, z, t_eval = 1.0, 0.5, 0.5
-    ens = paths.simulate_bridge_ensemble(r, z, ctx.dt, 1.0, ctx.n_bridge, seed)
-    col = ens.values[:, int(round(t_eval / ctx.dt))]
+    ens = paths.simulate_bridge_ensemble(r, z, ctx.dt, t_eval, ctx.n_bridge, seed)
+    col = ens.values[:, -1]
     mean = t_eval * z / r
     sd = math.sqrt(t_eval * (r - t_eval) / r)
     from scipy.special import ndtr

@@ -598,10 +598,13 @@ class TestDriftCache:
                 cache(s, x)
 
     @pytest.mark.parametrize("make", _TABLE_MAKERS, ids=["drift", "band"])
-    @pytest.mark.parametrize("s_min,s_max", [(1.0, 0.5), (0.0, 1.0), (0.5, 2.5)])
+    @pytest.mark.parametrize("s_min,s_max", [(1.0, 0.5), (0.0, 1.0), (0.5, 2.5),
+                                             (1.9999999995, 2.0)])
     def test_time_range_checked(self, two_pin_symmetric, make, s_min, s_max):
-        # a descending range, a zero start and an end past the support
-        # (sup 2) are rejected by both tables before any row is filled
+        # a descending range, a zero start, an end past the support (sup 2)
+        # and a start within the end's clamp to 2 (1 - 1e-9), which would
+        # leave one row and read NaN, are rejected by both tables before
+        # any row is filled
         with pytest.raises(ValueError, match="need 0 < s_min < s_max"):
             make(two_pin_symmetric, s_min, s_max)
 
@@ -700,13 +703,19 @@ class TestTableRead:
         with pytest.raises(ValueError, match="NaN"):
             _STACKED(s, x)
 
-    @given(table_reads([*_READ_TABLES, _STACKED, _POLE, _LADDER]))
+    @given(table_reads([*_READ_TABLES, _STACKED, _POLE, _LADDER]), st.booleans(), st.data())
     @settings(max_examples=200)
-    def test_read_is_the_bilinear_formula_bit_for_bit(self, case):
+    def test_read_is_the_bilinear_formula_bit_for_bit(self, case, outer, data):
+        # of the broadcast queries: s (n,) with x (n,), or s (n, 1) with x (m,)
         table, s, x = case
-        assert table(s, x).tobytes() == _bilinear(table, s, x).tobytes()
-        assert np.asarray(table(s[0], x[0])).tobytes() == np.asarray(
-            _bilinear(table, s[0], x[0])).tobytes()
+        if outer:
+            s = s[:, None]
+            x = np.array(data.draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=12)))
+        whole = _bilinear(table, s, x)
+        assert whole.shape == (*table.rows.shape[:-2], *np.broadcast(s, x).shape)
+        assert table(s, x).tobytes() == whole.tobytes()
+        assert np.asarray(table(s.flat[0], x[0])).tobytes() == np.asarray(
+            _bilinear(table, s.flat[0], x[0])).tobytes()
 
     @given(table_reads())
     def test_stacked_rows_keep_their_leading_axis(self, case):

@@ -10,7 +10,7 @@ import pytest
 from scipy.special import kolmogorov
 
 from infobridge import compensator as comp
-from infobridge import filtering, paths, verify
+from infobridge import filtering, localtime, paths, verify
 from infobridge import (
     EnsembleSummary,
     TestReport,
@@ -177,20 +177,24 @@ class TestScales:
 class TestResolventApproximations:
     def test_rows_do_not_interact(self, two_pin_asymmetric):
         # the first 17 of 30 paths give the A^h of the 17 paths alone, a
-        # one-path ensemble its own row, and the table read in blocks of 7
-        # rows (2 widths x 100 steps each) the read in one block
+        # one-path ensemble its own row, and the table read in groups of 7
+        # rows (2 widths x 100 steps each), or of one row, the read in one
+        # block, bit for bit
         dt, hs = 0.01, (0.1, 0.03)
         bands = filtering.BandProbabilityCache(two_pin_asymmetric, hs, s_min=dt, s_max=1.0)
         ens = {n: paths.simulate_ensemble(two_pin_asymmetric, dt, 1.0, n, seed=5)
                for n in (30, 17, 1)}
         ah = {n: verify._resolvent_approximations(e, bands) for n, e in ens.items()}
-        with mock.patch.object(paths, "_CELLS", 7 * 2 * 100):
-            blocked = verify._resolvent_approximations(ens[30], bands)
+        assert localtime._CELLS >= 30 * 2 * 100  # one block unpatched
+        for cells in (7 * 2 * 100, 50):
+            with mock.patch.object(localtime, "_CELLS", cells):
+                blocked = verify._resolvent_approximations(ens[30], bands)
+            for h in hs:
+                assert blocked[h].tobytes() == ah[30][h].tobytes()
         for h in hs:
             assert ah[30][h].shape == (30,)
             np.testing.assert_array_equal(ah[30][h][:17], ah[17][h])
             np.testing.assert_array_equal(ah[30][h][:1], ah[1][h])
-            np.testing.assert_array_equal(blocked[h], ah[30][h])
 
     def test_band_table_built_once(self, monkeypatch):
         # the table does not depend on the seed: one build serves attempts 0-3
