@@ -237,10 +237,10 @@ def meyer_approx_Ah(model, path, h, band_fn):
     ``band_fn(s, x)`` supplies the conditional band probability, usually a
     :class:`~infobridge.filtering.BandProbabilityCache` of width ``h``; it
     is queried only at steps before absorption, and the integrand is
-    assembled by :func:`band_integrand`.
+    assembled by :func:`band_integrand`.  Raises ``ValueError`` for an
+    ``h`` that is not finite and positive (NaN included).
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    h = kernels._widths(h)
     t = path.dt * np.arange(path.n_steps)
     cond = np.zeros(path.n_steps - 1)
     live = np.nonzero(t[1:] < path.tau)[0]

@@ -15,14 +15,14 @@ mixture weight that divides the ratio, ``QuadratureError`` where it is not
 positive.  Only :meth:`TransitionLaw.continuous_density`, where the mass is
 a numerator that may be 0, reads the engine itself.  A float ``x`` gives a
 float (pin weights: one array over the pins) and a 1-d array one entry per
-value.  Every public function takes the checked pass of the tail rule; only
-the rows of :class:`DriftCache` and :class:`BandProbabilityCache` take its
-first pass, through the private ``_drift_row`` and ``_band_row``.
+value.  Every public function takes the checked pass of the tail rule.  The
+rows of :class:`DriftCache` and :class:`BandProbabilityCache` come from one
+row rule, which takes its first pass: one read per row with the drift's
+weight and the band edges, holding the drift and then every band.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -159,13 +159,7 @@ def band_probability(model, t, x, h):
     come from one quadrature pass, and each band is summed over its own
     panels rather than formed as one minus a survival probability.  Raises
     ``QuadratureError`` past the truncation point of an unbounded length law."""
-    return _band_row(model, h, t, x, False)
-
-
-def _band_row(model, h, t, x, table):
-    """:func:`band_probability`, from the first, unchecked pass of the tail
-    rule when ``table``, as :class:`BandProbabilityCache` rows are."""
-    q, mass = kernels._conditional(model, t, x, uppers=t + np.atleast_1d(h), table=table)
+    q, mass = kernels._conditional(model, t, x, uppers=t + np.atleast_1d(h))
     out = np.clip((model.pinning.probs @ q.band) / mass, 0.0, 1.0)
     return kernels._unwrap(x, out if np.ndim(h) else out[0])
 
@@ -256,17 +250,11 @@ def drift(model, s, x):
     Raises ``ValueError`` for an ``s`` outside the support of the length
     law, and ``QuadratureError`` past the truncation point of an unbounded
     length law."""
-    return _drift_row(model, s, x, False)
-
-
-def _drift_row(model, s, x, table):
-    """:func:`drift`, from the first, unchecked pass of the tail rule when
-    ``table``, as :class:`DriftCache` rows are."""
-    q, mass = kernels._conditional(model, s, x, table=table,
-                                   weight=(lambda lag, z: 1.0 / lag, lambda z, x: z - x))
+    q, mass = kernels._conditional(model, s, x, weight=_PULL)
     return kernels._unwrap(x, (model.pinning.probs @ q.moment) / mass)
 
 
+_PULL = (lambda lag, z: 1.0 / lag, lambda z, x: z - x)  # the drift's weight pair
 _ROWS_PER_DECADE = 60
 _LADDER_RATIO = 1.045
 
@@ -289,41 +277,50 @@ def _space_grid(model, s_min, s_max):
 
 
 class _Table:
-    """Tabulation of a conditional quantity q(s, x) over ``[s_min, s_max]``,
-    with ``s_max`` clamped just inside the support.
+    """The drift and the band probabilities of the band ``widths`` (an array,
+    maybe empty) over ``[s_min, s_max]``, ``s_max`` clamped just inside the
+    support: ``rows`` is ``(1 + n_widths, n_s, n_x)``.
 
     Time rows are geometric, 60 per decade, on the nodes of
     :func:`_space_grid`.  By Brownian scaling the small-time structure is a
     function of x / sqrt(s), which the geometric |x| ladder resolves at
-    every time, so one grid serves small and late times alike.
-    ``quantity(s, xs, table)`` is q by quadrature, its first pass when
-    ``table``; it returns ``(n_x,)``, or ``(m, n_x)`` for m quantities
-    tabulated together, and reads then carry the leading axis.  Reads are
-    bilinear in (log s, x), and queries outside the table, at +-inf too,
-    read its clamped edge; a NaN time or value raises ``ValueError``.  A q
-    with a pole ``1/(sup - s)`` at a bounded support edge (``_edge_pole``)
-    is tabulated times ``sup - s`` and divided by it on read.
+    every time, so one grid serves small and late times alike.  Every row
+    comes from the one row rule :meth:`_row`.  Reads are bilinear in
+    (log s, x), and queries outside the table, at +-inf too, read its
+    clamped edge; a NaN time or value raises ``ValueError``.  The drift has
+    a pole ``1/(sup - s)`` at a bounded support edge: there the table holds
+    ``sup - s`` times it, and :meth:`drift` divides on read.
     """
 
-    _edge_pole = False
-
-    def __init__(self, model, quantity, s_min, s_max):
+    def __init__(self, model, widths, s_min, s_max):
         sup = model.support_sup
         hi = min(s_max, sup * (1.0 - 1e-9))
         if not (0.0 < s_min < hi and s_max <= sup and s_max < math.inf):  # the clamp may empty it
             raise ValueError("need 0 < s_min < s_max < inf within the length support")
-        self.model, self._quantity = model, quantity
+        self.model, self._widths = model, widths
         self.s_min, self.s_max = s_min, hi
         n_s = math.ceil(_ROWS_PER_DECADE * math.log10(hi / s_min)) + 1
         self.s_nodes = np.geomspace(s_min, hi, n_s)
         self._ls = np.log(self.s_nodes)
         self.x_nodes = _space_grid(model, s_min, s_max)
-        self.rows = np.stack([quantity(s, self.x_nodes, True) for s in self.s_nodes], axis=-2)
-        self._edge = sup if self._edge_pole and math.isfinite(sup) else None
+        self.rows = np.stack([self._row(model, widths, s, self.x_nodes, True)
+                              for s in self.s_nodes], axis=-2)
+        self._edge = sup if math.isfinite(sup) else None
         if self._edge is not None:
-            self.rows = self.rows * (sup - self.s_nodes)[:, None]
+            self.rows[0] *= (sup - self.s_nodes)[:, None]
+        self._flat = self.rows.reshape(self.rows.shape[0], -1)  # one row per quantity
 
-    def __call__(self, s, x):
+    @staticmethod
+    def _row(model, widths, s, x, table):
+        """The drift at ``(s, x)``, then the band probability of each width,
+        from one pass of the tail rule: the first when ``table``."""
+        probs = model.pinning.probs
+        q, mass = kernels._conditional(model, s, x, uppers=s + widths, table=table, weight=_PULL)
+        return np.concatenate((((probs @ q.moment) / mass)[None],
+                               np.clip((probs @ q.band) / mass, 0.0, 1.0)))
+
+    def _bilinear(self, flat, s, x):
+        """The rows ``flat`` (of ``_flat``) read at ``(s, x)``, and the clamped time."""
         sc = np.clip(s, self.s_nodes[0], self.s_nodes[-1])
         ls = np.log(sc)
         xc = np.clip(x, self.x_nodes[0], self.x_nodes[-1])
@@ -336,7 +333,7 @@ class _Table:
         wx = (xc - self.x_nodes[j]) / (self.x_nodes[j + 1] - self.x_nodes[j])
         # corners (i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1) of the flat
         # rows, summed in place: a read of many paths holds few arrays its size
-        corner, flat = i * n + j, self.rows.reshape(*self.rows.shape[:-2], -1)
+        corner = i * n + j
         del i, j, ls, xc
         vs, vx = 1 - ws, 1 - wx
         out = np.take(flat, corner, axis=-1)
@@ -345,12 +342,18 @@ class _Table:
             term = np.take(flat, corner + step, axis=-1)
             term *= a * b
             out += term
+        return out, sc
+
+    def drift(self, s, x):
+        """The drift read at ``(s, x)``."""
+        out, sc = self._bilinear(self._flat[0], s, x)
         return out if self._edge is None else out / (self._edge - sc)
 
     def max_rel_error(self, n_probe):
-        """Interpolation error against the checked quadrature at ``n_probe``
-        random states, relative to the direct value floored at
-        ``_error_floor(direct)``; one value per quantity tabulated together.
+        """Interpolation error against the checked pass of the row rule at
+        ``n_probe`` random states, one value per quantity (a float for the
+        drift alone), relative to the direct value floored at the median
+        drift magnitude (the drift crosses zero) and at 1e-3 for a band.
         The states lie where paths live: the diffusive sqrt(time) envelope
         early, the pin neighborhoods later."""
         rng = np.random.default_rng(0)
@@ -361,54 +364,45 @@ class _Table:
         diffusive = np.sqrt(s) * rng.uniform(-4.0, 4.0, n_probe)
         settled = np.clip(rng.uniform(lo, hi, n_probe), -envelope, envelope)
         x = np.where(rng.uniform(size=n_probe) < 0.6, diffusive, settled)
-        direct = np.stack([self._quantity(si, xi, False) for si, xi in zip(s, x)], axis=-1)
-        scale = np.maximum(np.abs(direct), self._error_floor(direct))
-        err = np.max(np.abs(self(s, x) - direct) / scale, axis=-1)
-        return err if np.ndim(err) else float(err)
+        direct = np.concatenate([self._row(self.model, self._widths, si, xi, False)
+                                 for si, xi in zip(s, x)], axis=-1)
+        read = np.vstack((self.drift(s, x), self._bilinear(self._flat[1:], s, x)[0]))
+        floor = np.where(np.arange(len(direct)) == 0, np.quantile(np.abs(direct[0]), 0.5), 1e-3)
+        err = np.max(np.abs(read - direct) / np.maximum(np.abs(direct), floor[:, None]), axis=-1)
+        return err if err.size > 1 else float(err[0])
 
 
 class DriftCache(_Table):
-    """Drift tabulated on a (time, space) grid for fast pathwise use.
+    """Drift tabulated on a (time, space) grid for fast pathwise use: the
+    table of no band widths.
 
     Per-step quadrature would dominate the runtime of innovation and
     compensator sweeps by two orders of magnitude; the table is filled once
     (one vectorized quadrature row per time node) and interpolated
-    bilinearly in (log time, space).  The pull ``(z_i - x)/(r - s)`` gives
-    the drift a pole at a bounded support edge.  The drift crosses zero,
-    where a pure relative error is ill-defined, so ``max_rel_error`` floors
-    its scale at the median drift magnitude.
+    bilinearly in (log time, space).
     """
 
-    _edge_pole = True
-
     def __init__(self, model, s_min, s_max):
-        super().__init__(model, functools.partial(_drift_row, model), s_min, s_max)
+        super().__init__(model, np.zeros(0), s_min, s_max)
 
-    def _error_floor(self, direct):
-        return np.quantile(np.abs(direct), 0.5)
+    __call__ = _Table.drift
 
 
 class BandProbabilityCache(_Table):
     """Tabulated conditional probability that absorption happens within
-    ``(s, s + h)`` given the observation at ``s``, for one width ``h`` or a
-    ladder of widths; same layout and time range as :class:`DriftCache`.
-
-    Each table row is one first pass of :func:`band_probability` that fills
-    every width of the ladder.  Tables are bilinear in (log time, space);
-    with a ladder, values carry a leading axis over it, and so does
-    ``max_rel_error``, relative to the band mass itself.
+    ``(s, s + h]`` given the observation at ``s``, for one width ``h`` or a
+    ladder of widths, with a leading axis over a ladder and clipped to
+    [0, 1]; :meth:`drift` reads the drift beside it.  ``ValueError`` for a
+    width that is not finite and positive (NaN included), or no width.
     """
 
     def __init__(self, model, h, s_min, s_max):
-        self.h = h = tuple(map(float, h)) if np.ndim(h) else float(h)
-        super().__init__(model, functools.partial(_band_row, model, h), s_min, s_max)
+        self.h = kernels._widths(h)
+        super().__init__(model, np.atleast_1d(self.h), s_min, s_max)
 
     def __call__(self, s, x):
-        out = super().__call__(s, x)
+        out = self._bilinear(self._flat[1:] if np.ndim(self.h) else self._flat[1], s, x)[0]
         return np.clip(out, 0.0, 1.0, out=out if np.ndim(out) else None)
-
-    def _error_floor(self, direct):
-        return 1e-3
 
 
 def innovation_path(model, path, drift_fn):

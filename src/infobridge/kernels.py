@@ -504,6 +504,16 @@ def _unwrap(x, out):
     return out if out.ndim else float(out)
 
 
+def _widths(h):
+    """Band widths ``h``, a float or a 1-d sequence, as a float or a tuple of
+    floats; ``ValueError`` unless every width is finite and positive (NaN
+    included) and a sequence is not empty."""
+    widths = np.asarray(h, dtype=float)
+    if widths.ndim > 1 or not widths.size or not np.all((widths > 0.0) & (widths < math.inf)):
+        raise ValueError(f"band widths must be finite and positive, and a ladder not empty: {h}")
+    return tuple(widths.tolist()) if widths.ndim else float(widths)
+
+
 def log_mix_weight(s, x, model):
     """Log of :func:`mix_weight`; preferred inside ratios."""
     q, mass = _conditional(model, s, x)

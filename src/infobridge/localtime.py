@@ -68,8 +68,11 @@ def occupation_increments(values, taus, dt, level):
     ``6 sqrt(dt)`` of the level or cross it: they alone are gathered, by flat
     index, and weighted, with ``w = min(tau - dt k, dt)`` on the step from
     ``dt k``.  Rows go in groups over their live columns only, to one past the
-    absorption index as a margin against rounding.
+    absorption index as a margin against rounding.  Raises ``ValueError``
+    for a ``dt`` that is not finite and positive (NaN included).
     """
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive: {dt}")
     values = np.atleast_2d(values)
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     inc = np.zeros((len(values), values.shape[1] - 1))

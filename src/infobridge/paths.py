@@ -286,11 +286,17 @@ def _streams(gen, seed, first, n, leaf):
         yield gen
 
 
+def _check_bridge(r, z, dt):
+    """``ValueError`` unless ``0 < dt < r < inf`` and the pin ``z`` is finite."""
+    if not (0.0 < dt < r < math.inf and math.isfinite(z)):
+        raise ValueError("need 0 < dt < r < inf and a finite pin z")
+
+
 def simulate_deterministic_bridge(r, z, dt, horizon, rng):
     """Bridge with deterministic length ``r`` and pin ``z``; exact in law on
-    the grid.  ``rng`` may be a Generator or an integer seed."""
-    if not (0.0 < dt < r):
-        raise ValueError("need 0 < dt < r")
+    the grid.  ``rng`` may be a Generator or an integer seed.  Raises
+    ``ValueError`` unless ``0 < dt < r < inf`` and ``z`` is finite."""
+    _check_bridge(r, z, dt)
     if isinstance(rng, (int, np.integer)):
         seed, rng = int(rng), np.random.default_rng(rng)
     else:
@@ -344,9 +350,9 @@ def simulate_ensemble(model, dt, horizon, n_paths, seed):
 
 
 def simulate_bridge_ensemble(r, z, dt, horizon, n_paths, seed):
-    """Ensemble of bridges with one deterministic length and pin."""
-    if not (0.0 < dt < r):
-        raise ValueError("need 0 < dt < r")
+    """Ensemble of bridges with one deterministic length and pin; raises
+    ``ValueError`` as :func:`simulate_deterministic_bridge` does."""
+    _check_bridge(r, z, dt)
     return _bridge_block(np.full(n_paths, float(r)), np.full(n_paths, float(z)), dt,
                          _n_steps(dt, horizon), seed, 0)
 

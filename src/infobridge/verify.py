@@ -300,10 +300,10 @@ _SCALES = {
 @dataclass
 class VerificationContext:
     """The suite's master seed and scale, its cached ensemble reductions and
-    its two seed-free tables (:attr:`band_ladder`, :attr:`qv_drift`):
-    ``fast`` picks the row of the two scales whose values become attributes
-    (``dt_fine``, ``n_compensator``, ``n_terminal``, ``n_bridge``,
-    ``n_brownian``, ``n_quadratic``)."""
+    its one seed-free table (:attr:`table`): ``fast`` picks the row of the
+    two scales whose values become attributes (``dt_fine``,
+    ``n_compensator``, ``n_terminal``, ``n_bridge``, ``n_brownian``,
+    ``n_quadratic``)."""
 
     master_seed: int = 20260810
     fast: bool = False
@@ -378,15 +378,13 @@ class VerificationContext:
         return self._cache[key]
 
     @functools.cached_property
-    def band_ladder(self):
-        """The band table of ``meyer_refinement``, free of the seed: built once."""
-        return filtering.BandProbabilityCache(self.model_single_pin(), self.AH_LADDER,
-                                              s_min=self.dt, s_max=self.AH_T)
-
-    @functools.cached_property
-    def qv_drift(self):
-        """The drift table of ``quadratic_variation``, free of the seed: built once."""
-        return filtering.DriftCache(self.model_single_pin(), self.dt_fine, self.QV_HORIZON)
+    def table(self):
+        """The drift of ``quadratic_variation`` and the A^h bands of
+        ``meyer_refinement``, one table over both ranges, free of the seed:
+        built once."""
+        return filtering.BandProbabilityCache(
+            self.model_single_pin(), self.AH_LADDER, s_min=min(self.dt, self.dt_fine),
+            s_max=max(self.AH_T, self.QV_HORIZON))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +448,7 @@ def criterion_quadratic_variation(ctx, attempt):
         qv_x.append(cum[:, idx])
         innov = np.empty_like(ens.values)
         for i in range(len(ens)):
-            innov[i] = filtering.innovation_path(model, ens.path(i), drift_fn=ctx.qv_drift)
+            innov[i] = filtering.innovation_path(model, ens.path(i), drift_fn=ctx.table.drift)
         di2 = np.diff(innov, axis=1) ** 2
         cumi = np.zeros_like(innov)
         np.cumsum(di2, axis=1, out=cumi[:, 1:])
@@ -601,7 +599,7 @@ def criterion_meyer_refinement(ctx, attempt):
     # The first n paths again, to AH_T only: each path has its own streams,
     # so these rows are the leading columns of the product's rows.
     ens = paths.simulate_ensemble(ctx.model_single_pin(), ctx.dt, ctx.AH_T, n, prod["seed"])
-    ah = _resolvent_approximations(ens, ctx.band_ladder)
+    ah = _resolvent_approximations(ens, ctx.table)
     k1 = prod["K_probe"][:n, ctx.EXP_PROBES.index(ctx.AH_T)]
     gaps = [abs(float(ah[h].mean() - k1.mean())) for h in ctx.AH_LADDER]
     return refinement_report("meyer_refinement", [f"h={h}" for h in ctx.AH_LADDER],

@@ -29,7 +29,7 @@ PINNED = {
     "terminal_mgf": 0.5084934908459595,
     "weighted_compensator": 1.1097951230393448,
     "martingale_M": 1.373404758113422,
-    "meyer_refinement": -0.004334291356974385,
+    "meyer_refinement": -0.004333431492687501,
     "constant_beyond_support": 0.0,
     "kernel_sensitivity": 7.45055323974769,
 }

@@ -463,6 +463,18 @@ class TestMeyerApproximation:
                 np.testing.assert_allclose(curve.values[n_ah], exp_ah[h][i],
                                            rtol=1e-12)
 
+    @given(st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0]),
+                     st.floats(max_value=0.0, allow_infinity=False)))
+    def test_width_checked(self, single_pin_exp, h):
+        # a width that is not finite and positive raises before any read
+        path = simulate_ensemble(single_pin_exp, 0.01, 1.0, 1, seed=1).path(0)
+
+        def band_fn(s, x):
+            raise AssertionError("read")
+
+        with pytest.raises(ValueError, match="band widths must be finite and positive"):
+            meyer_approx_Ah(single_pin_exp, path, h, band_fn)
+
     def test_approaches_compensator(self, exp_bundle, exp_ah):
         k1 = exp_bundle["K_probe"][:800, EXP_PROBES.index(1.0)]
         gap_large = abs(exp_ah[0.1].mean() - k1.mean())

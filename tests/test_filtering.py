@@ -27,9 +27,8 @@ from infobridge import (
     transition_law,
 )
 from infobridge.compensator import intensity_row
-from infobridge.filtering import (BandProbabilityCache, _drift_row, _space_grid, _Table,
-                                  band_probability)
-from infobridge.kernels import QuadratureError, log_mix_weight
+from infobridge.filtering import BandProbabilityCache, _space_grid, _Table, band_probability
+from infobridge.kernels import QuadratureError, log_mix_weight, tail_integrals
 from infobridge.verify import VerificationContext
 
 
@@ -379,6 +378,13 @@ class TestDrift:
         assert drift(model, s, x) == pytest.approx(quad_drift(model, s, x), rel=1e-6)
 
 
+def _first_pass_drifts(model, s, x):
+    """The drift of the first pass in the row rule of a table of no widths
+    and of one of the verification suite's A^h ladder."""
+    return [_Table._row(model, np.array(widths, dtype=float), s, x, True)[0]
+            for widths in ((), VerificationContext.AH_LADDER)]
+
+
 class TestPinLevels:
     """On a pin level the pull ``z_i - x`` of that pin is 0, while the
     integral of ``1/(r - s)`` alone diverges there.  The pull multiplies the
@@ -387,24 +393,26 @@ class TestPinLevels:
     @pytest.mark.parametrize("s", [1e-4, 1e-3, 0.1, 0.5, 2.0, 10.0])
     def test_single_pin_drift_is_zero(self, single_pin_exp, s):
         assert drift(single_pin_exp, s, 0.0) == 0.0
-        assert _drift_row(single_pin_exp, s, 0.0, True) == 0.0
+        for first_pass in _first_pass_drifts(single_pin_exp, s, 0.0):
+            assert first_pass[0] == 0.0
 
     @pytest.mark.parametrize("model", PIN_LEVEL_MODELS[1:])
     @pytest.mark.parametrize("s", [0.7, 1.2])
     def test_two_pin_drift_matches_riemann_oracle(self, model, s):
         law, pins, probs = model.length, model.pinning.points, model.pinning.probs
-        for z, direct, first_pass in zip(pins, drift(model, s, pins),
-                                         _drift_row(model, s, pins, True)):
+        alone, beside_bands = _first_pass_drifts(model, s, pins)
+        for z, direct, first, beside in zip(pins, drift(model, s, pins), alone, beside_bands):
             oracle = riemann.drift(s, z, pins, probs, riemann.uniform_pdf(law.a, law.b), law.b)
             assert direct == pytest.approx(oracle, rel=1e-8)
-            assert first_pass == pytest.approx(oracle, rel=1e-8)
+            assert first == pytest.approx(oracle, rel=1e-8)
+            assert beside == pytest.approx(oracle, rel=1e-8)
 
     @pytest.mark.parametrize("model", [PIN_LEVEL_MODELS[0], PIN_LEVEL_MODELS[2]])
     def test_cache_rows_at_pin_nodes_are_finite(self, model):
         table = DriftCache(model, s_min=1e-3, s_max=1.0)
         at_pins = np.isin(table.x_nodes, model.pinning.points)
         assert at_pins.sum() == len(model.pinning)
-        rows = table.rows[:, at_pins]
+        rows = table.rows[..., at_pins]
         assert np.all(np.isfinite(rows))
         if len(model.pinning) == 1:
             assert np.all(rows == 0.0)
@@ -566,8 +574,7 @@ _TABLE_MAKERS = [lambda model, s_min, s_max: DriftCache(model, s_min, s_max),
 
 class TestDriftCache:
     def test_single_pin_interpolation_tolerance(self, single_pin_exp):
-        # s_min 1e-4 is the table of the full acceptance run's
-        # quadratic-variation criterion
+        # s_min 1e-4 is the fine step of the full acceptance run
         for s_min in (1e-3, 1e-4):
             cache = DriftCache(single_pin_exp, s_min=s_min, s_max=1.0)
             assert cache.max_rel_error(n_probe=150) <= 1e-4
@@ -614,34 +621,44 @@ class TestDriftCache:
             make(single_pin_exp, 0.1, math.inf)
 
 
-def _synthetic_rows(s, xs, table):
+def _synthetic_rows(s, xs):
     return np.sin(3.0 * xs) * np.log(s) + xs * xs * s
 
 
+class _SyntheticDrift(DriftCache):
+    """A drift table whose rows come from a smooth synthetic function in
+    place of the row rule."""
+
+    @staticmethod
+    def _row(model, widths, s, x, table):
+        return _synthetic_rows(s, x)[None]
+
+
+class _SyntheticBands(BandProbabilityCache):
+    """A band table whose drift row is the synthetic function ``f`` and whose
+    band of width ``h`` is ``h cos(f)^2``, a value in [0, h]."""
+
+    @staticmethod
+    def _row(model, widths, s, x, table):
+        f = _synthetic_rows(s, x)
+        return np.stack([f, *(h * np.cos(f) ** 2 for h in widths)])
+
+
 _EXP = ModelSpec(ExponentialLaw(1.0), PinningLaw([0.0], [1.0]))
-_READ_TABLES = [_Table(_EXP, _synthetic_rows, 1e-3, 1.0),
-                _Table(UNIFORM_EDGE, _synthetic_rows, 0.01, 1.9)]
-# The second table's rows stacked with their negation, which reads exactly
-# as the negated read.
-_STACKED = _Table(UNIFORM_EDGE, lambda s, xs, table: np.stack([_synthetic_rows(s, xs, table),
-                                                               -_synthetic_rows(s, xs, table)]),
-                  0.01, 1.9)
-
-
-class _PoleTable(_Table):
-    _edge_pole = True
-
-
-# A table divided by sup - s on read, and a ladder of three widths as the
-# A^h band table has.
-_POLE = _PoleTable(UNIFORM_EDGE, _synthetic_rows, 0.01, 1.9)
-_LADDER = _Table(_EXP, lambda s, xs, table: np.stack([_synthetic_rows(s, xs, table) * h
-                                                      for h in (0.1, 0.03, 0.01)]), 1e-3, 1.0)
+# The second table divides its drift by sup - s on read.
+_READ_TABLES = [_SyntheticDrift(_EXP, 1e-3, 1.0), _SyntheticDrift(UNIFORM_EDGE, 0.01, 1.9)]
+# Two widths, the second half the first, whose band reads exactly as half
+# the first's; one width alone, which reads as the first of the two; and a
+# ladder of three widths as the A^h band table has.
+_STACKED = _SyntheticBands(UNIFORM_EDGE, (0.5, 0.25), 0.01, 1.9)
+_BAND = _SyntheticBands(UNIFORM_EDGE, 0.5, 0.01, 1.9)
+_LADDER = _SyntheticBands(_EXP, (0.1, 0.03, 0.01), 1e-3, 1.0)
 
 
 def _bilinear(table, s, x):
-    """The four-corner formula of the tables' reads, with one temporary per
-    term, as the reference of the in-place read."""
+    """The four-corner formula of the tables' reads on every row, with one
+    temporary per term, as the reference of the in-place read; and the
+    clamped time."""
     sc = np.clip(s, table.s_nodes[0], table.s_nodes[-1])
     ls, xc = np.log(sc), np.clip(x, table.x_nodes[0], table.x_nodes[-1])
     i = np.clip(np.searchsorted(table._ls, ls) - 1, 0, table._ls.size - 2)
@@ -651,7 +668,19 @@ def _bilinear(table, s, x):
     t = table.rows
     out = ((1 - ws) * (1 - wx) * t[..., i, j] + ws * (1 - wx) * t[..., i + 1, j]
            + (1 - ws) * wx * t[..., i, j + 1] + ws * wx * t[..., i + 1, j + 1])
-    return out if table._edge is None else out / (table._edge - sc)
+    return out, sc
+
+
+def _reference_reads(table, s, x):
+    """The drift read and the table's own read, from :func:`_bilinear`: the
+    drift divided by its pole on a bounded law, the bands clipped to [0, 1]
+    with a leading axis over a ladder."""
+    out, sc = _bilinear(table, s, x)
+    mu = out[0] if table._edge is None else out[0] / (table._edge - sc)
+    if isinstance(table, DriftCache):
+        return mu, mu
+    bands = np.clip(out[1:], 0.0, 1.0)
+    return mu, bands if np.ndim(table.h) else bands[0]
 
 
 @st.composite
@@ -683,11 +712,14 @@ class TestTableRead:
 
     @given(st.sampled_from(_READ_TABLES), st.data())
     def test_node_queries_return_the_row_value(self, table, data):
+        # the drift row, divided by sup - s on a bounded law
         i = np.array(data.draw(st.lists(st.integers(0, table.s_nodes.size - 1), min_size=1)))
         j = np.array(data.draw(st.lists(st.integers(0, table.x_nodes.size - 1),
                                         min_size=i.size, max_size=i.size)))
-        np.testing.assert_array_equal(table(table.s_nodes[i], table.x_nodes[j]),
-                                      table.rows[i, j])
+        node = table.rows[0, i, j]
+        if table._edge is not None:
+            node = node / (table._edge - table.s_nodes[i])
+        np.testing.assert_array_equal(table(table.s_nodes[i], table.x_nodes[j]), node)
 
     @given(table_reads(), st.data())
     def test_nan_read_raises(self, case, data):
@@ -698,12 +730,11 @@ class TestTableRead:
         np.testing.assert_array_equal(table(s, x)[i - 1], table(s[i - 1], x[i - 1]))
         axis = data.draw(st.sampled_from([s, x]))
         axis[i] = math.nan
-        with pytest.raises(ValueError, match="NaN"):
-            table(s, x)
-        with pytest.raises(ValueError, match="NaN"):
-            _STACKED(s, x)
+        for read in (table, _STACKED, _STACKED.drift):
+            with pytest.raises(ValueError, match="NaN"):
+                read(s, x)
 
-    @given(table_reads([*_READ_TABLES, _STACKED, _POLE, _LADDER]), st.booleans(), st.data())
+    @given(table_reads([*_READ_TABLES, _STACKED, _BAND, _LADDER]), st.booleans(), st.data())
     @settings(max_examples=200)
     def test_read_is_the_bilinear_formula_bit_for_bit(self, case, outer, data):
         # of the broadcast queries: s (n,) with x (n,), or s (n, 1) with x (m,)
@@ -711,18 +742,65 @@ class TestTableRead:
         if outer:
             s = s[:, None]
             x = np.array(data.draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=12)))
-        whole = _bilinear(table, s, x)
-        assert whole.shape == (*table.rows.shape[:-2], *np.broadcast(s, x).shape)
+        mu, whole = _reference_reads(table, s, x)
+        lead = () if isinstance(table, DriftCache) else np.shape(table.h)
+        assert whole.shape == (*lead, *np.broadcast(s, x).shape)
         assert table(s, x).tobytes() == whole.tobytes()
-        assert np.asarray(table(s.flat[0], x[0])).tobytes() == np.asarray(
-            _bilinear(table, s.flat[0], x[0])).tobytes()
+        assert table.drift(s, x).tobytes() == mu.tobytes()
+        one = [np.asarray(r).tobytes() for r in _reference_reads(table, s.flat[0], x[0])]
+        assert np.asarray(table.drift(s.flat[0], x[0])).tobytes() == one[0]
+        assert np.asarray(table(s.flat[0], x[0])).tobytes() == one[1]
 
     @given(table_reads())
     def test_stacked_rows_keep_their_leading_axis(self, case):
         _, s, x = case
-        single = _READ_TABLES[1](s, x)
-        np.testing.assert_array_equal(_STACKED(s, x), np.stack([single, -single]))
+        single = _BAND(s, x)
+        np.testing.assert_array_equal(_STACKED(s, x), np.stack([single, 0.5 * single]))
+        np.testing.assert_array_equal(_STACKED.drift(s, x), _READ_TABLES[1](s, x))
         assert _STACKED(s[0], x[0]).shape == (2,)
+
+
+@st.composite
+def row_states(draw):
+    """Exp(1)/0 or U(0.5, 2)/(-1, 2), a time log-uniform inside the support
+    (from 1e-4 to 10 on the unbounded law, to 2 (1 - 1e-9) on the bounded
+    one) and 1 to 40 values up to 4 sqrt(s) + 2 from the origin."""
+    model = draw(st.sampled_from([_EXP, UNIFORM_EDGE]))
+    hi = 10.0 if math.isinf(model.support_sup) else model.support_sup * (1.0 - 1e-9)
+    s = math.exp(draw(st.floats(math.log(1e-4), math.log(hi))))
+    reach = 4.0 * math.sqrt(s) + 2.0
+    x = draw(st.lists(st.floats(-reach, reach), min_size=1, max_size=40))
+    return model, s, np.array(x)
+
+
+class TestRowRule:
+    """A table row is one first pass with the drift's weight and the band
+    edges.  The weight joins no sum of the masses, so the bands are those of
+    the band-only first pass bit for bit.  The band edges split the drift's
+    panels: on Exp(1)/0 the drift stays within 1e-14 of the drift-only first
+    pass (relative, floored at the median magnitude as ``max_rel_error``
+    floors it).  On U(0.5, 2)/(-1, 2) the drift-only first pass is itself
+    off the checked drift by up to about 1e-4 at some states, mostly toward
+    the support edge; where the split moves the drift more than 1e-14, it
+    moves it no farther from the checked drift."""
+
+    @given(row_states())
+    @settings(max_examples=60, deadline=None)
+    def test_row_matches_the_single_quantity_passes(self, state):
+        model, s, x = state
+        widths = np.array(VerificationContext.AH_LADDER)
+        row = _Table._row(model, widths, s, x, True)
+        assert row.shape == (1 + widths.size, x.size)
+        probs = model.pinning.probs
+        q = tail_integrals(model, s, x, uppers=s + widths, table=True)
+        bands = np.clip((probs @ q.band) / (probs @ q.mass), 0.0, 1.0)
+        assert row[1:].tobytes() == bands.tobytes()
+        alone = _Table._row(model, np.zeros(0), s, x, True)[0]
+        floor = 1e-14 * np.maximum(np.abs(alone), np.median(np.abs(alone)))
+        moved = np.abs(row[0] - alone) > floor
+        assert not (math.isinf(model.support_sup) and moved.any())
+        checked = drift(model, s, x)
+        assert np.all((np.abs(row[0] - checked) <= np.abs(alone - checked) + floor)[moved])
 
 
 class TestInnovation:
@@ -777,20 +855,40 @@ class TestTowerProperty:
 
 class TestBandProbability:
     def test_cache_tracks_direct(self, single_pin_exp):
+        # one error per quantity: the drift beside the band, then the band
         cache = BandProbabilityCache(single_pin_exp, h=0.05, s_min=1e-3, s_max=1.0)
-        assert cache.max_rel_error(n_probe=80) <= 3e-2
+        errors = cache.max_rel_error(n_probe=80)
+        assert errors.shape == (2,)
+        assert errors[0] <= 1e-4 and errors[1] <= 3e-2
 
     def test_ladder_cache_tracks_direct_for_each_width(self, single_pin_exp):
         # One table for the whole ladder of the Meyer approximation, as the
-        # verification suite builds it; each width keeps the band gate.
+        # verification suite builds it; each width keeps the band gate, and
+        # the drift beside them the drift gate.
         ladder = VerificationContext.AH_LADDER
         cache = BandProbabilityCache(single_pin_exp, h=ladder, s_min=1e-3, s_max=1.0)
         errors = cache.max_rel_error(n_probe=80)
-        assert errors.shape == (len(ladder),)
-        assert np.all(errors <= 3e-2)
+        assert errors.shape == (1 + len(ladder),)
+        assert errors[0] <= 1e-4 and np.all(errors[1:] <= 3e-2)
         s, x = np.array([0.01, 0.2, 0.9]), np.array([0.05, -0.3, 0.8])
         assert cache(s, x).shape == (len(ladder), 3)
         assert np.all(np.diff(cache(s, x)[::-1], axis=0) >= 0.0)  # wider band, more mass
+
+    def test_acceptance_table_meets_both_gates(self):
+        # the one table of the full acceptance run, Exp(1)/0 over [1e-4, 1]:
+        # the drift gate of DriftCache and the band gate on every width
+        table = VerificationContext().table
+        assert (table.s_min, table.s_max) == (1e-4, 1.0)
+        errors = table.max_rel_error(n_probe=150)
+        assert errors[0] <= 1e-4 and np.all(errors[1:] <= 3e-2)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -0.5, (), (0.1, math.nan),
+                                   (0.1, -0.03), [[0.1]]])
+    def test_width_checked(self, single_pin_exp, h):
+        # before any row is filled: NaN, infinite and non-positive widths,
+        # an empty ladder and a 2-d one
+        with pytest.raises(ValueError, match="band widths must be finite and positive"):
+            BandProbabilityCache(single_pin_exp, h, 0.01, 1.0)
 
     def test_band_values_are_probabilities(self, single_pin_exp):
         cache = BandProbabilityCache(single_pin_exp, h=0.05, s_min=1e-3, s_max=1.0)

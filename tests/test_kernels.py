@@ -22,7 +22,7 @@ from infobridge import (
     gaussian_density,
     mix_weight,
 )
-from infobridge.filtering import (_band_row, _drift_row, band_probability, drift, pin_posterior,
+from infobridge.filtering import (_Table, band_probability, drift, pin_posterior,
                                   survival_probability, transition_law)
 from infobridge import kernels
 from infobridge.kernels import (QuadratureError, log_gaussian_density, log_mix_weight,
@@ -213,7 +213,8 @@ def table_states(draw):
 class TestTablePass:
     """The tables take the tail rule's first pass, unchecked; at reachable
     states it agrees with the checked direct query to 1e-9, so the tables
-    inherit no quadrature error worth measuring."""
+    inherit no quadrature error worth measuring.  The drift is checked in the
+    row of a table of no widths and beside the bands of two widths."""
 
     @given(table_states())
     @settings(max_examples=1000)
@@ -225,12 +226,13 @@ class TestTablePass:
         mass = (probs @ fine.mass)[0]
         rescaled = (probs @ coarse.mass)[0] * math.exp(coarse.scale[0] - fine.scale[0])
         assert abs(rescaled - mass) <= 1e-9 * mass
-        hs = (0.01, 0.1)
+        hs = np.array([0.01, 0.1])
+        row = _Table._row(model, hs, s, x, True)[:, 0]
         band = band_probability(model, s, x, hs)
-        band_table = _band_row(model, hs, s, x, True)
-        assert np.all(np.abs(band_table - band) <= 1e-9 * np.maximum(band, 1e-3))
+        assert np.all(np.abs(row[1:] - band) <= 1e-9 * np.maximum(band, 1e-3))
         mu = drift(model, s, x)
-        assert abs(_drift_row(model, s, x, True) - mu) <= 1e-9 * max(abs(mu), 1e-2)
+        for first_pass in (_Table._row(model, np.zeros(0), s, x, True)[0, 0], row[0]):
+            assert abs(first_pass - mu) <= 1e-9 * max(abs(mu), 1e-2)
 
 
 @st.composite

@@ -245,6 +245,15 @@ class TestOccupationIncrements:
         assert np.all(inc[dead] == 0.0)
 
 
+    @given(st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+                     st.floats(max_value=0.0, allow_infinity=False)))
+    def test_step_checked(self, dt):
+        # a step that is not finite and positive raises the documented error
+        # before any increment is formed
+        values = np.array([[0.0, 0.1, -0.05]])
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            occupation_increments(values, [1.0], dt, 0.0)
+
     @given(st.one_of(bridge_blocks(), occupation_blocks()), st.integers(1, 200))
     @settings(max_examples=300)
     def test_matches_masked_form(self, block, cells):

@@ -270,6 +270,18 @@ class TestBridgeExactness:
         with pytest.raises(ValueError):
             simulate_deterministic_bridge(0.005, 0.0, dt=0.01, horizon=1.0, rng=0)
 
+    @given(st.sampled_from([(math.inf, 0.0), (math.nan, 0.0), (1.0, math.nan), (1.0, math.inf),
+                            (1.0, -math.inf), (math.inf, math.nan)]),
+           st.booleans())
+    def test_length_and_pin_must_be_finite(self, case, ensemble):
+        # a length or pin that is not finite would simulate rows of NaN
+        r, z = case
+        with pytest.raises(ValueError, match="need 0 < dt < r < inf and a finite pin"):
+            if ensemble:
+                simulate_bridge_ensemble(r, z, 0.1, 0.5, 2, 0)
+            else:
+                simulate_deterministic_bridge(r, z, 0.1, 0.5, 0)
+
 
 class TestInformationPath:
     def test_reduces_to_centered_bridge_for_origin_pin(self, single_pin_exp):

@@ -218,23 +218,50 @@ class TestResolventApproximations:
         assert len(builds) == 1
 
     def test_drift_table_built_once(self, monkeypatch):
-        # the quadratic-variation drift table is seed-free too
+        # the quadratic-variation drift is read from the same seed-free
+        # table, over both criteria's ranges
         ctx = VerificationContext(master_seed=3, fast=True)
         builds = []
 
         class Counting:
-            def __init__(self, model, s_min, s_max):
-                builds.append((s_min, s_max))
+            def __init__(self, model, h, s_min, s_max):
+                builds.append((h, s_min, s_max))
 
-            def __call__(self, s, x):
+            def drift(self, s, x):
                 return np.zeros(np.shape(x))
 
-        monkeypatch.setattr(filtering, "DriftCache", Counting)
+        monkeypatch.setattr(filtering, "BandProbabilityCache", Counting)
         monkeypatch.setattr(ctx, "n_quadratic", 20)
         for attempt in range(4):
             report = verify.criterion_quadratic_variation(ctx, attempt)
             assert report.seed == ctx.seed_for("qv", attempt)
-        assert builds == [(ctx.dt_fine, 1.0)]
+        assert builds == [(ctx.AH_LADDER, ctx.dt_fine, 1.0)]
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_one_table_for_both_criteria(self, monkeypatch, fast):
+        # quadratic_variation and meyer_refinement on one context fill one
+        # table, whose range spans both: [1e-3, 1] fast, [1e-4, 1] in full
+        ctx = VerificationContext(master_seed=3, fast=fast)
+        inits = []
+
+        def counting(table, *args):
+            inits.append(args)
+
+        def products(model, dt, horizon, n_paths, seed, **kwargs):
+            return {"K_probe": np.zeros((n_paths, 3))}
+
+        monkeypatch.setattr(filtering._Table, "__init__", counting)
+        monkeypatch.setattr(verify, "compensator_products", products)
+        monkeypatch.setattr(verify, "_resolvent_approximations",
+                            lambda ens, bands: {h: np.zeros(len(ens)) for h in bands.h})
+        monkeypatch.setattr(filtering, "innovation_path", lambda model, path, drift_fn: path.values)
+        monkeypatch.setattr(ctx, "n_quadratic", 2)
+        monkeypatch.setattr(ctx, "n_terminal", 2)
+        verify.criterion_quadratic_variation(ctx, 0)
+        verify.criterion_meyer_refinement(ctx, 0)
+        assert len(inits) == 1
+        model, widths, s_min, s_max = inits[0]
+        assert (tuple(widths), s_min, s_max) == (ctx.AH_LADDER, 1e-3 if fast else 1e-4, 1.0)
 
 
 class TestMartingaleExpectation:
