@@ -18,7 +18,9 @@ float (pin weights: one array over the pins) and a 1-d array one entry per
 value.  Every public function takes the checked pass of the tail rule.  The
 rows of :class:`DriftCache` and :class:`BandProbabilityCache` come from one
 row rule, which takes its first pass: one read per row with the drift's
-weight and the band edges, holding the drift and then every band.
+weight and the band edges, holding the drift and then every band.  When the
+pin law is symmetric, X and -X have one law: the drift is odd in x and
+every band even, so a table fills its rows on x >= 0 and reflects them.
 """
 
 from __future__ import annotations
@@ -263,7 +265,9 @@ def _space_grid(model, s_min, s_max):
     """Space nodes of a table over ``[s_min, s_max]``: a linear base of 361
     points, geometric refinement around each pin (conditional quantities
     kink or jump across a pin level) and the origin, and a ladder in |x|
-    from sqrt(s_min) / 4 by a fixed ratio."""
+    from sqrt(s_min) / 4 by a fixed ratio.  On a symmetric pin law the
+    nodes x >= 0, the origin first, are mirrored, so the grid is exactly
+    its own negative (the linear base alone is not)."""
     pts = model.pinning.points
     spread = 3.5 * math.sqrt(s_max) + float(np.max(np.abs(pts))) + 1.0
     grid = np.linspace(-spread, spread, 361)
@@ -273,7 +277,11 @@ def _space_grid(model, s_min, s_max):
     lo = 0.25 * math.sqrt(s_min)
     fine = lo * _LADDER_RATIO ** np.arange(math.ceil(math.log(spread / lo, _LADDER_RATIO)) + 1)
     grid = np.union1d(grid, np.concatenate((around, fine, -fine)))
-    return grid[(grid >= -spread) & (grid <= spread)]
+    grid = grid[(grid >= -spread) & (grid <= spread)]
+    if model.pinning.symmetric:
+        half = grid[grid >= 0.0]
+        grid = np.concatenate((-half[:0:-1], half))
+    return grid
 
 
 class _Table:
@@ -285,11 +293,15 @@ class _Table:
     :func:`_space_grid`.  By Brownian scaling the small-time structure is a
     function of x / sqrt(s), which the geometric |x| ladder resolves at
     every time, so one grid serves small and late times alike.  Every row
-    comes from the one row rule :meth:`_row`.  Reads are bilinear in
-    (log s, x), and queries outside the table, at +-inf too, read its
-    clamped edge; a NaN time or value raises ``ValueError``.  The drift has
-    a pole ``1/(sup - s)`` at a bounded support edge: there the table holds
-    ``sup - s`` times it, and :meth:`drift` divides on read.
+    comes from the one row rule :meth:`_row`.  On a symmetric pin law
+    (``PinningLaw.symmetric``) the conditional law of (length, pin) given
+    -x mirrors that given x, so the rule fills the nodes x >= 0 only, and
+    the nodes x < 0 take the reflection in place: the drift negated, each
+    band copied.  Reads are bilinear in (log s, x), and queries outside the
+    table, at +-inf too, read its clamped edge; a NaN time or value raises
+    ``ValueError``.  The drift has a pole ``1/(sup - s)`` at a bounded
+    support edge: there the table holds ``sup - s`` times it, and
+    :meth:`drift` divides on read.
     """
 
     def __init__(self, model, widths, s_min, s_max):
@@ -303,8 +315,14 @@ class _Table:
         self.s_nodes = np.geomspace(s_min, hi, n_s)
         self._ls = np.log(self.s_nodes)
         self.x_nodes = _space_grid(model, s_min, s_max)
-        self.rows = np.stack([self._row(model, widths, s, self.x_nodes, True)
-                              for s in self.s_nodes], axis=-2)
+        n_x = self.x_nodes.size
+        mid = n_x // 2 if model.pinning.symmetric else 0  # the origin on a mirrored grid
+        self.rows = np.empty((1 + len(widths), n_s, n_x))
+        for k, s in enumerate(self.s_nodes):
+            self.rows[:, k, mid:] = self._row(model, widths, s, self.x_nodes[mid:], True)
+        if mid:
+            self.rows[:, :, :mid] = self.rows[:, :, :mid:-1]
+            np.negative(self.rows[0, :, :mid], out=self.rows[0, :, :mid])
         self._edge = sup if math.isfinite(sup) else None
         if self._edge is not None:
             self.rows[0] *= (sup - self.s_nodes)[:, None]
@@ -378,7 +396,8 @@ class DriftCache(_Table):
 
     Per-step quadrature would dominate the runtime of innovation and
     compensator sweeps by two orders of magnitude; the table is filled once
-    (one vectorized quadrature row per time node) and interpolated
+    (one vectorized quadrature row per time node, on x >= 0 only when the
+    pin law is symmetric, the rest by reflection) and interpolated
     bilinearly in (log time, space).
     """
 

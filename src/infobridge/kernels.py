@@ -126,25 +126,33 @@ class QuadratureError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _gaussian_args(t, x, y):
+    """The variance ``t`` and the offset ``x - y`` as arrays; ``ValueError``
+    unless ``t`` is finite and positive and ``x`` and ``y`` are finite (NaN
+    fails both)."""
+    t, x, y = (np.asarray(a, dtype=float) for a in (t, x, y))
+    if not np.all((t > 0.0) & (t < math.inf)):
+        raise ValueError("variance must be finite and strictly positive")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("the point and the mean must be finite")
+    return t, x - y
+
+
 def gaussian_density(t, x, y=0.0):
     """Gaussian density with variance ``t`` and mean ``y``, evaluated at ``x``.
 
-    Raises ``ValueError`` for nonpositive variance.
+    Raises ``ValueError`` for a variance that is not finite and positive, or
+    an ``x`` or ``y`` that is not finite (NaN included).
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("variance must be strictly positive")
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    t, d = _gaussian_args(t, x, y)
     out = np.exp(-0.5 * d * d / t) / np.sqrt(2.0 * np.pi * t)
     return out if out.ndim else float(out)
 
 
 def log_gaussian_density(t, x, y=0.0):
-    """Logarithm of :func:`gaussian_density`; safe for extreme arguments."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("variance must be strictly positive")
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    """Logarithm of :func:`gaussian_density`; safe for extreme arguments,
+    and raises ``ValueError`` as it does."""
+    t, d = _gaussian_args(t, x, y)
     out = -0.5 * (d * d / t + np.log(t) + _LOG_2PI)
     return out if out.ndim else float(out)
 
@@ -157,11 +165,15 @@ def bridge_marginal_density(t, r, z, x):
     ``t (r - t) / r``; it also equals ``p(r-t, z-x) p(t, x) / p(r, z)``
     (tested, not computed twice here).  Past ``r / 2`` the offset from the mean is
     ``x - z + (r - t) z / r``: ``x - t z / r`` loses digits as the mean nears ``z``.
+    Raises ``ValueError`` unless ``0 < t < r < inf`` and ``z`` and ``x`` are
+    finite (NaN included).
     """
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
-    if np.any(t <= 0.0) or np.any(t >= r):
-        raise ValueError("need 0 < t < r")
+    if not np.all((0.0 < t) & (t < r) & (r < math.inf)):
+        raise ValueError("need 0 < t < r < inf")
+    if not (np.isfinite(z).all() and np.isfinite(x).all()):
+        raise ValueError("the pin and the point must be finite")
     d = np.where(t <= 0.5 * r, x - t * z / r, np.subtract(x, z) + (r - t) * z / r)
     out = gaussian_density(t * (r - t) / r, d)
     return out if np.ndim(out) else float(out)

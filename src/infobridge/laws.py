@@ -287,6 +287,14 @@ class PinningLaw:
     def __len__(self):
         return self.points.size
 
+    @property
+    def symmetric(self):
+        """Whether the law is its own mirror under z -> -z: the levels are
+        their negatives reversed and the weights their reverse, exactly.  A
+        law that is symmetric only up to rounding is not."""
+        return bool(np.array_equal(self.points, -self.points[::-1])
+                    and np.array_equal(self.probs, self.probs[::-1]))
+
     def quantile(self, q):
         """Pin level at uniform ``q``: the first whose cumulative weight exceeds it."""
         idx = np.searchsorted(np.cumsum(self.probs), q, side="right")

@@ -803,6 +803,82 @@ class TestRowRule:
         assert np.all((np.abs(row[0] - checked) <= np.abs(alone - checked) + floor)[moved])
 
 
+MIRROR_MODELS = [_EXP,
+                 ModelSpec(UniformLaw(0.5, 2.0), PinningLaw([-1.0, 1.0], [0.5, 0.5])),
+                 UNIFORM_NARROW,
+                 ModelSpec(GammaLaw(2.0), PinningLaw([-0.5, 0.5], [0.5, 0.5]))]
+
+
+@st.composite
+def mirror_states(draw):
+    """A model of :data:`MIRROR_MODELS`, a time log-uniform from 1e-3 to
+    0.95 of the support edge (of 3 on an unbounded law), 1 to 8 values up to
+    4 sqrt(s) + 1 from the origin, later times and band widths."""
+    model = draw(st.sampled_from(MIRROR_MODELS))
+    s = math.exp(draw(st.floats(math.log(1e-3), math.log(0.95 * min(model.support_sup, 3.0)))))
+    reach = 4.0 * math.sqrt(s) + 1.0
+    x = np.array(draw(st.lists(st.floats(-reach, reach), min_size=1, max_size=8)))
+    u = s + np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3)))
+    h = np.array(draw(st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=3)))
+    return model, s, x, u, h
+
+
+class TestMirror:
+    """On a symmetric pin law X and -X have one law, so the conditional law
+    of (length, pin) given -x is the mirror of that given x: the drift is
+    odd, survival and band probabilities are even, and the pin weights and
+    the intensity kernel are reversed across the pins."""
+
+    def test_symmetry_is_exact(self):
+        assert PinningLaw([0.0], [1.0]).symmetric
+        assert PinningLaw([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25]).symmetric
+        assert not PinningLaw([-1.0, 1.0], [0.6, 0.4]).symmetric
+        assert not PinningLaw([-1.0, 2.0], [0.5, 0.5]).symmetric
+        # symmetric only up to rounding: 0.1 + 0.2 is not 0.3
+        assert not PinningLaw([-0.3, 0.1 + 0.2], [0.5, 0.5]).symmetric
+
+    @given(mirror_states())
+    @settings(max_examples=60, deadline=None)
+    def test_public_functions_are_mirrored(self, state):
+        model, s, x, u, h = state
+        checks = [(drift(model, s, -x), -drift(model, s, x)),
+                  (survival_probability(model, s, -x, u), survival_probability(model, s, x, u)),
+                  (band_probability(model, s, -x, h), band_probability(model, s, x, h)),
+                  (pin_posterior(model, s, -x), pin_posterior(model, s, x)[::-1])]
+        row = intensity_row(model, s)
+        for mirrored, value in [*checks, (row[::-1], row)]:
+            np.testing.assert_allclose(mirrored, value, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("model, widths, s_min, s_max", [
+        (_EXP, VerificationContext.AH_LADDER, 1e-3, 1.0),
+        (UNIFORM_NARROW, (0.1,), 1e-2, 1.5)])
+    def test_table_rows_are_reflected(self, model, widths, s_min, s_max):
+        # the grid is its own negative and the rows odd (drift) or even
+        # (bands) exactly; the nodes x >= 0 are the row rule's own
+        table = BandProbabilityCache(model, widths, s_min, s_max)
+        xs, rows = table.x_nodes, table.rows
+        np.testing.assert_array_equal(xs, -xs[::-1])
+        np.testing.assert_array_equal(rows[0], -rows[0, :, ::-1])
+        np.testing.assert_array_equal(rows[1:], rows[1:, :, ::-1])
+        mid = xs.size // 2
+        assert xs[mid] == 0.0
+        for k in range(0, table.s_nodes.size, 20):
+            s = table.s_nodes[k]
+            direct = _Table._row(model, np.array(widths), s, xs[mid:], True)
+            if math.isfinite(model.support_sup):
+                direct[0] *= model.support_sup - s
+            np.testing.assert_allclose(rows[:, k, mid:], direct, rtol=1e-14, atol=0.0)
+
+    def test_asymmetric_table_fills_every_node(self):
+        # no reflection: every row is the row rule on the whole grid, bit for bit
+        table = DriftCache(UNIFORM_EDGE, 1e-2, 2.0)
+        assert not np.array_equal(table.x_nodes, -table.x_nodes[::-1])
+        for k in range(0, table.s_nodes.size, 25):
+            s = table.s_nodes[k]
+            direct = _Table._row(UNIFORM_EDGE, np.zeros(0), s, table.x_nodes, True)[0] * (2.0 - s)
+            assert table.rows[0, k].tobytes() == direct.tobytes()
+
+
 class TestInnovation:
     def test_brownian_statistics(self, single_pin_exp):
         n = 400

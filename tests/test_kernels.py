@@ -136,6 +136,42 @@ class TestBridgeMarginal:
             bridge_marginal_density(0.0, 2.0, 0.0, 0.0)
 
 
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def density_calls(draw):
+    """A closed-form density and its arguments inside the domain (a variance
+    or bridge time in (0, 10], a length past it, points within 5 of the
+    origin), with one argument, or one entry of it as a 1-d array, made NaN
+    or +-inf."""
+    t = draw(st.floats(1e-6, 10.0))
+    x, y = draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))
+    f, args = draw(st.sampled_from([
+        (gaussian_density, [t, x, y]), (log_gaussian_density, [t, x, y]),
+        (bridge_marginal_density, [t, t * (1.0 + draw(st.floats(1e-3, 10.0))), y, x])]))
+    k, bad = draw(st.integers(0, len(args) - 1)), draw(_NON_FINITE)
+    if draw(st.booleans()):
+        args[k] = np.array([args[k], bad, args[k]])
+    else:
+        args[k] = bad
+    return f, args
+
+
+class TestDensityDomain:
+    @given(density_calls())
+    @example((gaussian_density, [math.nan, 0.0, 0.0]))
+    @example((gaussian_density, [1.0, math.nan, 0.0]))
+    @example((log_gaussian_density, [math.nan, 0.0, 0.0]))
+    @example((bridge_marginal_density, [math.nan, 1.0, 0.0, 0.0]))
+    @example((bridge_marginal_density, [0.5, math.inf, 0.0, 0.1]))
+    def test_non_finite_argument_raises(self, call):
+        # a NaN or infinite argument is a documented ValueError, never a NaN
+        f, args = call
+        with pytest.raises(ValueError):
+            f(*args)
+
+
 class TestMixWeight:
     def test_brute_force_oracle(self, single_pin_exp):
         oracle = riemann.mix_weight(0.5, 0.0, [0.0], [1.0], riemann.exp_pdf(), 60.0)
