@@ -25,8 +25,9 @@ of paths on one grid: the kernel is read once per grid at the step
 midpoints (:func:`midpoint_kernel`) and summed against the per-pin
 local-time increments of the block.  A single path is an ensemble of one:
 :func:`compensator_K` and :func:`compensator_frak` return row 0 of a
-one-row block.  Since local time stops at absorption, a row is constant
-from one step past its absorption index on, so the ensemble pipeline
+one-row block, the pipeline's row of that path bit for bit.  Since local
+time stops at absorption, a row is constant from one step past its
+absorption index on, so the ensemble pipeline
 (:func:`infobridge.verify.compensator_products`) holds one simulated block
 at a time and reduces it in groups of rows, each over its live window only.
 """
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from . import kernels
+from . import kernels, localtime
 
 __all__ = [
     "CompensatorCurve",
@@ -159,16 +160,6 @@ class IntensityKernel:
         return float(np.max(np.abs(self(s) - direct) / np.maximum(np.abs(direct), 1e-12)))
 
 
-def _check_local_times(model, local_times):
-    pts = model.pinning.points
-    if len(local_times) != len(pts):
-        raise ValueError("one local-time curve per pin level is required")
-    for curve, z in zip(local_times, pts):
-        if abs(curve.level - z) > 1e-12:
-            raise ValueError(f"local-time curve at level {curve.level} does not "
-                             f"match pin level {z}")
-
-
 def midpoint_kernel(kernel, dt, n_steps):
     """Kernel at the step midpoints ``dt * (j + 1/2)`` of a grid of
     ``n_steps`` steps, one row per pin: read once per grid and shared by
@@ -201,31 +192,28 @@ def compensator_rows(kernel_mid, d_locals, weights=None):
     return out
 
 
-def _one_path_row(model, path, local_times, kernel, weights=None):
-    """A single path as an ensemble of one: its row of the reduction."""
-    _check_local_times(model, local_times)
-    d_locals = [np.diff(c.values)[None, :] for c in local_times]
+def _one_path_row(model, path, kernel, weights=None):
+    """A single path as an ensemble of one: row 0 of its one-row block."""
+    d_locals = [localtime.occupation_increments(path.values[None, :], [path.tau], path.dt, z)
+                for z in model.pinning.points]
     kernel_mid = midpoint_kernel(kernel, path.dt, path.n_steps)
     return compensator_rows(kernel_mid, d_locals, weights)[0]
 
 
-def compensator_K(model, path, local_times, kernel):
-    """Compensator of the absorption indicator along one path.
-
-    ``local_times`` must supply one curve per pin level; the Stieltjes sum
-    reads the kernel at step midpoints against the local-time increments
-    and is flat after absorption, where local time stops growing.
-    """
-    values = _one_path_row(model, path, local_times, kernel)
+def compensator_K(model, path, kernel):
+    """Compensator of the absorption indicator along one path: the kernel at
+    the step midpoints summed against the occupation increments of local
+    time at the pins, flat after absorption.  It is the path's row of
+    :func:`~infobridge.verify.compensator_products`, bit for bit."""
+    values = _one_path_row(model, path, kernel)
     return CompensatorCurve(times=path.times, values=values, kind="plain")
 
 
-def compensator_frak(model, path, local_times, kernel):
+def compensator_frak(model, path, kernel):
     """Compensator of (pin value times the absorption indicator) along one
-    path: the integrand of each pin carries its level, where local time
-    grows.
-    """
-    values = _one_path_row(model, path, local_times, kernel, model.pinning.points)
+    path, the pipeline's row bit for bit: the integrand of each pin carries
+    its level, where local time grows."""
+    values = _one_path_row(model, path, kernel, model.pinning.points)
     return CompensatorCurve(times=path.times, values=values, kind="weighted")
 
 

@@ -160,7 +160,10 @@ def band_probability(model, t, x, h):
     over ``x``; a sequence of widths ``h`` adds a leading axis.  All widths
     come from one quadrature pass, and each band is summed over its own
     panels rather than formed as one minus a survival probability.  Raises
-    ``QuadratureError`` past the truncation point of an unbounded length law."""
+    ``ValueError`` unless every width is finite and positive and a sequence
+    is not empty, and ``QuadratureError`` past the truncation point of an
+    unbounded length law."""
+    h = kernels._widths(h)
     q, mass = kernels._conditional(model, t, x, uppers=t + np.atleast_1d(h))
     out = np.clip((model.pinning.probs @ q.band) / mass, 0.0, 1.0)
     return kernels._unwrap(x, out if np.ndim(h) else out[0])
@@ -271,6 +274,7 @@ def _space_grid(model, s_min, s_max):
     pts = model.pinning.points
     spread = 3.5 * math.sqrt(s_max) + float(np.max(np.abs(pts))) + 1.0
     grid = np.linspace(-spread, spread, 361)
+    grid[180] = 0.0  # linspace may round the middle node to a few ulp off the origin
     offsets = np.geomspace(1e-9, 0.6, 28)
     around = np.concatenate([np.concatenate((c - offsets, [c], c + offsets))
                              for c in [*pts, 0.0]])

@@ -51,6 +51,19 @@ class LocalTimeCurve:
     estimator_kind: str
 
 
+def _checked_rows(values, taus, dt, level):
+    """``values`` as rows and ``taus`` as a 1-d float array, checked as
+    :func:`occupation_increments` says."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive: {dt}")
+    if not math.isfinite(level):
+        raise ValueError(f"the level must be finite: {level}")
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    if np.isnan(taus).any():
+        raise ValueError("a path length is NaN")
+    return np.atleast_2d(values), taus
+
+
 def occupation_increments(values, taus, dt, level):
     """Expected local time at ``level`` of each step given its grid values;
     ``values`` has one row per path.
@@ -69,12 +82,11 @@ def occupation_increments(values, taus, dt, level):
     index, and weighted, with ``w = min(tau - dt k, dt)`` on the step from
     ``dt k``.  Rows go in groups over their live columns only, to one past the
     absorption index as a margin against rounding.  Raises ``ValueError``
-    for a ``dt`` that is not finite and positive (NaN included).
+    for a ``dt`` that is not finite and positive (NaN included), a ``level``
+    that is not finite, or a NaN length; +inf, a path that never absorbs, is
+    a valid length.
     """
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive: {dt}")
-    values = np.atleast_2d(values)
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    values, taus = _checked_rows(values, taus, dt, level)
     inc = np.zeros((len(values), values.shape[1] - 1))
     n_live = _live_steps(taus, dt, inc.shape[1])
     far = _SKIP_SIGMAS * math.sqrt(dt)
@@ -99,7 +111,8 @@ def occupation_increments(values, taus, dt, level):
 
 def occupation_local_time(path, level):
     """Occupation estimate of the local time at ``level``: the cumulative
-    expected local time of the path given its grid values."""
+    expected local time of the path given its grid values; ``ValueError``
+    as :func:`occupation_increments` raises it."""
     inc = occupation_increments(path.values[None, :], [path.tau], path.dt, level)[0]
     values = np.concatenate(([0.0], np.cumsum(inc)))
     return LocalTimeCurve(level=float(level), times=path.times, values=values,
@@ -108,9 +121,9 @@ def occupation_local_time(path, level):
 
 def tanaka_increments(values, taus, dt, level):
     """Discrete Tanaka increments (before monotone clipping), one row per
-    path: d|X - a| minus the sign-weighted increments, with sgn(0) = -1."""
-    values = np.atleast_2d(values)
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    path: d|X - a| minus the sign-weighted increments, with sgn(0) = -1;
+    ``ValueError`` as :func:`occupation_increments` raises it."""
+    values, taus = _checked_rows(values, taus, dt, level)
     sgn = np.where(values[:, :-1] > level, 1.0, -1.0)
     dx = np.diff(values, axis=1)
     # Post-absorption increments vanish, so the time restriction is
@@ -124,7 +137,8 @@ def tanaka_increments(values, taus, dt, level):
 
 def tanaka_local_time(path, level):
     """Discrete Tanaka estimate at ``level``, clipped to its running
-    maximum to restore monotonicity."""
+    maximum to restore monotonicity; ``ValueError`` as
+    :func:`tanaka_increments` raises it."""
     inc = tanaka_increments(path.values[None, :], [path.tau], path.dt, level)[0]
     raw = np.concatenate(([0.0], np.cumsum(inc)))
     values = np.maximum.accumulate(raw)

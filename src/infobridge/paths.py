@@ -17,7 +17,10 @@ that layout, without a SeedSequence or Generator object per path.  Rows never
 interact, so the blocks of at most ``_CELLS`` grid values that
 :func:`iter_ensemble_chunks` streams are, bit for bit, rows of the one block
 :func:`simulate_ensemble` draws.  A row draws and computes only its steps
-before absorption, with the full row's values: its stream is its own.
+before absorption, with the full row's values: its stream is its own.  There
+is one bridge route and one stream layout: a single path, of the model
+(:func:`simulate_information_path`) or of a fixed length and pin
+(:func:`simulate_deterministic_bridge`), is path 0 of a one-path ensemble.
 """
 
 from __future__ import annotations
@@ -286,26 +289,12 @@ def _streams(gen, seed, first, n, leaf):
         yield gen
 
 
-def _check_bridge(r, z, dt):
-    """``ValueError`` unless ``0 < dt < r < inf`` and the pin ``z`` is finite."""
-    if not (0.0 < dt < r < math.inf and math.isfinite(z)):
-        raise ValueError("need 0 < dt < r < inf and a finite pin z")
-
-
-def simulate_deterministic_bridge(r, z, dt, horizon, rng):
-    """Bridge with deterministic length ``r`` and pin ``z``; exact in law on
-    the grid.  ``rng`` may be a Generator or an integer seed.  Raises
-    ``ValueError`` unless ``0 < dt < r < inf`` and ``z`` is finite."""
-    _check_bridge(r, z, dt)
-    if isinstance(rng, (int, np.integer)):
-        seed, rng = int(rng), np.random.default_rng(rng)
-    else:
-        seed = -1
-    values = np.empty((1, _n_steps(dt, horizon) + 1))
-    rng.standard_normal(out=values[0, 1:])
-    absorb = _bridge_rows(np.full(1, float(r)), np.full(1, float(z)), dt, values)
-    return SamplePath(dt=dt, values=values[0], tau=float(r), z=float(z),
-                      seed=seed, absorbed_index=int(absorb[0]))
+def simulate_deterministic_bridge(r, z, dt, horizon, seed):
+    """Bridge with deterministic length ``r`` and pin ``z``, exact in law on
+    the grid: path 0 of :func:`simulate_bridge_ensemble` at ``seed``, so its
+    normals come from that path's noise stream.  Raises ``ValueError``
+    unless ``0 < dt < r < inf`` and ``z`` is finite."""
+    return simulate_bridge_ensemble(r, z, dt, horizon, 1, seed).path(0)
 
 
 def simulate_information_path(model, dt, horizon, seed):
@@ -350,9 +339,11 @@ def simulate_ensemble(model, dt, horizon, n_paths, seed):
 
 
 def simulate_bridge_ensemble(r, z, dt, horizon, n_paths, seed):
-    """Ensemble of bridges with one deterministic length and pin; raises
-    ``ValueError`` as :func:`simulate_deterministic_bridge` does."""
-    _check_bridge(r, z, dt)
+    """Ensemble of bridges with one deterministic length ``r`` and pin ``z``,
+    in the stream layout of :func:`simulate_ensemble`; raises ``ValueError``
+    unless ``0 < dt < r < inf`` and ``z`` is finite."""
+    if not (0.0 < dt < r < math.inf and math.isfinite(z)):
+        raise ValueError("need 0 < dt < r < inf and a finite pin z")
     return _bridge_block(np.full(n_paths, float(r)), np.full(n_paths, float(z)), dt,
                          _n_steps(dt, horizon), seed, 0)
 

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 import riemann
-from infobridge import (CompensatorCurve, IntensityKernel, ModelSpec, compensator_K, kernels,
-                        occupation_local_time, paths, verify)
+from infobridge import IntensityKernel, ModelSpec, compensator_K, kernels, paths, verify
 from infobridge.cli import main
 from infobridge.compensator import save_curve_csv
 
@@ -217,9 +216,10 @@ class TestCompensatorCommand:
         assert np.all(np.diff(curve[:, 1]) >= 0.0)
 
     def test_matches_per_path_route(self, tmp_path, monkeypatch):
-        # The ensemble summary agrees with the per-path route: occupation
-        # local time summed against the kernel by compensator_K.  A budget
-        # of 500 rows of 201 grid values streams the 1,100 paths in 3 blocks.
+        # The ensemble summary is the per-path route's, byte for byte: each
+        # path's compensator_K, a one-row ensemble, gives its row of the
+        # reduction.  A budget of 500 rows of 201 grid values streams the
+        # 1,100 paths in 3 blocks.
         monkeypatch.setattr(paths, "_CELLS", 500 * 201)
         model_doc = {"tau": {"family": "uniform", "a": 0.5, "b": 2.0},
                      "pinning": {"points": [-1.0, 1.0], "probs": [0.5, 0.5]}}
@@ -231,26 +231,21 @@ class TestCompensatorCommand:
         kernel = IntensityKernel(model, dt, horizon)
         probes = [0.5, 1.0, 1.5, 2.0]
         idx = [int(round(t / dt)) for t in probes]
-        rows, first = [], None
-        for p in paths.simulate_ensemble(model, dt, horizon, n, seed=7):
-            lts = [occupation_local_time(p, z) for z in model.pinning.points]
-            curve = compensator_K(model, p, lts, kernel)
-            rows.append(curve.values[idx])
-            first = first or curve
-        expect = verify.EnsembleSummary.from_values(rows, probes)
+        curves = [compensator_K(model, p, kernel)
+                  for p in paths.simulate_ensemble(model, dt, horizon, n, seed=7)]
+        prod = verify.compensator_products(model, dt, horizon, n, seed=7, probe_times=probes)
+        # in the pipeline's layout, since the summary adds along the paths
+        rows = np.array([c.values[idx] for c in curves],
+                        order="F" if prod["K_probe"].flags.f_contiguous else "C")
+        assert rows.tobytes(order="A") == prod["K_probe"].tobytes(order="A")
         out = tmp_path / "out"
         summary = json.loads((out / "compensator_summary.json").read_text())
-        assert summary["n"] == n and summary["t"] == probes
-        np.testing.assert_allclose(summary["mean"], expect.means, rtol=1e-12)
-        np.testing.assert_allclose(summary["stderr"], expect.stderrs, rtol=1e-12)
-        # Path 0's curve is row 0 of the ensemble reduction, written as is,
-        # and the per-path route reproduces it to rounding.
-        prod = verify.compensator_products(model, dt, horizon, n, seed=7, probe_times=probes)
-        save_curve_csv(CompensatorCurve(first.times, prod["K_path0"], "plain"),
-                       tmp_path / "row0.csv")
+        assert summary == verify.EnsembleSummary.from_values(rows, probes).to_dict()
+        # Path 0's curve is row 0 of the ensemble reduction, written as is.
+        assert curves[0].values.tobytes() == prod["K_path0"].tobytes()
+        save_curve_csv(curves[0], tmp_path / "row0.csv")
         assert (out / "compensator_path0.csv").read_bytes() == \
                (tmp_path / "row0.csv").read_bytes()
-        np.testing.assert_allclose(prod["K_path0"], first.values, rtol=0.0, atol=1e-12)
 
     def test_summary_is_the_ensemble_reduction(self, tmp_path):
         # The command's summary is the verification suite's reduction.

@@ -154,6 +154,26 @@ def exp_ah(single_pin_exp):
     return _resolvent_approximations(ens, bands)
 
 
+#: (model, dt, horizon, probe times) of the per-path property: a pin at the
+#: origin; two weighted pins, with probes past the support; far pins the
+#: paths reach only at absorption; and one far negative pin, whose weighted
+#: rows are -0.0 until then
+PATH_CASES = [
+    (ModelSpec(ExponentialLaw(1.0), PinningLaw([0.0], [1.0])), 2e-3, 3.0, (0.5, 1.0, 2.0, 3.0)),
+    (ModelSpec(UniformLaw(0.5, 2.0), PinningLaw([-1.0, 2.0], [0.6, 0.4])), 2e-3, 2.5,
+     (0.8, 1.2, 1.8, 2.5)),
+    (ModelSpec(UniformLaw(5.0, 6.0), PinningLaw([-40.0, 40.0], [0.5, 0.5])), 1e-2, 7.0,
+     (1.0, 5.5, 7.0)),
+    (ModelSpec(UniformLaw(5.0, 6.0), PinningLaw([-40.0], [1.0])), 1e-2, 7.0, (1.0, 5.5, 7.0)),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _path_case_kernel(i):
+    model, dt, horizon, _ = PATH_CASES[i]
+    return IntensityKernel(model, dt=dt, horizon=horizon)
+
+
 class TestCompensatorK:
     def test_zero_local_time_gives_zero(self):
         # pins so far out the path never enters a band before absorption
@@ -163,57 +183,37 @@ class TestCompensatorK:
         kern = IntensityKernel(model, dt=1e-2, horizon=1.0)
         lts = [occupation_local_time(path, z) for z in model.pinning.points]
         assert all(np.all(lt.values == 0.0) for lt in lts)
-        curve = compensator_K(model, path, lts, kern)
+        curve = compensator_K(model, path, kern)
         assert np.all(curve.values == 0.0)
 
-    def test_missing_level_curve_rejected(self, two_pin_symmetric):
-        ens = simulate_ensemble(two_pin_symmetric, 1e-2, 2.0, 1, seed=2)
-        path = ens.path(0)
-        kern = IntensityKernel(two_pin_symmetric, dt=1e-2, horizon=2.0)
-        lt = occupation_local_time(path, -1.0)
-        with pytest.raises(ValueError):
-            compensator_K(two_pin_symmetric, path, [lt], kern)
-        with pytest.raises(ValueError):
-            compensator_K(two_pin_symmetric, path,
-                          [lt, occupation_local_time(path, 0.5)], kern)
-
-    def test_pathwise_matches_ensemble_pipeline(self, single_pin_exp, exp_bundle):
-        # the public per-path operations reproduce the streamed reduction:
-        # the plain compensator, the weighted one and the martingale M
-        dt = 2e-3
-        ens = simulate_ensemble(single_pin_exp, dt, 7.0, 3, seed=314)
-        kern = IntensityKernel(single_pin_exp, dt=dt, horizon=7.0)
-        for i in range(3):
-            p = ens.path(i)
-            lts = [occupation_local_time(p, z) for z in single_pin_exp.pinning.points]
-            curve = compensator_K(single_pin_exp, p, lts, kern)
-            idx = [int(round(t / dt)) for t in EXP_PROBES]
-            np.testing.assert_allclose(curve.values[idx], exp_bundle["K_probe"][i],
-                                       rtol=1e-10)
-
-        model = ModelSpec(UniformLaw(0.5, 2.0), PinningLaw([-1.0, 2.0], [0.6, 0.4]))
-        times = (0.8, 1.2, 1.8)
-        prod = compensator_products(model, dt=dt, horizon=2.0, n_paths=3, seed=99,
-                                    probe_times=times, weighted=True)
-        kern = IntensityKernel(model, dt=dt, horizon=2.0)
+    @given(case_i=st.integers(0, len(PATH_CASES) - 1), n_paths=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30)
+    def test_pathwise_matches_ensemble_pipeline(self, case_i, n_paths, seed):
+        # a single path is a one-row ensemble: the per-path plain and weighted
+        # compensators and the martingale M are the pipeline's rows byte for
+        # byte, at the probes and, for path 0, along the whole curve
+        model, dt, horizon, times = PATH_CASES[case_i]
+        prod = compensator_products(model, dt, horizon, n_paths, seed, times, weighted=True)
+        kern = _path_case_kernel(case_i)
         idx = [int(round(t / dt)) for t in times]
         mart_m = exp_martingale(0.25, prod["frak"], prod["absorbed"][:, None] <= idx,
                                 prod["X_probe"])
-        for i, p in enumerate(simulate_ensemble(model, dt, 2.0, 3, seed=99)):
-            lts = [occupation_local_time(p, z) for z in model.pinning.points]
-            frak = compensator_frak(model, p, lts, kern)
-            np.testing.assert_allclose(frak.values[idx], prod["frak"][i],
-                                       rtol=1e-10, atol=1e-14)
-            np.testing.assert_allclose(martingale_M(p, frak, 0.25)[idx],
-                                       mart_m[i], rtol=1e-10)
+        for i, p in enumerate(simulate_ensemble(model, dt, horizon, n_paths, seed)):
+            curve = compensator_K(model, p, kern)
+            frak = compensator_frak(model, p, kern)
+            assert curve.values[idx].tobytes() == prod["K_probe"][i].tobytes()
+            assert frak.values[idx].tobytes() == prod["frak"][i].tobytes()
+            assert martingale_M(p, frak, 0.25)[idx].tobytes() == mart_m[i].tobytes()
+            if i == 0:
+                assert curve.values.tobytes() == prod["K_path0"].tobytes()
 
     def test_curve_shape_invariants(self, two_pin_symmetric):
         dt = 1e-3
         ens = simulate_ensemble(two_pin_symmetric, dt, 2.0, 5, seed=3)
         kern = IntensityKernel(two_pin_symmetric, dt=dt, horizon=2.0)
         for p in ens:
-            lts = [occupation_local_time(p, z) for z in two_pin_symmetric.pinning.points]
-            curve = compensator_K(two_pin_symmetric, p, lts, kern)
+            curve = compensator_K(two_pin_symmetric, p, kern)
             assert curve.values[0] == 0.0
             assert np.all(np.diff(curve.values) >= 0.0)
             assert np.all(np.diff(curve.values[p.absorbed_index:]) == 0.0)
@@ -252,8 +252,7 @@ class TestCompensatorK:
         ens = simulate_ensemble(model, dt, 3.0, 10, seed=5)
         kern = IntensityKernel(model, dt=dt, horizon=3.0)
         for p in ens:
-            lts = [occupation_local_time(p, z) for z in model.pinning.points]
-            curve = compensator_K(model, p, lts, kern)
+            curve = compensator_K(model, p, kern)
             i15, i30 = int(round(1.5 / dt)), int(round(3.0 / dt))
             assert curve.values[i30] == curve.values[i15]
 
@@ -266,8 +265,7 @@ class TestCompensatorK:
             ens = simulate_ensemble(single_pin_exp, dt, 2.0, 12, seed=6)
             jumps = []
             for p in ens:
-                lts = [occupation_local_time(p, 0.0)]
-                curve = compensator_K(single_pin_exp, p, lts, kern)
+                curve = compensator_K(single_pin_exp, p, kern)
                 jumps.append(np.max(np.diff(curve.values), initial=0.0))
             worst.append(np.median(jumps))
         assert worst[0] > worst[1] > worst[2]
@@ -399,9 +397,8 @@ class TestWeightedCompensator:
         ens = simulate_ensemble(single_pin_exp, dt, 2.0, 3, seed=7)
         kern = IntensityKernel(single_pin_exp, dt=dt, horizon=2.0)
         for p in ens:
-            lts = [occupation_local_time(p, 0.0)]
-            plain = compensator_K(single_pin_exp, p, lts, kern)
-            frak = compensator_frak(single_pin_exp, p, lts, kern)
+            plain = compensator_K(single_pin_exp, p, kern)
+            frak = compensator_frak(single_pin_exp, p, kern)
             # the integrand carries the pin level, 0
             assert plain.values[-1] > 0.0
             assert np.all(frak.values == 0.0)
@@ -412,8 +409,7 @@ class TestWeightedCompensator:
         ens = simulate_ensemble(model, dt, 2.0, 5, seed=8)
         kern = IntensityKernel(model, dt=dt, horizon=2.0)
         for p in ens:
-            lts = [occupation_local_time(p, z) for z in model.pinning.points]
-            frak = compensator_frak(model, p, lts, kern)
+            frak = compensator_frak(model, p, kern)
             assert np.all(np.diff(frak.values) >= 0.0)
 
     def test_mean_tracks_pin_mean_times_cdf(self):
@@ -487,18 +483,16 @@ class TestExponentialMartingales:
         ens = simulate_ensemble(single_pin_exp, 1e-2, 2.0, 1, seed=10)
         p = ens.path(0)
         kern = IntensityKernel(single_pin_exp, dt=1e-2, horizon=2.0)
-        lts = [occupation_local_time(p, 0.0)]
-        curve = compensator_K(single_pin_exp, p, lts, kern)
+        curve = compensator_K(single_pin_exp, p, kern)
         np.testing.assert_array_equal(martingale_N(p, curve, 0.0), 1.0)
-        frak = compensator_frak(single_pin_exp, p, lts, kern)
+        frak = compensator_frak(single_pin_exp, p, kern)
         np.testing.assert_array_equal(martingale_M(p, frak, 0.0), 1.0)
 
     def test_bounded_by_one_plus_lambda(self, single_pin_exp):
         ens = simulate_ensemble(single_pin_exp, 1e-2, 3.0, 10, seed=11)
         kern = IntensityKernel(single_pin_exp, dt=1e-2, horizon=3.0)
         for p in ens:
-            lts = [occupation_local_time(p, 0.0)]
-            curve = compensator_K(single_pin_exp, p, lts, kern)
+            curve = compensator_K(single_pin_exp, p, kern)
             for lam in (0.5, 1.0, 2.0):
                 assert np.max(martingale_N(p, curve, lam)) <= 1.0 + lam + 1e-12
 

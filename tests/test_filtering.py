@@ -879,6 +879,28 @@ class TestMirror:
             assert table.rows[0, k].tobytes() == direct.tobytes()
 
 
+class TestSpaceGrid:
+    @pytest.mark.parametrize("model, s_max", [
+        (ModelSpec(UniformLaw(0.5, 2.0), PinningLaw([-0.5, 0.5], [0.5, 0.5])), 2.0),
+        (ModelSpec(UniformLaw(0.5, 1.5), PinningLaw([-0.5, 0.25], [0.5, 0.5])), 1.5)])
+    def test_no_wasted_column_at_the_origin(self, model, s_max):
+        # the linear base's middle node is the origin itself, so no node
+        # lies a few ulp beside it (there were three, or two, at these spreads)
+        xs = _space_grid(model, 1e-3, s_max)
+        assert np.min(np.diff(xs)) > 1e-12 * xs[-1]
+
+    @given(st.lists(st.integers(-60, 60), min_size=1, max_size=3, unique=True),
+           st.booleans(), st.floats(1e-2, 5.0))
+    def test_origin_is_one_node(self, steps, mirror, s_max):
+        # whatever the spread, exactly one node lies within 1e-12 spread of
+        # the origin, and it is 0.0 (pins on a grid of 0.05, as configs give them)
+        pins = sorted({k / 20 for k in steps} | ({-k / 20 for k in steps} if mirror else set()))
+        model = ModelSpec(ExponentialLaw(1.0), PinningLaw(pins, [1.0 / len(pins)] * len(pins)))
+        xs = _space_grid(model, 1e-3, s_max)
+        near = xs[np.abs(xs) <= 1e-12 * xs[-1]]
+        assert near.tobytes() == np.zeros(1).tobytes()
+
+
 class TestInnovation:
     def test_brownian_statistics(self, single_pin_exp):
         n = 400
@@ -965,6 +987,19 @@ class TestBandProbability:
         # an empty ladder and a 2-d one
         with pytest.raises(ValueError, match="band widths must be finite and positive"):
             BandProbabilityCache(single_pin_exp, h, 0.01, 1.0)
+
+    @given(st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, ()]),
+                     st.floats(max_value=0.0, allow_infinity=False),
+                     st.lists(st.floats(1e-3, 1.0), max_size=2).flatmap(
+                         lambda good: st.sampled_from([math.nan, math.inf, 0.0, -0.1]).map(
+                             lambda bad: [*good, bad]))),
+           st.sampled_from([0.2, [0.1, -0.4]]))
+    def test_direct_width_checked(self, single_pin_exp, h, x):
+        # the width rule of the tables: a width that is not finite and
+        # positive raises, also as one width of a ladder, where a band of
+        # 0.0 or 1.0 was returned
+        with pytest.raises(ValueError, match="band widths must be finite and positive"):
+            band_probability(single_pin_exp, 0.5, x, h)
 
     def test_band_values_are_probabilities(self, single_pin_exp):
         cache = BandProbabilityCache(single_pin_exp, h=0.05, s_min=1e-3, s_max=1.0)

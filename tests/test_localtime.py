@@ -254,6 +254,27 @@ class TestOccupationIncrements:
         with pytest.raises(ValueError, match="dt must be finite and positive"):
             occupation_increments(values, [1.0], dt, 0.0)
 
+    @given(st.sampled_from([occupation_increments, localtime.tanaka_increments]),
+           st.one_of(st.tuples(st.sampled_from([math.nan, math.inf, -math.inf]),
+                               st.just(1.0)),
+                     st.tuples(st.floats(-1.0, 1.0), st.sampled_from([math.nan, -math.nan]))),
+           st.integers(1, 3))
+    def test_level_and_length_checked(self, increments, case, n_rows):
+        # both estimators share one check: a level that is not finite or a
+        # NaN length raises before any increment is formed
+        level, bad_tau = case
+        values = np.tile([0.0, 0.1, -0.05], (n_rows, 1))
+        taus = [1.0] * (n_rows - 1) + [bad_tau]
+        with pytest.raises(ValueError, match="level must be finite|length is NaN"):
+            increments(values, taus, 0.01, level)
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_curves_reject_a_level_that_is_not_finite(self, level):
+        path = _ramp_path()
+        for curve in (occupation_local_time, tanaka_local_time):
+            with pytest.raises(ValueError, match="level must be finite"):
+                curve(path, level)
+
     @given(st.one_of(bridge_blocks(), occupation_blocks()), st.integers(1, 200))
     @settings(max_examples=300)
     def test_matches_masked_form(self, block, cells):

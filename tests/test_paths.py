@@ -214,16 +214,6 @@ class TestLiveSteps:
             paths._bridge_rows(rs[i:i + 1], zs[i:i + 1], dt, one)
             np.testing.assert_array_equal(block[i], one[0])
 
-    @given(st.floats(1e-3, 0.1), st.integers(1, 200), st.floats(1.001, 300.0),
-           st.integers(0, 2**32 - 1))
-    def test_deterministic_bridge_reads_every_normal(self, dt, n_steps, u, seed):
-        # the generator can be the caller's: it advances by all n_steps
-        # normals, however early the path absorbs
-        gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        simulate_deterministic_bridge(u * dt, 0.3, dt, n_steps * dt, gen)
-        ref.standard_normal(n_steps)
-        assert gen.bit_generator.state == ref.bit_generator.state
-
 
 class TestBridgeExactness:
     def test_marginal_ks(self):
@@ -261,14 +251,25 @@ class TestBridgeExactness:
         assert abs(mid.mean() - 2.5) <= 3.0 * stderr
 
     def test_absorption_pins_exactly(self):
-        path = simulate_deterministic_bridge(0.77, -1.3, dt=0.01, horizon=2.0, rng=3)
+        path = simulate_deterministic_bridge(0.77, -1.3, dt=0.01, horizon=2.0, seed=3)
         k = path.absorbed_index
         assert k == math.ceil(0.77 / 0.01)
         assert np.max(np.abs(path.values[k:] - (-1.3))) == 0.0
 
+    @given(st.floats(1e-3, 0.1), st.integers(1, 200), st.floats(1.001, 300.0),
+           st.floats(-5.0, 5.0), st.integers(0, 2**32 - 1))
+    def test_deterministic_bridge_is_path_zero(self, dt, n_steps, u, z, seed):
+        # one bridge route and one stream layout: the single bridge is path 0
+        # of the one-path ensemble, however early it absorbs
+        one = simulate_deterministic_bridge(u * dt, z, dt, n_steps * dt, seed)
+        ref = simulate_bridge_ensemble(u * dt, z, dt, n_steps * dt, 1, seed).path(0)
+        assert one.values.tobytes() == ref.values.tobytes()
+        assert (one.tau, one.z, one.absorbed_index, one.seed) == \
+               (ref.tau, ref.z, ref.absorbed_index, ref.seed)
+
     def test_dt_larger_than_length_rejected(self):
         with pytest.raises(ValueError):
-            simulate_deterministic_bridge(0.005, 0.0, dt=0.01, horizon=1.0, rng=0)
+            simulate_deterministic_bridge(0.005, 0.0, dt=0.01, horizon=1.0, seed=0)
 
     @given(st.sampled_from([(math.inf, 0.0), (math.nan, 0.0), (1.0, math.nan), (1.0, math.inf),
                             (1.0, -math.inf), (math.inf, math.nan)]),
