@@ -64,6 +64,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .paths import _rows_within
+
 __all__ = [
     "QuadratureError",
     "gaussian_density",
@@ -247,7 +249,7 @@ def _window(s, x, edges, points, lag, pull):
     z, centre, n_panels = points[:, None, None], _UNIT_NODES.size // 2, edges.size - 1
     bound_pull, panel = z * z / (2.0 * (s + edges[:-1, None] ** 2)), np.arange(n_panels)[:, None]
     first, last = np.empty(x.size, dtype=int), np.empty(x.size, dtype=int)
-    rows = max(1, _CELLS // (pull.size + 1))
+    rows = _rows_within(_CELLS, pull.size + 1)
     for lo in range(0, x.size, rows):
         block = slice(lo, lo + rows)
         d2 = (z - x[block]) ** 2
@@ -324,7 +326,7 @@ def _evaluate(law, s, x, edges, points, weight):
     for k in range(_GROUPS):
         group = order[k * x.size // _GROUPS:(k + 1) * x.size // _GROUPS]
         p = slice(first[group].min(), last[group].max())
-        rows = max(1, _CELLS // (pull[:, p].size + 1))
+        rows = _rows_within(_CELLS, pull[:, p].size + 1)
         for lo in range(0, group.size, rows):
             block = group[lo:lo + rows]
             expo = buf[:pull[:, p].size * block.size].reshape(n_pins, -1, n_nodes, block.size)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx
 
-from .paths import _live_groups, _live_steps
+from .paths import _live_groups, _live_steps, _rows_within
 
 __all__ = [
     "LocalTimeCurve",
@@ -37,7 +37,10 @@ __all__ = [
 #: level, on one side, adds less than exp(-2 * 6**2) = exp(-72) times
 #: sqrt(dt) and is skipped.
 _SKIP_SIGMAS = 6.0
-_CELLS = 2 ** 17  # steps per pass, or ladder values per A^h row group, so temporaries stay small
+#: Steps per pass, or ladder values per A^h row group, so that temporaries
+#: stay small while the next block of paths is drawn on a worker thread
+#: (:func:`~infobridge.paths.iter_ensemble_chunks`).
+_CELLS = 2 ** 16
 
 
 @dataclass(eq=False)
@@ -90,7 +93,7 @@ def occupation_increments(values, taus, dt, level):
     inc = np.zeros((len(values), values.shape[1] - 1))
     n_live = _live_steps(taus, dt, inc.shape[1])
     far = _SKIP_SIGMAS * math.sqrt(dt)
-    for group, m in _live_groups(n_live, max(1, _CELLS // (inc.shape[1] + 1))):
+    for group, m in _live_groups(n_live, _rows_within(_CELLS, inc.shape[1] + 1)):
         x = values[group, :m + 1] - level
         side = (x > far).view(np.int8) - (x < -far).view(np.int8)  # -1, 0, +1
         skip = side[:, :-1] * side[:, 1:] == 1  # both ends far out on one side

@@ -216,11 +216,13 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times, *, weig
     Each block that :func:`~infobridge.paths.iter_ensemble_chunks` streams
     goes through :func:`~infobridge.compensator.compensator_rows`, with the
     occupation estimator of local time (the expected local time of each step
-    given its grid values), and is released before the next one is
-    simulated.  Local time stops at absorption, so each row's compensator is
-    constant from one step past its absorption index on: a block is reduced
-    in groups of rows of similar absorption, each only over its live window
-    of ``m`` steps, and a probe past column ``m`` reads column ``m``.
+    given its grid values), and is released before the next one is asked
+    for: two blocks are alive, the one reduced here and the next one, drawn
+    meanwhile on one worker thread.  Local time stops at absorption, so each
+    row's compensator is constant from one step past its absorption index
+    on: a block is reduced in groups of rows of similar absorption, each only
+    over its live window of ``m`` steps, and a probe past column ``m`` reads
+    column ``m``.
     Raises ``ValueError`` for fewer than one path or a probe time outside
     ``[0, horizon]`` or off the grid.
     """
@@ -234,7 +236,7 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times, *, weig
     kernel_mid = comp.midpoint_kernel(kernel, dt, n_steps)
     pins = model.pinning.points
 
-    group_rows = max(1, localtime._CELLS // (n_steps + 1))
+    group_rows = paths._rows_within(localtime._CELLS, n_steps + 1)
     out = {key: [] for key in ("K_probe", "K_term", "X_probe", "taus", "zs", "absorbed", "frak")}
     for ens in paths.iter_ensemble_chunks(model, dt, horizon, n_paths, seed):
         # Fortran order, as ``K[:, idx]`` gives it: the summaries add probe columns in this layout
@@ -258,7 +260,7 @@ def compensator_products(model, dt, horizon, n_paths, seed, probe_times, *, weig
         out["absorbed"].append(ens.absorbed_indices)
         if weighted:
             out["frak"].append(frak)
-        del ens  # freed before the next block is simulated
+        del ens  # freed before the next block is asked for: two blocks are alive, not three
     result = {k: (np.concatenate(v) if v else None) for k, v in out.items()}
     result["K_path0"] = path0
     return result
@@ -271,7 +273,7 @@ def _resolvent_approximations(ens, bands):
     row groups of at most ``localtime._CELLS`` values of the ladder."""
     n, dt = ens.n_steps, ens.dt
     t = dt * np.arange(n)
-    rows = max(1, localtime._CELLS // (len(bands.h) * n))
+    rows = paths._rows_within(localtime._CELLS, len(bands.h) * n)
     blocks = []
     for lo in range(0, len(ens), rows):
         x, taus = ens.values[lo:lo + rows, 1:n], ens.taus[lo:lo + rows]

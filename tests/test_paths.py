@@ -3,11 +3,14 @@
 import io
 import math
 import struct
+import sys
+import threading
+import weakref
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtr
@@ -352,6 +355,144 @@ class TestReproducibility:
         for field in ("values", "taus", "zs", "absorbed_indices"):
             np.testing.assert_array_equal(
                 np.concatenate([getattr(b, field) for b in blocks]), getattr(whole, field))
+
+
+class TestPrefetch:
+    """The stream draws each block after the first on one worker thread while
+    the caller holds the block before it."""
+
+    @given(n_steps=st.integers(5, 60), n_paths=st.integers(1, 60), rows=st.integers(1, 12))
+    @settings(max_examples=40)
+    def test_dropped_blocks_match_and_two_are_alive(self, two_pin_symmetric, n_steps,
+                                                    n_paths, rows):
+        # each block, dropped before the next is asked for, is its rows of the
+        # one-block ensemble bit for bit; counted by finalizers, at most two
+        # blocks are alive at once, and two as soon as there are two blocks
+        dt = 0.01
+        whole = simulate_ensemble(two_pin_symmetric, dt, n_steps * dt, n_paths, seed=14)
+        lock, alive, most = threading.Lock(), [0], [0]
+        real = paths._model_block
+
+        def release():
+            with lock:
+                alive[0] -= 1
+
+        def counted(*args):
+            block = real(*args)
+            with lock:
+                alive[0] += 1
+                most[0] = max(most[0], alive[0])
+            weakref.finalize(block, release)
+            return block
+
+        first = 0
+        with mock.patch.object(paths, "_CELLS", rows * (n_steps + 1)), \
+                mock.patch.object(paths, "_model_block", counted):
+            for ens in paths.iter_ensemble_chunks(two_pin_symmetric, dt, n_steps * dt,
+                                                  n_paths, seed=14):
+                rows_of_whole = slice(first, first + len(ens))
+                for field in ("values", "taus", "zs", "absorbed_indices"):
+                    assert (getattr(ens, field).tobytes()
+                            == getattr(whole, field)[rows_of_whole].tobytes())
+                first += len(ens)
+                del ens
+        assert first == n_paths
+        assert most[0] == min(2, -(-n_paths // rows))
+        assert alive[0] == 0
+
+    def test_error_in_a_prefetched_block_surfaces_at_its_next(self, two_pin_symmetric):
+        # blocks of 3 paths; drawing the third block fails on the worker while
+        # the caller holds the second, which was yielded whole
+        class DrawFailed(Exception):
+            pass
+
+        real, drawn_on = paths._model_block, []
+
+        def failing(model, dt, n_steps, seed, first, n):
+            drawn_on.append(threading.get_ident())
+            if first == 6:
+                raise DrawFailed
+            return real(model, dt, n_steps, seed, first, n)
+
+        start = threading.active_count()
+        whole = simulate_ensemble(two_pin_symmetric, 0.01, 0.1, 10, seed=15)
+        with mock.patch.object(paths, "_CELLS", 3 * 11), \
+                mock.patch.object(paths, "_model_block", failing):
+            blocks = paths.iter_ensemble_chunks(two_pin_symmetric, 0.01, 0.1, 10, seed=15)
+            next(blocks)
+            second = next(blocks)
+            np.testing.assert_array_equal(second.values, whole.values[3:6])
+            with pytest.raises(DrawFailed):
+                next(blocks)
+            assert next(blocks, None) is None
+        assert threading.active_count() == start
+        assert drawn_on[0] == threading.get_ident()  # the first block is drawn inline
+        assert all(ident != threading.get_ident() for ident in drawn_on[1:])
+
+    @pytest.mark.parametrize("stop", ["break", "close"])
+    def test_early_stop_ends_the_worker(self, two_pin_symmetric, stop):
+        start = threading.active_count()
+        with mock.patch.object(paths, "_CELLS", 3 * 11):
+            blocks = paths.iter_ensemble_chunks(two_pin_symmetric, 0.01, 0.1, 30, seed=16)
+            if stop == "close":
+                next(blocks)
+                assert threading.active_count() == start + 1  # the second block's worker
+                blocks.close()
+            else:
+                for _ in blocks:
+                    break
+                del blocks
+        assert threading.active_count() == start
+
+    def test_concurrent_streams_under_fast_switching(self, two_pin_symmetric):
+        # four consumers, each with its own worker, switching every 10 us:
+        # every stream is still its ensemble bit for bit
+        dt, n_steps, n_paths, seeds = 0.01, 40, 50, (17, 18, 19, 20)
+        got = {}
+
+        def consume(seed):
+            got[seed] = [b.values for b in paths.iter_ensemble_chunks(
+                two_pin_symmetric, dt, n_steps * dt, n_paths, seed)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with mock.patch.object(paths, "_CELLS", 3 * (n_steps + 1)):
+                consumers = [threading.Thread(target=consume, args=(s,)) for s in seeds]
+                for t in consumers:
+                    t.start()
+                for t in consumers:
+                    t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in consumers)
+        for seed in seeds:
+            whole = simulate_ensemble(two_pin_symmetric, dt, n_steps * dt, n_paths, seed)
+            assert np.concatenate(got[seed]).tobytes() == whole.values.tobytes()
+
+    def test_one_block_starts_no_thread(self, two_pin_symmetric):
+        start = threading.active_count()
+        for _ in paths.iter_ensemble_chunks(two_pin_symmetric, 0.01, 0.1, 30, seed=16):
+            assert threading.active_count() == start
+
+
+class TestPathCount:
+    @pytest.mark.parametrize("n_paths", [-3, -1, True, False, np.bool_(True), 2.0, "3", None])
+    def test_rejected_by_every_ensemble(self, two_pin_symmetric, n_paths):
+        with pytest.raises(ValueError, match="n_paths must be an integer >= 0"):
+            paths.iter_ensemble_chunks(two_pin_symmetric, 0.01, 0.1, n_paths, seed=1)
+        with pytest.raises(ValueError, match="n_paths must be an integer >= 0"):
+            simulate_ensemble(two_pin_symmetric, 0.01, 0.1, n_paths, seed=1)
+        with pytest.raises(ValueError, match="n_paths must be an integer >= 0"):
+            simulate_bridge_ensemble(1.0, 0.5, 0.01, 0.1, n_paths, seed=1)
+
+    @given(n_paths=st.integers(0, 7), numpy_int=st.booleans())
+    def test_integers_accepted(self, two_pin_symmetric, n_paths, numpy_int):
+        n = np.int64(n_paths) if numpy_int else n_paths
+        assert len(simulate_ensemble(two_pin_symmetric, 0.01, 0.1, n, seed=1)) == n_paths
+        assert len(simulate_bridge_ensemble(1.0, 0.5, 0.01, 0.1, n, seed=1)) == n_paths
+        blocks = list(paths.iter_ensemble_chunks(two_pin_symmetric, 0.01, 0.1, n, seed=1))
+        assert sum(len(b) for b in blocks) == n_paths
 
 
 class TestQuadraticVariation:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import threading
 from unittest import mock
 
 import numpy as np
@@ -127,6 +128,29 @@ class TestCompensatorProducts:
             with pytest.raises(ValueError, match="probe times"):
                 compensator_products(two_pin_asymmetric, 0.01, 1.0, 4, seed=5,
                                      probe_times=probes)
+
+    def test_reduction_stays_on_the_callers_thread(self, two_pin_asymmetric, monkeypatch):
+        # blocks of 7 paths: the stream draws blocks 2-5 on its worker, while
+        # local time and the kernel's reads all run where the caller does
+        threads = {"occupation_increments": set(), "kernel": set(), "_model_block": set()}
+
+        def on_thread(name, fn):
+            def recorded(*args, **kwargs):
+                threads[name].add(threading.get_ident())
+                return fn(*args, **kwargs)
+            return recorded
+
+        monkeypatch.setattr(paths, "_CELLS", 7 * 201)
+        monkeypatch.setattr(localtime, "occupation_increments",
+                            on_thread("occupation_increments", localtime.occupation_increments))
+        monkeypatch.setattr(comp.IntensityKernel, "__call__",
+                            on_thread("kernel", comp.IntensityKernel.__call__))
+        monkeypatch.setattr(paths, "_model_block", on_thread("_model_block", paths._model_block))
+        compensator_products(two_pin_asymmetric, 0.01, 2.0, 30, seed=5,
+                             probe_times=(0.5, 1.0, 2.0), weighted=True)
+        caller = threading.get_ident()
+        assert threads["occupation_increments"] == threads["kernel"] == {caller}
+        assert caller in threads["_model_block"] and len(threads["_model_block"]) == 2
 
 
 class TestScales:
