@@ -99,16 +99,13 @@ def cmd_simulate(cfg):
 def cmd_posterior(cfg, t, x):
     model = cfg.model_spec()
     out = _ensure_out(cfg)
-    sup = model.support_sup
-    u_hi = sup if math.isfinite(sup) else model.length.quantile(0.999)
-    if u_hi <= t:  # an unbounded law observed late: the curve runs past t
-        u_hi += t
-    u = np.linspace(t, u_hi, 200)
+    # raises QuadratureError where t is out of reach, before the curve's end is cut
+    pins = filtering.pin_posterior(model, t, x)
+    u = np.linspace(t, model.length.tail_point(t, 1e-3), 200)
     surv = filtering.survival_probability(model, t, x, u)
     data = np.column_stack([u, surv])
     surv_path = os.path.join(out, "survival.csv")
     np.savetxt(surv_path, data, delimiter=",", header="u,probability", comments="", fmt="%.12g")
-    pins = filtering.pin_posterior(model, t, x)
     pin_path = os.path.join(out, "pin_posterior.csv")
     np.savetxt(pin_path, np.column_stack([model.pinning.points, pins]),
                delimiter=",", header="z,probability", comments="", fmt="%.12g")

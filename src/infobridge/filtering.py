@@ -136,8 +136,8 @@ def posterior(model, t, x, absorbed=False, tau=None):
 
 def pin_posterior(model, t, x):
     """Conditional pin weights at ``(t, x)``; vectorized over ``x`` (rows of
-    the returned array are pins).  Raises ``QuadratureError`` past the
-    truncation point of an unbounded length law."""
+    the returned array are pins).  Raises ``QuadratureError`` where the
+    mixture weight or the length law's tail past ``t`` underflows."""
     q, _ = kernels._conditional(model, t, x)
     weighted = model.pinning.probs[:, None] * q.mass
     return kernels._unwrap(x, weighted / weighted.sum(axis=0, keepdims=True))
@@ -146,8 +146,8 @@ def pin_posterior(model, t, x):
 def survival_probability(model, t, x, u):
     """P(length > u | path up to t, not yet absorbed); vectorized over ``x``,
     and a sequence of times ``u`` adds a leading axis.  All times come from
-    one quadrature pass.  Raises ``QuadratureError`` past the truncation
-    point of an unbounded length law."""
+    one quadrature pass.  Raises ``QuadratureError`` where the mixture
+    weight or the length law's tail past ``t`` underflows."""
     if np.any(np.asarray(u) < t):
         raise ValueError("need u >= t")
     q, mass = kernels._conditional(model, t, x, uppers=u)
@@ -161,8 +161,8 @@ def band_probability(model, t, x, h):
     come from one quadrature pass, and each band is summed over its own
     panels rather than formed as one minus a survival probability.  Raises
     ``ValueError`` unless every width is finite and positive and a sequence
-    is not empty, and ``QuadratureError`` past the truncation point of an
-    unbounded length law."""
+    is not empty, and ``QuadratureError`` where the mixture weight or the
+    length law's tail past ``t`` underflows."""
     h = kernels._widths(h)
     q, mass = kernels._conditional(model, t, x, uppers=t + np.atleast_1d(h))
     out = np.clip((model.pinning.probs @ q.band) / mass, 0.0, 1.0)
@@ -224,7 +224,7 @@ class TransitionLaw:
 
 def transition_law(model, t, x, u):
     """Transition law of the observed process between times ``0 < t < u < inf``.
-    Raises ``QuadratureError`` past the truncation point of an unbounded length law."""
+    Raises ``QuadratureError`` where the mixture weight or the law's tail past ``t`` underflows."""
     if not (0.0 < t < u < math.inf):
         raise ValueError("need 0 < t < u < inf")
     k = _pin_index(model, x)
@@ -253,8 +253,8 @@ def drift(model, s, x):
     pull's ``1/(r - s)`` joins the quadrature weights and ``z_i - x``
     multiplies each pin's panel sums, so the drift is 0 on a single pin.
     Raises ``ValueError`` for an ``s`` outside the support of the length
-    law, and ``QuadratureError`` past the truncation point of an unbounded
-    length law."""
+    law, and ``QuadratureError`` where the mixture weight or the length
+    law's tail past ``s`` underflows."""
     q, mass = kernels._conditional(model, s, x, weight=_PULL)
     return kernels._unwrap(x, (model.pinning.probs @ q.moment) / mass)
 

@@ -23,8 +23,9 @@ panels, so a small band keeps its relative accuracy, and, given
 
 Numerical policy, fixed for the whole library: v = sqrt(r - s) removes the
 integrable (r-s)^(-1/2) singularity at the left endpoint (the Jacobian 2v
-cancels the 1/v); an infinite endpoint is truncated where less than 1e-10
-of the length law lies beyond.  The panels start where the length density
+cancels the 1/v); an infinite endpoint is cut at the length law's
+``tail_point(s, 1e-10)``, beyond which 1e-10 of its tail past s remains
+(``QuadratureError`` if not finite).  The panels start where the length density
 does, 30 graded geometrically in v from 1e-9 of the range; each gives a
 Kronrod and an embedded 10-point Gauss sum from the 21 nodes of the
 QUADPACK qk21 pair (Piessens et al., 1983).  Each observed value settles on
@@ -84,8 +85,8 @@ _REL_TOL = 1e-9
 _ABS_TOL = 1e-13
 _BASE_PANELS = 30
 _MAX_PANELS = 1920
-#: Mass of the length law allowed beyond the truncation point when the
-#: support is unbounded.
+#: Share of the length law's tail past the observation time allowed beyond
+#: the truncation point when the support is unbounded.
 _TRUNCATION_MASS = 1e-10
 _CELLS = 2 ** 20  # exponent cells per block of x, so that the temporaries stay small
 _UNDERFLOW = -746.0  # exp(e) is exactly 0.0 for every e below -745.14
@@ -207,10 +208,8 @@ def _ladder(v_hi):
 
 def _tail_edges(law, s, upper, uppers):
     """Panel edges in v = sqrt(r - s), from where the length density starts
-    to ``upper``: 30 graded geometrically from 1e-9 of the range, split at
-    density kinks and band edges ``uppers``; no panels if ``s >= upper``."""
-    if s >= upper:
-        return np.zeros(1)
+    to ``upper > s``: 30 graded geometrically from 1e-9 of the range, split
+    at density kinks and band edges ``uppers``."""
     v_lo, v_hi = math.sqrt(max(law.support_inf - s, 0.0)), math.sqrt(upper - s)
     ladder = _ladder(v_hi)
     if v_lo >= ladder[0]:
@@ -432,7 +431,8 @@ def tail_integrals(model, s, x, *, uppers=(), weight=None, table=False):
         or edges of more than one dimension; an edge at ``+inf`` is allowed
         and gives empty tails.
     QuadratureError
-        When some value has not settled at 1,920 panels.
+        When some value has not settled at 1,920 panels, or the length law's
+        tail past ``s`` underflowed.
     """
     law, points, probs = model.length, model.pinning.points, model.pinning.probs
     x, uppers = np.asarray(x, dtype=float), np.asarray(uppers, dtype=float)
@@ -447,7 +447,10 @@ def tail_integrals(model, s, x, *, uppers=(), weight=None, table=False):
     if s >= law.support_sup:
         raise ValueError("model exhausted: observation time at or past the "
                          "support supremum of the length law")
-    edges = _tail_edges(law, s, law.truncation_point(_TRUNCATION_MASS), uppers)
+    upper = law.tail_point(s, _TRUNCATION_MASS)
+    if not math.isfinite(upper):
+        raise QuadratureError(f"the length law's tail past s={s} underflowed")
+    edges = _tail_edges(law, s, upper, uppers)
     v_up = [math.sqrt(max(u - s, 0.0)) for u in uppers]
     n_q = 1 + 2 * n_up + (weight is not None)
     abs_tol = _abs_tol(n_q, points.size, n_up)

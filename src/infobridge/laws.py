@@ -1,9 +1,9 @@
 """Model parameterization: the continuous law of the random bridge length,
 the discrete law of the pinning point, and their samplers.
 
-Length laws expose ``pdf``, ``cdf``, ``quantile`` and inverse-CDF sampling,
-plus ``support_sup`` (the supremum of the support, possibly ``inf``), which
-downstream integrals use as an exact truncation point.  Independence of the
+Length laws expose ``pdf``, ``cdf``, ``quantile``, inverse-CDF sampling,
+``support_sup`` (possibly ``inf``) and ``tail_point``, from the survival pair
+``sf`` and ``isf``: the one cut of downstream integrals.  Independence of the
 length, the pin and the driving noise is structural: simulation derives one
 RNG stream per source from a master seed.
 """
@@ -36,7 +36,9 @@ class LengthLaw:
 
     Subclasses provide vectorized ``pdf`` and ``cdf``, a scalar
     ``quantile``, the support bounds, and ``breakpoints`` (interior density
-    kinks the quadrature must not smooth over).
+    kinks the quadrature must not smooth over).  :meth:`tail_point` reads the
+    survival pair ``sf`` and ``isf``: closed forms on each unbounded family,
+    else ``1 - cdf`` and ``quantile(1 - q)``, which :class:`CustomLengthLaw` inherits.
     """
 
     family = "abstract"
@@ -57,11 +59,20 @@ class LengthLaw:
         """Inverse-CDF draw; deterministic given the generator state."""
         return self.quantile(rng.uniform(size=size))
 
-    def truncation_point(self, mass):
-        """Point beyond which at most ``mass`` of the law remains."""
+    def sf(self, t):
+        return 1.0 - self.cdf(t)
+
+    def isf(self, q):
+        """Inverse of :meth:`sf` at a scalar ``q``; ``inf`` where ``1 - q`` rounds to 1."""
+        return self.quantile(1.0 - q) if 1.0 - q < 1.0 else math.inf
+
+    def tail_point(self, s, mass):
+        """Point beyond which ``mass`` of the tail past ``s`` remains: ``support_sup``
+        if bounded, else ``isf(mass * sf(s))``, ``inf`` where that underflows."""
         if math.isfinite(self.support_sup):
             return self.support_sup
-        return self.quantile(1.0 - mass)
+        q = mass * float(self.sf(s))
+        return float(self.isf(q)) if q > 0.0 else math.inf
 
     def params(self):
         raise NotImplementedError
@@ -92,6 +103,12 @@ class ExponentialLaw(LengthLaw):
 
     def quantile(self, q):
         return -np.log1p(-np.asarray(q, dtype=float)) / self.rate
+
+    def sf(self, t):
+        return np.exp(-self.rate * np.maximum(t, 0.0))
+
+    def isf(self, q):
+        return -np.log(q) / self.rate
 
     def params(self):
         return {"rate": self.rate}
@@ -146,6 +163,12 @@ class GammaLaw(LengthLaw):
 
     def quantile(self, q):
         return self.scale * special.gammaincinv(self.shape, np.asarray(q, dtype=float))
+
+    def sf(self, t):
+        return special.gammaincc(self.shape, np.maximum(t, 0.0) / self.scale)
+
+    def isf(self, q):
+        return self.scale * special.gammainccinv(self.shape, q)
 
     def params(self):
         return {"shape": self.shape, "scale": self.scale}
@@ -240,7 +263,7 @@ def validate_length_law(law):
     """
     from scipy import integrate
 
-    upper = law.truncation_point(1e-14)
+    upper = law.tail_point(0.0, 1e-14)
     pts = sorted(b for b in law.breakpoints if 0.0 < b < upper)
     total, _ = integrate.quad(lambda r: float(law.pdf(r)), 0.0, upper,
                               points=pts or None, limit=200)

@@ -315,7 +315,8 @@ class VerificationContext:
         self._cache = {}
         # Horizon with at most 1e-4 survival mass for the unbounded law,
         # snapped up to a whole number of grid steps.
-        self.exp_horizon = self.dt * math.ceil(-math.log(1e-4) / self.dt)
+        self.exp_horizon = self.dt * math.ceil(
+            self.model_single_pin().length.tail_point(0.0, 1e-4) / self.dt)
         # Each shared ensemble by its seed tag: model, horizon, path count
         # and the keyword arguments of compensator_products.
         self._ensembles = {

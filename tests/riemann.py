@@ -1,13 +1,15 @@
 """Brute-force quadrature oracles used to pin expected values in tests.
 
-Everything here is a plain midpoint Riemann sum, written independently of
-the package's adaptive quadrature: the only shared knowledge is the
-integrand's closed form.  The left-endpoint square-root singularity of the
-tail integrands is handled by summing in the variable v = sqrt(r - s),
-which is ordinary calculus, not an algorithm shared with the library.
+Everything here but :func:`gamma_intensity`, a closed form, is a plain
+midpoint Riemann sum, written independently of the package's adaptive
+quadrature: the only shared knowledge is the integrand's closed form.  The
+left-endpoint square-root singularity of the tail integrands is handled by
+summing in the variable v = sqrt(r - s), which is ordinary calculus, not an
+algorithm shared with the library.
 """
 
 import numpy as np
+from scipy import special
 
 
 def gaussian(v, x, mean=0.0):
@@ -70,6 +72,14 @@ def intensity(s, k, pins, probs, pdf, f_at_s, r_max, n=10 ** 6):
         den += p * np.sum(ratio * kernel * 2.0 * v) * dv
     num = probs[k] * f_at_s * np.sqrt(2.0 * np.pi * s) * np.exp(zk * zk / (2.0 * s))
     return num / den
+
+
+def gamma_intensity(s, shape, scale=1.0):
+    """Kernel with one pin at 0 on a Gamma(shape, scale) length, in closed
+    form: sqrt(2) / (sqrt(s) U(1/2, shape + 1, s / scale)), with Tricomi's U
+    (Abramowitz and Stegun 13.2.5, after r = s (1 + t)).  Exp(1) is
+    Gamma(1, 1)."""
+    return np.sqrt(2.0) / (np.sqrt(s) * special.hyperu(0.5, shape + 1.0, s / scale))
 
 
 def exp_pdf(rate=1.0):

@@ -24,9 +24,9 @@ PINNED = {
     "quadratic_variation": 0.0012648362378756607,
     "filter_tower": 1.2117753010529364,
     "brownian_local_time": 0.034292055730516885,
-    "compensator_martingale": 1.1339172825096742,
-    "terminal_exponential": 0.6751169066844079,
-    "terminal_mgf": 0.5084934908459595,
+    "compensator_martingale": 1.1339172874638688,
+    "terminal_exponential": 0.6751169022857237,
+    "terminal_mgf": 0.5084934967032949,
     "weighted_compensator": 1.1097951230393448,
     "martingale_M": 1.373404758113422,
     "meyer_refinement": -0.004333431492687501,

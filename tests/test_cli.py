@@ -155,8 +155,9 @@ class TestPosterior:
         assert np.all(np.diff(rows[:, 1]) <= 1e-12)
 
     def test_late_observation_curve_runs_past_t(self, tmp_path):
-        # On the default Exp(1) model t = 10 lies past quantile(0.999) = 6.91,
-        # where the curve used to end.
+        # On the default Exp(1) model the curve ends at 16.91, where 1e-3 of
+        # the law's tail past t = 10 remains; it used to end at its prior
+        # quantile(0.999) = 6.91, before t.
         out = tmp_path / "out"
         assert main(["posterior", "--t", "10", "--x", "0", "--out", str(out)]) == 0
         rows = np.loadtxt(out / "survival.csv", delimiter=",", skiprows=1)
@@ -164,14 +165,32 @@ class TestPosterior:
         assert np.all(np.isfinite(rows)) and np.all((rows[:, 1] >= 0.0) & (rows[:, 1] <= 1.0))
         assert np.all(np.diff(rows[:, 1]) <= 0.0)
 
-    def test_past_the_truncation_point_exits_with_quadrature_code(self, tmp_path, capsys):
-        # t = 30 lies past the truncation point of Exp(1) (about 23): no
-        # mass is left to condition on, so no curve is written
+    def test_past_the_prior_cut_writes_finite_curves(self, tmp_path):
+        # t = 30 lies past where 1e-10 of the prior Exp(1) law remains (about
+        # 23), where the tail quadrature used to stop; it cuts the tail past t
         out = tmp_path / "out"
-        assert main(["posterior", "--t", "30", "--x", "0", "--out", str(out)]) == 4
+        assert main(["posterior", "--t", "30", "--x", "0", "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "survival.csv", delimiter=",", skiprows=1)
+        assert rows[0].tolist() == [30.0, 1.0]
+        assert rows[-1, 0] == pytest.approx(30.0 - math.log(1e-3))
+        assert np.all((rows[:, 1] >= 0.0) & (rows[:, 1] <= 1.0))
+        assert np.all(np.diff(rows[:, 1]) <= 0.0)
+        j = int(np.argmin(np.abs(rows[:, 0] - 31.0)))
+        oracle = riemann.survival(30.0, 0.0, rows[j, 0], [0.0], [1.0], riemann.exp_pdf(), 90.0)
+        assert rows[j, 1] == pytest.approx(oracle, rel=1e-6)
+        pins = np.loadtxt(out / "pin_posterior.csv", delimiter=",", skiprows=1)
+        assert pins.tolist() == [0.0, 1.0]
+
+    def test_unsettled_band_sums_exit_with_quadrature_code(self, tmp_path, capsys):
+        # Gamma(2) with far pins, observed far from them at a tiny time: the
+        # band pin sums cannot settle, so no curve is written
+        cfg = _write_config(tmp_path, model={
+            "tau": {"family": "gamma", "shape": 2.0},
+            "pinning": {"points": [-30.0, 0.5, 40.0], "probs": [0.3, 0.4, 0.3]}})
+        assert main(["posterior", "--config", str(cfg), "--t", "1e-8", "--x", "50"]) == 4
         err = capsys.readouterr().err
         assert err.startswith("quadrature failure:") and err.count("\n") == 1
-        assert not any(out.iterdir())
+        assert not any((tmp_path / "out").iterdir())
 
     def test_survival_matches_quadrature_oracle(self, tmp_path):
         cfg = _write_config(tmp_path)
@@ -297,15 +316,39 @@ class TestCompensatorCommand:
         prod = verify.compensator_products(model, 0.3, 0.9, 50, seed=0, probe_times=summary["t"])
         assert summary["mean"] == prod["K_probe"].mean(axis=0).tolist()
 
-    def test_unreachable_horizon_exits_with_quadrature_code(self, tmp_path, capsys,
-                                                            monkeypatch):
-        # The kernel cannot be built past the truncation point of Exp(1)
-        # (about 23); the command must fail there, before simulating.
+    def test_horizon_30_kernel_matches_closed_form(self, tmp_path, monkeypatch):
+        # Past where 1e-10 of the prior Exp(1) law remains (about 23) the
+        # kernel is built from the tail past each node; with one pin at 0 it
+        # has a closed form.
+        kernels_built = []
+        init = IntensityKernel.__init__
+
+        def keeping_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            kernels_built.append(self)
+
+        monkeypatch.setattr(IntensityKernel, "__init__", keeping_init)
+        assert main(["compensator", "--horizon", "30", "--paths", "50", "--out",
+                     str(tmp_path)]) == 0
+        (kern,) = kernels_built
+        assert kern.s_grid[-1] == 30.0
+        np.testing.assert_allclose(kern(kern.s_grid)[0], riemann.gamma_intensity(kern.s_grid, 1.0),
+                                   rtol=1e-8)
+        summary = json.loads((tmp_path / "compensator_summary.json").read_text())
+        curve = np.loadtxt(tmp_path / "compensator_path0.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(summary["mean"])) and np.all(np.isfinite(curve))
+
+    def test_kernel_failure_exits_with_quadrature_code(self, tmp_path, capsys, monkeypatch):
+        # a kernel that cannot be built fails the command before simulating
+        def failing_init(self, *args, **kwargs):
+            raise kernels.QuadratureError("tail quadrature did not converge")
+
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulation started")
 
+        monkeypatch.setattr(IntensityKernel, "__init__", failing_init)
         monkeypatch.setattr(paths, "iter_ensemble_chunks", no_simulation)
-        assert main(["compensator", "--horizon", "30", "--out", str(tmp_path)]) == 4
+        assert main(["compensator", "--out", str(tmp_path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("quadrature failure:") and err.count("\n") == 1
 

@@ -15,6 +15,7 @@ from infobridge import localtime, paths
 from infobridge import (
     CompensatorCurve,
     ExponentialLaw,
+    GammaLaw,
     IntensityKernel,
     ModelSpec,
     PinningLaw,
@@ -52,6 +53,17 @@ class TestIntensityKernel:
                                    math.exp(-0.5), 60.0)
         assert oracle == pytest.approx(1.0440615714, abs=1e-8)
         assert intensity_row(single_pin_exp, 0.5)[0] == pytest.approx(oracle, rel=1e-6)
+
+    @given(law=st.one_of(st.just(ExponentialLaw(1.0)),
+                         st.builds(GammaLaw, st.floats(0.5, 3.0), st.floats(0.5, 2.0))),
+           s=st.floats(math.log(1e-4), math.log(40.0)).map(math.exp))
+    @settings(max_examples=80)
+    def test_single_pin_gamma_closed_form(self, law, s):
+        # up to s = 40, where far less than 1e-10 of the prior law lies past
+        # s: the quadrature cuts the tail past s, not the prior law
+        shape, scale = (1.0, 1.0) if isinstance(law, ExponentialLaw) else (law.shape, law.scale)
+        row = intensity_row(ModelSpec(law, PinningLaw([0.0], [1.0])), s)
+        assert row[0] == pytest.approx(riemann.gamma_intensity(s, shape, scale), rel=1e-8)
 
     def test_zero_outside_support(self, two_pin_symmetric):
         assert intensity_row(two_pin_symmetric, 0.3)[0] == 0.0

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 import riemann
 from infobridge import (
+    CustomLengthLaw,
     DriftCache,
     ExponentialLaw,
     GammaLaw,
@@ -38,10 +39,22 @@ PIN_LEVEL_MODELS = [VerificationContext.model_single_pin(),
                     VerificationContext.model_bounded_support()]
 
 
-def quad_drift(model, s, x):
-    """Drift by ``scipy.integrate.quad`` in v = sqrt(r - s), up to the
-    library's truncation point, on pieces split where an integrand changes
-    fast: at powers of two times each |z - x|, where the pull
+def quad_cut(law, s):
+    """Where 1e-13 of the length law's tail past ``s`` remains, from
+    ``scipy.special`` alone: the support edge of a bounded law, else the
+    inverse of the Gamma survival function (Exp(rate) is Gamma(1, 1/rate))."""
+    if math.isfinite(law.support_sup):
+        return law.support_sup
+    shape, scale = ((1.0, 1.0 / law.rate) if isinstance(law, ExponentialLaw)
+                    else (law.shape, law.scale))
+    return scale * special.gammainccinv(shape, 1e-13 * special.gammaincc(shape, s / scale))
+
+
+def quad_reads(model, s, x, u=None):
+    """Drift and, given ``u``, the survival probability past ``u`` by
+    ``scipy.integrate.quad`` in v = sqrt(r - s), up to :func:`quad_cut`, on
+    pieces split at sqrt(u - s) and where an integrand changes fast: at
+    powers of two times each |z - x|, where the pull
     (z - x)/v^2 exp(-(z - x)^2/(2 v^2)) puts a spike of unit-order mass at
     v ~ |z - x|; around the peak of each exponent
     z^2/(2r) - (z - x)^2/(2 v^2), at v^2 = s |z - x|/(|z| - |z - x|) when
@@ -49,10 +62,11 @@ def quad_drift(model, s, x):
     shifted by their largest value at the split points."""
     law, pins, probs = model.length, model.pinning.points, model.pinning.probs
     v_lo = math.sqrt(max(law.support_inf - s, 0.0))
-    v_hi = math.sqrt(law.truncation_point(1e-10) - s)
+    v_hi = math.sqrt(quad_cut(law, s) - s)
+    v_u = math.inf if u is None else math.sqrt(u - s)
     pts = [v_lo, v_hi, *np.geomspace(1e-12 * v_hi, v_hi, 60),
            *(v_hi * (1.0 - np.geomspace(1e-12, 0.5, 40)))]
-    pts += [math.sqrt(b - s) for b in law.breakpoints if b > s]
+    pts += [math.sqrt(b - s) for b in law.breakpoints if b > s] + [min(v_u, v_hi)]
     for z in pins:
         c = abs(z - x)
         pts += [c * 2.0 ** k for k in range(-4, 60)]
@@ -77,6 +91,9 @@ def quad_drift(model, s, x):
     def pull(v, z):
         return 0.0 if v == 0.0 else mass(v, z) * (z - x) / (v * v)
 
+    def beyond(v, z):
+        return mass(v, z) if v >= v_u else 0.0
+
     # Pieces where the integrand underflows cannot reach 1e-13 relative, and
     # quad says so; their share of the totals is far below it.
     with warnings.catch_warnings():
@@ -85,8 +102,8 @@ def quad_drift(model, s, x):
                                                          epsrel=1e-13, limit=200)[0]
                                           for lo, hi in zip(edges[:-1], edges[1:]))
                             for z, p in zip(pins, probs))
-                  for g in (mass, pull)]
-    return totals[1] / totals[0]
+                  for g in (mass, pull, beyond)]
+    return totals[1] / totals[0], totals[2] / totals[0]
 
 
 class TestPosterior:
@@ -365,7 +382,7 @@ class TestDrift:
                                       (1e-3, 3e-11)])
     def test_near_pin_matches_scipy_quad(self, single_pin_exp, s, x):
         assert drift(single_pin_exp, s, x) == pytest.approx(
-            quad_drift(single_pin_exp, s, x), rel=1e-6)
+            quad_reads(single_pin_exp, s, x)[0], rel=1e-6)
 
     @given(st.floats(math.log(1e-3), 0.0), st.floats(math.log(1e-13), math.log(1e-6)),
            st.sampled_from([-1.0, 1.0]))
@@ -375,7 +392,7 @@ class TestDrift:
         # bottom edge; the Kronrod-Gauss pair must see it and refine.
         model = VerificationContext.model_single_pin()
         s, x = math.exp(log_s), sign * math.exp(log_d)
-        assert drift(model, s, x) == pytest.approx(quad_drift(model, s, x), rel=1e-6)
+        assert drift(model, s, x) == pytest.approx(quad_reads(model, s, x)[0], rel=1e-6)
 
 
 def _first_pass_drifts(model, s, x):
@@ -442,7 +459,7 @@ class TestFarStates:
         (UNIFORM_EDGE, 1.0, 60.0), (UNIFORM_EDGE, 2.0 - 5e-4, 0.0),
         (UNIFORM_NARROW, 1.397, 9.34), (FAR_PINS, 1e-4, 2.0), (FAR_PINS, 1e-8, 2.0)])
     def test_drift_matches_scipy_quad(self, model, s, x):
-        assert drift(model, s, x) == pytest.approx(quad_drift(model, s, x), rel=1e-9)
+        assert drift(model, s, x) == pytest.approx(quad_reads(model, s, x)[0], rel=1e-9)
 
     def test_survival_and_transition_next_to_the_edge(self):
         s, x = 1.397, 9.34
@@ -462,7 +479,7 @@ class TestFarStates:
     @settings(max_examples=40)
     def test_edge_property(self, state):
         model, s, x = state
-        assert drift(model, s, x) == pytest.approx(quad_drift(model, s, x), rel=1e-8, abs=1e-8)
+        assert drift(model, s, x) == pytest.approx(quad_reads(model, s, x)[0], rel=1e-8, abs=1e-8)
         u = s + 0.5 * (model.support_sup - s)
         assert 0.0 <= survival_probability(model, s, x, u) <= 1.0
 
@@ -473,35 +490,41 @@ OBSERVER_MODELS = [ModelSpec(ExponentialLaw(1.0), PinningLaw([0.0], [1.0])),
                    ModelSpec(UniformLaw(0.5, 2.0), PinningLaw([-1.0, 2.0], [0.6, 0.4])),
                    ModelSpec(TruncatedExponentialLaw(1.0, 3.0),
                              PinningLaw([-1.0, 1.0], [0.5, 0.5]))]
+#: the top time of each unbounded law in OBSERVER_MODELS
+OBSERVER_TOPS = [57.6, 65.8, 104.6]
 
 
 @st.composite
 def observer_states(draw):
-    """A model, a time log-uniform from 1e-3 to 2.5 times the truncation
-    point of its length law (the support edge of a bounded law), or for a
-    bounded law one from 1e-9 to 0.1 of the edge below it, and a value
-    within 4 sqrt(s)."""
+    """A model, a time log-uniform from 1e-3 to its top (2.5 times the
+    support edge of a bounded law, and of the point an unbounded law keeps
+    1e-10 of its mass beyond), or for a bounded law one from 1e-9 to 0.1 of
+    the edge below it, and a value within 4 sqrt(s)."""
     model = draw(st.sampled_from(OBSERVER_MODELS))
     sup = model.support_sup
     if math.isfinite(sup) and draw(st.booleans()):
         s = sup * (1.0 - 10.0 ** draw(st.floats(-9.0, -1.0)))
     else:
-        top = 2.5 * model.length.truncation_point(1e-10)
+        top = 2.5 * sup if math.isfinite(sup) else OBSERVER_TOPS[OBSERVER_MODELS.index(model)]
         s = math.exp(draw(st.floats(math.log(1e-3), math.log(top))))
     return model, s, draw(st.floats(-4.0, 4.0)) * math.sqrt(s)
 
 
 class TestObserverDomain:
-    """Every observer function returns a finite value in range, or raises
-    ``QuadratureError`` where the mixture weight has no mass (past the
-    truncation point of the length law), or ``ValueError`` at or past the
-    support edge of a bounded law."""
+    """Every observer function returns a finite value in range; on a bounded
+    law it may raise ``QuadratureError`` instead, or ``ValueError`` at or
+    past its support edge."""
 
     @given(observer_states())
     @settings(max_examples=500)
     def test_finite_in_range_or_quadrature_error(self, state):
         model, s, x = state
-        errors = (QuadratureError, ValueError) if s >= model.support_sup else QuadratureError
+        if not math.isfinite(model.support_sup):
+            errors = ()
+        elif s >= model.support_sup:
+            errors = (QuadratureError, ValueError)
+        else:
+            errors = QuadratureError
         checks = [
             (lambda: pin_posterior(model, s, x),
              lambda p: np.all((p >= 0.0) & (p <= 1.0)) and abs(p.sum() - 1.0) <= 1e-12),
@@ -520,6 +543,58 @@ class TestObserverDomain:
             except errors:
                 continue
             assert in_range(result)
+
+
+EXP_COPY = CustomLengthLaw(pdf=ExponentialLaw(1.0).pdf, cdf=ExponentialLaw(1.0).cdf,
+                           quantile=ExponentialLaw(1.0).quantile)
+
+
+class TestLateStates:
+    """Drift and survival against scipy's quad up to s = 40, on Exp(1) with
+    one pin at 0 and on Gamma(2) with pins (-1, 0.5): long after 1e-10 of
+    the prior law is left, so the quadrature must cut the conditional tail."""
+
+    def test_survival_past_the_prior_cut(self):
+        # read 0.451273 when the tail was cut where 1e-10 of the prior law remains
+        model = OBSERVER_MODELS[0]
+        surv = survival_probability(model, 20.0, 1.0, 21.0)
+        assert surv == pytest.approx(0.480465, abs=1e-6)
+        assert surv == pytest.approx(quad_reads(model, 20.0, 1.0, 21.0)[1], rel=1e-8)
+
+    @pytest.mark.parametrize("law, s", [
+        (ExponentialLaw(1.0), 744.0), (ExponentialLaw(1.0), 800.0), (GammaLaw(2.0), 800.0),
+        (EXP_COPY, 30.0), (EXP_COPY, 800.0)])
+    def test_tail_out_of_reach_raises_quadrature_error(self, law, s):
+        # The tail past s underflows, or for the copy 1 - q rounds to 1: no
+        # finite cut holds it, and no RuntimeWarning, NaN band edge or
+        # ValueError may surface instead.
+        model = ModelSpec(law, PinningLaw([0.0], [1.0]))
+        reads = [lambda: pin_posterior(model, s, 0.5),
+                 lambda: survival_probability(model, s, 0.5, s + 1.0),
+                 lambda: band_probability(model, s, 0.5, 0.1),
+                 lambda: transition_law(model, s, 0.5, s + 0.1),
+                 lambda: drift(model, s, 0.5),
+                 lambda: log_mix_weight(s, 0.5, model)]
+        if float(law.pdf(s)) > 0.0:  # else the kernel is 0.0 without a tail read
+            reads.append(lambda: intensity_row(model, s))
+        for read in reads:
+            with pytest.raises(QuadratureError):
+                read()
+
+    @given(st.sampled_from(OBSERVER_MODELS[:2]),
+           st.floats(math.log(1e-2), math.log(40.0)).map(math.exp), st.integers(-8, 8))
+    @settings(max_examples=30)
+    def test_drift_and_survival_match_scipy_quad(self, model, s, k):
+        # Values k sqrt(s) / 4: the near-pin spike has its own oracle test.
+        # The drift is held to 1e-4 only: the cut leaves 1e-10 of the length
+        # law's tail past s, but a value far from the pins moves the
+        # posterior of the length out toward the cut, so more of it is left
+        # (2e-5 relative at s = 40, x = 2 sqrt(40); a cut at 1e-30 reads
+        # 4e-8 there).
+        x, u = 0.25 * k * math.sqrt(s), s + 1.0
+        ref_drift, ref_survival = quad_reads(model, s, x, u)
+        assert drift(model, s, x) == pytest.approx(ref_drift, rel=1e-4)
+        assert survival_probability(model, s, x, u) == pytest.approx(ref_survival, rel=1e-8)
 
 
 @st.composite

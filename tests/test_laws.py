@@ -47,6 +47,43 @@ def test_sampler_ks(law):
     pytest.fail(f"KS failed three times for {law!r}")
 
 
+class TestTailPoint:
+    """``tail_point(s, mass)``: the point beyond which ``mass`` of the law's
+    tail past ``s`` remains."""
+
+    @pytest.mark.parametrize("law", [UniformLaw(0.5, 2.0), TruncatedExponentialLaw(1.0, 5.0)],
+                             ids=repr)
+    def test_bounded_law_cuts_at_its_support_edge(self, law):
+        assert [law.tail_point(s, 1e-10) for s in (0.0, 1.0, 1.9)] == [law.support_sup] * 3
+
+    @given(s=st.floats(0.0, 400.0), log_mass=st.floats(math.log(1e-14), math.log(0.5)))
+    def test_survival_pair_keeps_the_share(self, s, log_mass):
+        # in closed form, so far past where 1 - cdf has lost every digit
+        mass = math.exp(log_mass)
+        for law in (ExponentialLaw(0.4), GammaLaw(2.0, 0.7), GammaLaw(0.5, 2.0)):
+            cut = law.tail_point(s, mass)
+            assert cut > s and float(law.sf(cut)) == pytest.approx(mass * float(law.sf(s)),
+                                                                   rel=1e-9)
+
+    def test_exponential_cut_is_s_plus_the_prior_one(self):
+        law = ExponentialLaw(1.0)
+        assert law.tail_point(0.0, 1e-4) == -math.log(1e-4)
+        assert law.tail_point(30.0, 1e-10) == pytest.approx(30.0 - math.log(1e-10), rel=1e-14)
+
+    def test_custom_law_falls_back_to_one_minus_cdf(self):
+        exp = ExponentialLaw(1.0)
+        law = CustomLengthLaw(pdf=exp.pdf, cdf=exp.cdf, quantile=exp.quantile)
+        assert law.tail_point(0.0, 1e-10) == float(exp.quantile(1.0 - 1e-10))
+        assert law.tail_point(5.0, 1e-3) == pytest.approx(exp.tail_point(5.0, 1e-3), rel=1e-9)
+        # mass * sf(s) below the float spacing at 1, or sf(s) itself 0
+        assert law.tail_point(30.0, 1e-10) == law.tail_point(800.0, 1e-3) == math.inf
+
+    @pytest.mark.parametrize("law", [ExponentialLaw(1.0), GammaLaw(2.0)], ids=repr)
+    def test_underflowed_tail_cuts_at_inf(self, law):
+        # sf(s) is 0.0: no finite cut, and no divide-by-zero warning
+        assert law.tail_point(800.0, 1e-10) == math.inf
+
+
 @pytest.mark.parametrize("law", ALL_LAWS + [PinningLaw([-1.0, 0.3, 2.0], [0.2, 0.5, 0.3])],
                          ids=lambda l: repr(l))
 def test_array_quantile_equals_scalar_samples(law):

@@ -166,6 +166,11 @@ class TestScales:
         ctx = VerificationContext(master_seed=0, fast=fast)
         assert tuple(getattr(ctx, name) for name in self.NAMES) == row
 
+    @pytest.mark.parametrize("fast", [False, True], ids=["acceptance", "fast"])
+    def test_exp_horizon_snaps_to_the_grid(self, fast):
+        # the Exp(1) tail point of mass 1e-4, 9.2103..., snapped up to the grid
+        assert VerificationContext(fast=fast).exp_horizon == 9.211
+
     def test_fields_are_seed_and_scale(self):
         assert [f.name for f in dataclasses.fields(VerificationContext)] == \
                ["master_seed", "fast"]
