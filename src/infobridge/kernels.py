@@ -44,7 +44,9 @@ exponent at a panel's centre node.  Only cells that would be 0.0 are
 skipped, so the scale stays and a sum moves only in its last bit.  A pass
 of at most 8 values is one block over every panel, its cells laid out
 (value, pin, panel, node) so that every panel sum is the matrix-vector
-product of one value alone.  A moment's weight is ``w(lag, z) c(z, x)``:
+product of one value alone, bit for bit (the totals over panels are not:
+their reduction follows the array's shape), and makes no call that its
+arithmetic does not need.  A moment's weight is ``w(lag, z) c(z, x)``:
 ``w`` joins the panel weights and ``c`` multiplies the panel sums before
 the check, so a moment on a pin level settles although the integral of
 ``w`` may diverge.
@@ -227,7 +229,7 @@ def _merged(edges, more):
     out = np.concatenate((edges, more))
     out.sort()
     new = out[1:] != out[:-1]
-    return out if new.all() else out[np.concatenate(([True], new))]
+    return out if np.logical_and.reduce(new) else out[np.concatenate(([True], new))]
 
 
 class TailIntegrals(NamedTuple):
@@ -267,13 +269,13 @@ def _scaled_exp(pull, lag, d, out, axes):
     ``exp``, which is slow where it rounds to 0.0."""
     np.divide(d ** 2, 2.0 * lag, out=out)
     np.subtract(pull, out, out=out)
-    top = out.max(axis=axes, keepdims=True, initial=-np.inf)
+    top = np.maximum.reduce(out, axis=axes, keepdims=True, initial=-np.inf)
     top[~np.isfinite(top)] = 0.0
     g = np.subtract(out, top, out=out)
     live = g >= _UNDERFLOW
     with np.errstate(under="ignore"):
         np.exp(g, out=g, where=live)
-    np.copyto(g, 0.0, where=~live)
+    np.copyto(g, 0.0, where=np.logical_not(live, out=live))
     return top.ravel(), g
 
 
@@ -305,20 +307,21 @@ def _evaluate(law, s, x, edges, points, weight):
     # integrand vanishes there however large the exponent.
     z = points[:, None, None, None]
     pull = np.where(f.reshape(lag.shape) == 0.0, -np.inf, z * z / (2.0 * r))
-    sums = np.zeros((len(_UNIT_WEIGHTS), 1 + (weight is not None), n_pins, n_panels, x.size))
+    shape = (len(_UNIT_WEIGHTS), 1 + (weight is not None), n_pins, n_panels, x.size)
     if x.size <= _GROUPS:
         # Each value would be a group of its own, and every cell its window
         # leaves out is 0.0 here too.  The cells go (value, pin, panel, node),
         # so that every panel sum is the same matrix-vector product for one
-        # value as for several.
+        # value as for several (the totals of _quantities are not).
         cells = np.empty((x.size, n_pins, n_panels, n_nodes, 1))
         scale, g = _scaled_exp(pull, lag, z - x[:, None, None, None, None], cells, (1, 2, 3, 4))
+        sums = np.empty(shape)
         sums[:, 0] = (base @ g)[..., 0].transpose(3, 1, 2, 0)
         if moment is not None:
             sums[:, 1] = ((moment @ g)[..., 0] * c.T[:, :, None, None]).transpose(3, 1, 2, 0)
         return scale, sums
     first, last = _window(s, x, edges, points, lag, pull)
-    scale = np.empty(x.size)
+    scale, sums = np.empty(x.size), np.zeros(shape)
     # one exponent buffer per call: blocks of varying size would spread the heap
     buf = np.empty(max(min(x.size * pull.size, _CELLS), pull.size))
     order = np.argsort(first, kind="stable")
@@ -342,19 +345,16 @@ def _quantities(panels, below):
     [+ 1], n_pins, n_x)`` of ``panels``, ``below[k]`` of them under ``u_k``."""
     if below.size == 0:
         return np.add.reduce(panels, axis=3)
-    n_rules, parts, n_pins, n_panels, n_x = panels.shape
+    n_rules, _, n_pins, n_panels, n_x = panels.shape
     # [p]: panels p and up (so no tail exceeds its total), and those below p.
     down = np.zeros(panels.shape[:3] + (n_panels + 1, n_x))
     np.add.accumulate(panels[..., ::-1, :], axis=3, out=down[..., :n_panels, :][..., ::-1, :])
     up = np.zeros((n_rules, n_pins, n_panels + 1, n_x))
     np.add.accumulate(panels[:, 0], axis=2, out=up[:, :, 1:])
-    n_up = below.size
-    out = np.empty((n_rules, 2 * n_up + parts, n_pins, n_x))
-    out[:, 0] = down[:, 0, :, 0]
-    for k, b in enumerate(below):
-        out[:, 1 + k], out[:, 1 + n_up + k] = up[:, :, b], down[:, 0, :, b]
-    out[:, 1 + 2 * n_up:] = down[:, 1:, :, 0]
-    return out
+    # the mass, the band and the tail at each edge's panel, then the moment
+    return np.concatenate((down[:, :1, :, 0], up.take(below, axis=2).swapaxes(1, 2),
+                           down[:, 0].take(below, axis=2).swapaxes(1, 2), down[:, 1:, :, 0]),
+                          axis=1)
 
 
 def _panel_excess(diff, probs, share, below):
@@ -440,7 +440,8 @@ def tail_integrals(model, s, x, *, uppers=(), weight=None, table=False):
         raise ValueError("observed values and band edges must be floats or 1-d arrays")
     x, uppers = x.reshape(-1), uppers.reshape(-1).tolist()
     n_up = len(uppers)
-    if not (math.isfinite(s) and np.isfinite(x).all()) or any(map(math.isnan, uppers)):
+    if not (math.isfinite(s) and np.logical_and.reduce(np.isfinite(x))) or any(
+            map(math.isnan, uppers)):
         raise ValueError("observation time and values must be finite, band edges not NaN")
     if s <= 0.0:
         raise ValueError("observation time must be strictly positive")
@@ -458,18 +459,18 @@ def tail_integrals(model, s, x, *, uppers=(), weight=None, table=False):
     while True:
         top, panels = _evaluate(law, s, x if todo is None else x[todo], edges, points, weight)
         # panels under each band edge
-        below = np.searchsorted(edges[1:], v_up, side="right") if n_up else _NO_BANDS
+        below = edges[1:].searchsorted(v_up, side="right") if n_up else _NO_BANDS
         if table:
             out, scale = _quantities(panels[:1], below)[0], top
             break
         q = _quantities(panels, below)
         if n_up:  # the pin sums, as one more pin
             q = np.concatenate((q, (probs @ q)[:, :, None]), axis=2)
-        kronrod, gauss = q
+        kronrod, gauss = q[0], q[1]
         tol = _REL_TOL * np.abs(kronrod) + abs_tol
         settled = np.abs(kronrod - gauss) <= tol
         if out is None:
-            if settled.all():  # every value on the first pass
+            if np.logical_and.reduce(settled, axis=None):  # every value on the first pass
                 out, scale = kronrod[:, :points.size].copy(), top
                 break
             out, scale = np.empty((n_q, points.size, x.size)), np.empty(x.size)
@@ -488,8 +489,9 @@ def tail_integrals(model, s, x, *, uppers=(), weight=None, table=False):
         refined = _merged(edges, 0.5 * (edges[:-1] + edges[1:])[split])
         todo = todo[fails]
         if refined.size - 1 > _MAX_PANELS or refined.size == edges.size:
+            span = f" in [{min(uppers):.6g}, {max(uppers):.6g}]" if n_up else ""
             raise QuadratureError(
-                f"tail quadrature did not converge (s={s}, uppers={uppers}, "
+                f"tail quadrature did not converge (s={s}, {n_up} band edges{span}, "
                 f"x in [{x[todo].min():.3g}, {x[todo].max():.3g}], panels={edges.size - 1})")
         edges = refined
     return TailIntegrals(out[0], None if weight is None else out[-1], scale,
@@ -508,7 +510,7 @@ def _conditional(model, s, x, **options):
     ``QuadratureError`` where that weight is not positive (zero or NaN)."""
     q = tail_integrals(model, s, x, **options)
     mass = model.pinning.probs @ q.mass
-    if not np.all(mass > 0.0):
+    if not np.logical_and.reduce(mass > 0.0):
         raise QuadratureError(f"mixture weight underflowed at s={s}")
     return q, mass
 
@@ -517,7 +519,7 @@ def _unwrap(x, out):
     """``out``, whose last axis runs over the observed values, shaped as
     ``x`` was passed: for a float ``x`` its entry 0 on that axis, a Python
     float where no axis is left."""
-    out = out if np.ndim(x) else out[..., 0]
+    out = out if np.asarray(x).ndim else out[..., 0]
     return out if out.ndim else float(out)
 
 

@@ -205,13 +205,22 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT_HI, _PCG64_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
 
 
+def _hash_consts(init, mult):
+    """The (xor, multiplier) pair of each call of the SeedSequence hash, in turn."""
+    while True:
+        xor, init = init, init * mult & 0xFFFFFFFF
+        yield xor, init
+
+
 def _stream_words(seed, first, n, leaf):
     """``SeedSequence(seed).spawn(N)[i].spawn(3)[leaf].generate_state(4, np.uint64)``
     for i in ``[first, first + n)``, as an (n, 4) uint64 array; with leaf None,
     the words of ``spawn(N)[i]`` itself.
 
     Each row hashes the zero-padded run entropy of ``seed`` followed by the
-    spawn key ``(i, leaf)``, in uint32 arithmetic across the block.  A path
+    spawn key ``(i, leaf)``.  The run words are the same in every row, so
+    they are hashed once as Python ints; the path index, the leaf and the
+    output words are mixed across the block in uint32 arithmetic.  A path
     index of 2**32 or more would take two key words, so it is refused.
     """
     seed = int(seed)
@@ -220,42 +229,39 @@ def _stream_words(seed, first, n, leaf):
     n_words = max(1, (seed.bit_length() + 31) // 32)
     run = [(seed >> 32 * k) & 0xFFFFFFFF for k in range(n_words)]
     run += [0] * (_POOL_SIZE - len(run))
-    entropy = [np.full(n, w, dtype=np.uint32) for w in run]
-    entropy.append(np.arange(first, first + n, dtype=np.uint32))
-    if leaf is not None:
-        entropy.append(np.full(n, leaf, dtype=np.uint32))
 
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & 0xFFFFFFFF
-        value *= np.uint32(hash_const)
-        return value ^ (value >> 16)
+    def hashmix(value, xor, mult):
+        value = (value ^ xor) * mult & 0xFFFFFFFF
+        return value ^ value >> 16
 
     def mix(x, y):
-        out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return out ^ (out >> 16)
+        out = (x * _MIX_MULT_L - y * _MIX_MULT_R) & 0xFFFFFFFF
+        return out ^ out >> 16
 
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    def columns(consts, k):  # the next k pairs as two (k, 1) uint32 columns
+        return np.array([next(consts) for _ in range(k)], np.uint32).T[:, :, None]
+
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [hashmix(word, *next(consts)) for word in run[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
+                pool[dst] = mix(pool[dst], hashmix(pool[src], *next(consts)))
+    for word in run[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    hash_const = _INIT_B
-    state = np.empty((n, 8), dtype=np.uint32)
-    for k in range(8):
-        value = pool[k % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & 0xFFFFFFFF
-        value *= np.uint32(hash_const)
-        state[:, k] = value ^ (value >> 16)
+            pool[dst] = mix(pool[dst], hashmix(word, *next(consts)))
+    # the path index and the leaf differ by row: each mixes into the four
+    # pool words, with a column of constants, across the block's row of indices
+    keys = [np.arange(first, first + n, dtype=np.uint32)]
+    if leaf is not None:
+        keys.append(leaf)
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    for word in keys:
+        pool = mix(pool, hashmix(word, *columns(consts, _POOL_SIZE)))
+    state = hashmix(np.concatenate((pool, pool)),  # pool word k % 4
+                    *columns(_hash_consts(_INIT_B, _MULT_B), 8)).astype(np.uint64)
     # little-endian pairs of 32-bit words, as generate_state views them
-    return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << np.uint64(32)
+    return (state[0::2] | state[1::2] << np.uint64(32)).T
 
 
 def _add128(hi, lo, b_hi, b_lo):

@@ -190,6 +190,9 @@ class TestPosterior:
         assert main(["posterior", "--config", str(cfg), "--t", "1e-8", "--x", "50"]) == 4
         err = capsys.readouterr().err
         assert err.startswith("quadrature failure:") and err.count("\n") == 1
+        # the 200 band edges of the curve are reported as a count and a range
+        assert len(err) < 300 and "s=1e-08" in err and "200 band edges in [" in err
+        assert "panels=" in err
         assert not any((tmp_path / "out").iterdir())
 
     def test_survival_matches_quadrature_oracle(self, tmp_path):

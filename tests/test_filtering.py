@@ -809,22 +809,34 @@ class TestTableRead:
             with pytest.raises(ValueError, match="NaN"):
                 read(s, x)
 
-    @given(table_reads([*_READ_TABLES, _STACKED, _BAND, _LADDER]), st.booleans(), st.data())
+    @given(table_reads([*_READ_TABLES, _STACKED, _BAND, _LADDER]),
+           st.sampled_from(["paired", "outer", "ladder"]), st.data())
     @settings(max_examples=200)
-    def test_read_is_the_bilinear_formula_bit_for_bit(self, case, outer, data):
-        # of the broadcast queries: s (n,) with x (n,), or s (n, 1) with x (m,)
+    def test_read_is_the_bilinear_formula_bit_for_bit(self, case, layout, data):
+        # of the query shapes the library passes: s (n,) with x (n,); s (n, 1)
+        # with x (m,); and x (k, n) of k paths with the times s (n,) broadcast
+        # to it as a view, as a ladder table reads a block of paths for A^h
         table, s, x = case
-        if outer:
+        if layout == "outer":
             s = s[:, None]
             x = np.array(data.draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=12)))
+        elif layout == "ladder":
+            size = data.draw(st.integers(1, 4)) * s.size
+            x = np.array(data.draw(st.lists(st.floats(-20.0, 20.0), min_size=size,
+                                            max_size=size))).reshape(-1, s.size)
+            s = np.broadcast_to(s, x.shape)
         mu, whole = _reference_reads(table, s, x)
         lead = () if isinstance(table, DriftCache) else np.shape(table.h)
         assert whole.shape == (*lead, *np.broadcast(s, x).shape)
         assert table(s, x).tobytes() == whole.tobytes()
         assert table.drift(s, x).tobytes() == mu.tobytes()
-        one = [np.asarray(r).tobytes() for r in _reference_reads(table, s.flat[0], x[0])]
-        assert np.asarray(table.drift(s.flat[0], x[0])).tobytes() == one[0]
-        assert np.asarray(table(s.flat[0], x[0])).tobytes() == one[1]
+        # one state as numpy floats, 0-d arrays and Python floats; on a bounded
+        # law the drift divides by sup - s
+        s0, x0 = s.flat[0], x.flat[0]
+        for state in ((s0, x0), (np.asarray(s0), np.asarray(x0)), (float(s0), float(x0))):
+            one = [np.asarray(r).tobytes() for r in _reference_reads(table, *state)]
+            assert np.asarray(table.drift(*state)).tobytes() == one[0]
+            assert np.asarray(table(*state)).tobytes() == one[1]
 
     @given(table_reads())
     def test_stacked_rows_keep_their_leading_axis(self, case):

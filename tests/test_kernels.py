@@ -558,6 +558,23 @@ class TestWindow:
                     np.testing.assert_allclose(a, b[..., ::copies], rtol=1e-14, atol=1e-300)
 
 
+class TestOneValuePass:
+    @given(window_states(2, kernels._GROUPS))
+    @settings(max_examples=200)
+    def test_panel_sums_are_its_column_of_a_block_bit_for_bit(self, state):
+        # the panel sums only: the totals reduce over panels in an order
+        # that follows the array's shape, and may differ in their last bit
+        model, s, x, uppers, weighted, _ = state
+        law, points, weight = model.length, model.pinning.points, _drift_weight(weighted)
+        edges = kernels._tail_edges(law, s, law.tail_point(s, kernels._TRUNCATION_MASS),
+                                    uppers.tolist())
+        scale, sums = kernels._evaluate(law, s, x, edges, points, weight)
+        for j in range(x.size):
+            one_scale, one = kernels._evaluate(law, s, x[j:j + 1], edges, points, weight)
+            assert one_scale.tobytes() == scale[j:j + 1].tobytes()
+            assert one.tobytes() == np.ascontiguousarray(sums[..., j:j + 1]).tobytes()
+
+
 class TestLadder:
     def test_ladder_is_geomspace_bit_for_bit(self):
         rng = np.random.default_rng(11)

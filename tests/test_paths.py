@@ -139,6 +139,13 @@ class TestStreamWords:
         for j, row in enumerate(words):
             np.testing.assert_array_equal(row, seed_sequence_words(seed, first + j, leaf))
 
+    @given(st.integers(1, 5).flatmap(lambda k: st.integers(2 ** (32 * k - 32), 2 ** (32 * k) - 1)),
+           st.integers(0, 2**32 - 3), leaves)
+    def test_seeds_of_one_to_five_words(self, seed, first, leaf):
+        # a fifth run word is mixed in after the four of the pool
+        for j, row in enumerate(paths._stream_words(seed, first, 3, leaf)):
+            np.testing.assert_array_equal(row, seed_sequence_words(seed, first + j, leaf))
+
     @given(seeds, leaves)
     def test_matches_spawned_children(self, seed, leaf):
         words = paths._stream_words(seed, 0, 12, leaf)
