@@ -451,7 +451,7 @@ def criterion_quadratic_variation(ctx, attempt):
         qv_x.append(cum[:, idx])
         innov = np.empty_like(ens.values)
         for i in range(len(ens)):
-            innov[i] = filtering.innovation_path(model, ens.path(i), drift_fn=ctx.table.drift)
+            innov[i] = filtering.innovation_path(model, ens.path(i), drift_fn=ctx.table)
         di2 = np.diff(innov, axis=1) ** 2
         cumi = np.zeros_like(innov)
         np.cumsum(di2, axis=1, out=cumi[:, 1:])

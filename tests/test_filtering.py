@@ -30,6 +30,7 @@ from infobridge import (
 from infobridge.compensator import intensity_row
 from infobridge.filtering import BandProbabilityCache, _space_grid, _Table, band_probability
 from infobridge.kernels import QuadratureError, log_mix_weight, tail_integrals
+from infobridge.paths import SamplePath
 from infobridge.verify import VerificationContext
 
 
@@ -386,7 +387,7 @@ class TestDrift:
 
     @given(st.floats(math.log(1e-3), 0.0), st.floats(math.log(1e-13), math.log(1e-6)),
            st.sampled_from([-1.0, 1.0]))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_near_pin_property(self, log_s, log_d, sign):
         # The pull's spike at v ~ |x| lies far below the first ladder's
         # bottom edge; the Kronrod-Gauss pair must see it and refine.
@@ -847,6 +848,62 @@ class TestTableRead:
         assert _STACKED(s[0], x[0]).shape == (2,)
 
 
+_REAL_TABLES = []
+
+
+def _bucket_table(k):
+    """The k-th of the test tables and, built on first use, real drift
+    tables on Exp(1)/0 and U(0.5, 2)/(-1, 2)."""
+    if not _REAL_TABLES:
+        _REAL_TABLES.extend([DriftCache(_EXP, 1e-3, 1.0), DriftCache(UNIFORM_EDGE, 1e-3, 2.0)])
+    return [*_READ_TABLES, _STACKED, _BAND, _LADDER, *_REAL_TABLES][k]
+
+
+def _bucket_points(table):
+    """Every node and each bucket edge ``x0 + b / ih``, with their
+    neighbours on both sides, and +-inf, clamped as a read clamps them."""
+    x0, x1 = table.x_nodes[0], table.x_nodes[-1]
+    edges = x0 + np.arange(int((x1 - x0) * table._ih) + 2) / table._ih
+    pts = np.concatenate((table.x_nodes, edges, [-math.inf, math.inf]))
+    pts = np.concatenate((pts, np.nextafter(pts, -math.inf), np.nextafter(pts, math.inf)))
+    return np.minimum(np.maximum(pts, x0), x1)
+
+
+class TestBucketLookup:
+    """The space cell found by bucket is the binary search's, side left."""
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_every_node_and_bucket_edge(self, k):
+        table = _bucket_table(k)
+        inner = table.x_nodes[1:-1]
+        pts = _bucket_points(table)
+        rng = np.random.default_rng(k)
+        uniform = rng.uniform(table.x_nodes[0], table.x_nodes[-1], 10_000)
+        for q in (pts, uniform):
+            assert table._cell(q).tobytes() == inner.searchsorted(q).tobytes()
+        # one at a time: a query in a bucket of two nodes or more searches
+        # alone, and a numpy scalar index takes no item assignment
+        for x in np.concatenate((table.x_nodes, np.nextafter(table.x_nodes, 0.0))):
+            x = min(max(x, table.x_nodes[0]), table.x_nodes[-1])
+            assert table._cell(x) == inner.searchsorted(x)
+
+    @given(st.integers(0, 6), st.integers(0, 2), st.data())
+    def test_bucket_index_is_the_search(self, k, ndim, data):
+        # 0-d (a numpy float and a 0-d array), 1-d and 2-d queries
+        table = _bucket_table(k)
+        pts = _bucket_points(table)
+        shape = [(), (data.draw(st.integers(1, 12)),),
+                 (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6)))][ndim]
+        idx = data.draw(st.lists(st.integers(0, pts.size - 1), min_size=math.prod(shape),
+                                 max_size=math.prod(shape)))
+        q = pts[idx].reshape(shape)
+        for xc in ((q[()], q) if ndim == 0 else (q,)):
+            want = table.x_nodes[1:-1].searchsorted(xc)
+            got = table._cell(xc)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 @st.composite
 def row_states(draw):
     """Exp(1)/0 or U(0.5, 2)/(-1, 2), a time log-uniform inside the support
@@ -872,7 +929,7 @@ class TestRowRule:
     moves it no farther from the checked drift."""
 
     @given(row_states())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_row_matches_the_single_quantity_passes(self, state):
         model, s, x = state
         widths = np.array(VerificationContext.AH_LADDER)
@@ -925,7 +982,7 @@ class TestMirror:
         assert not PinningLaw([-0.3, 0.1 + 0.2], [0.5, 0.5]).symmetric
 
     @given(mirror_states())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_public_functions_are_mirrored(self, state):
         model, s, x, u, h = state
         checks = [(drift(model, s, -x), -drift(model, s, x)),
@@ -1020,6 +1077,77 @@ class TestInnovation:
         b = innov[:, 700] - innov[:, 400]
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) <= 3.0 / math.sqrt(n)
+
+
+def _innovation_by_drift(table, path):
+    """The innovation as it was formed from ``table.drift`` at the times
+    ``dt * k``, the first clamped to ``dt``: the reference of the grid read."""
+    values, dt = path.values, path.dt
+    n_steps = len(values) - 1
+    last = min(path.absorbed_index - 1, n_steps)
+    cum = np.zeros(n_steps + 1)
+    if last > 0:
+        s_eval = dt * np.arange(last)
+        s_eval[0] = dt
+        np.multiply(table.drift(s_eval, values[:last]), dt, out=cum[1:last + 1])
+    np.add.accumulate(cum[1:], out=cum[1:])
+    return values - cum
+
+
+def _walk(rng, dt, n_steps, absorbed_index):
+    values = np.zeros(n_steps + 1)
+    values[1:] = np.cumsum(rng.standard_normal(n_steps)) * math.sqrt(dt) * 3.0
+    return SamplePath(dt=dt, values=values, tau=math.inf, z=0.0, seed=0,
+                      absorbed_index=absorbed_index)
+
+
+# mirrored unbounded, asymmetric bounded, and band tables beside their drift
+_INNOVATION_TABLES = [lambda: _SyntheticDrift(_EXP, 1e-3, 1.0),
+                      lambda: _SyntheticDrift(UNIFORM_EDGE, 0.01, 1.9),
+                      lambda: _SyntheticBands(UNIFORM_EDGE, (0.5, 0.25), 0.01, 1.9),
+                      lambda: _SyntheticBands(_EXP, (0.1, 0.03, 0.01), 1e-3, 1.0)]
+
+
+class TestInnovationGridRead:
+    """``innovation_path`` reads the drift along the grid with its time half
+    kept per ``dt``, bit for bit the drift read at ``(s, x)``."""
+
+    @given(st.integers(0, len(_INNOVATION_TABLES) - 1),
+           st.lists(st.tuples(st.sampled_from([1e-4, 1e-3, 2e-3]),
+                              st.sampled_from(["none", "one", "absorbed", "whole"]),
+                              st.integers(1, 2500)), min_size=1, max_size=6),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_equals_the_drift_read(self, k, reads, seed):
+        # fresh, so the kept time half grows when a longer path comes
+        table, rng = _INNOVATION_TABLES[k](), np.random.default_rng(seed)
+        for dt, steps, n_steps in reads:
+            index = {"none": 1, "one": 2, "whole": n_steps + 1}.get(steps)
+            path = _walk(rng, dt, n_steps, index or int(rng.integers(1, n_steps + 2)))
+            got = innovation_path(_EXP, path, drift_fn=table)
+            assert got.tobytes() == _innovation_by_drift(table, path).tobytes()
+
+    @pytest.mark.parametrize("k", range(2))
+    def test_real_tables_and_alternating_steps(self, k):
+        # two steps alternate on one table, and a longer path grows the kept half
+        table, rng = _bucket_table(5 + k), np.random.default_rng(k)
+        model = table.model
+        for dt, n_steps in ((1e-3, 300), (2e-3, 40), (1e-3, 1000), (2e-3, 2), (1e-3, 1)):
+            path = _walk(rng, dt, n_steps, n_steps + 1)
+            got = innovation_path(model, path, drift_fn=table)
+            assert got.tobytes() == _innovation_by_drift(table, path).tobytes()
+        ens = simulate_ensemble(model, 1e-3, 1.0, 20, seed=5)
+        for path in ens:
+            got = innovation_path(model, path, drift_fn=table)
+            assert got.tobytes() == _innovation_by_drift(table, path).tobytes()
+
+    def test_nan_value_raises(self):
+        table, rng = _INNOVATION_TABLES[1](), np.random.default_rng(0)
+        path = _walk(rng, 1e-3, 50, 51)
+        innovation_path(_EXP, path, drift_fn=table)
+        path.values[20] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            innovation_path(_EXP, path, drift_fn=table)
 
 
 class TestTowerProperty:

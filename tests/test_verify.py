@@ -256,7 +256,7 @@ class TestResolventApproximations:
             def __init__(self, model, h, s_min, s_max):
                 builds.append((h, s_min, s_max))
 
-            def drift(self, s, x):
+            def drift_on_grid(self, dt, x):  # the read innovation_path makes
                 return np.zeros(np.shape(x))
 
         monkeypatch.setattr(filtering, "BandProbabilityCache", Counting)
