@@ -20,7 +20,8 @@ rows of :class:`DriftCache` and :class:`BandProbabilityCache` come from one
 row rule, which takes its first pass: one read per row with the drift's
 weight and the band edges, holding the drift and then every band.  When the
 pin law is symmetric, X and -X have one law: the drift is odd in x and
-every band even, so a table fills its rows on x >= 0 and reflects them.
+every band even, so a table fills its rows on x >= 0 and reflects them; its
+space grid, the start point's nodes mirrored and each pin's, is symmetric.
 A table read is its arithmetic alone: a binary search over the time nodes,
 an exact bucket lookup of the space cell and the four-corner sum; a read
 along a path's grid keeps its time half once per grid step.
@@ -269,27 +270,19 @@ _LADDER_RATIO = 1.045
 
 
 def _space_grid(model, s_min, s_max):
-    """Space nodes of a table over ``[s_min, s_max]``: a linear base of 361
-    points, geometric refinement around each pin (conditional quantities
-    kink or jump across a pin level) and the origin, and a ladder in |x|
-    from sqrt(s_min) / 4 by a fixed ratio.  On a symmetric pin law the
-    nodes x >= 0, the origin first, are mirrored, so the grid is exactly
-    its own negative (the linear base alone is not)."""
+    """Space nodes of a table over ``[s_min, s_max]``: about the start point,
+    where the law is smooth, a linear base of 361 points and a ladder in |x|
+    from sqrt(s_min) / 4 by a fixed ratio, built on x >= 0 and mirrored about
+    +0.0; then 28 geometric offsets either side of each pin, where conditional
+    quantities kink or jump.  A symmetric pin law thus has a symmetric grid."""
     pts = model.pinning.points
     spread = 3.5 * math.sqrt(s_max) + float(np.max(np.abs(pts))) + 1.0
-    grid = np.linspace(-spread, spread, 361)
-    grid[180] = 0.0  # linspace may round the middle node to a few ulp off the origin
-    offsets = np.geomspace(1e-9, 0.6, 28)
-    around = np.concatenate([np.concatenate((c - offsets, [c], c + offsets))
-                             for c in [*pts, 0.0]])
     lo = 0.25 * math.sqrt(s_min)
-    fine = lo * _LADDER_RATIO ** np.arange(math.ceil(math.log(spread / lo, _LADDER_RATIO)) + 1)
-    grid = np.union1d(grid, np.concatenate((around, fine, -fine)))
-    grid = grid[(grid >= -spread) & (grid <= spread)]
-    if model.pinning.symmetric:
-        half = grid[grid >= 0.0]
-        grid = np.concatenate((-half[:0:-1], half))
-    return grid
+    ladder = lo * _LADDER_RATIO ** np.arange(math.ceil(math.log(spread / lo, _LADDER_RATIO)) + 1)
+    half = np.union1d(np.linspace(-spread, spread, 361)[181:], ladder[ladder <= spread])
+    offsets = np.geomspace(1e-9, 0.6, 28)
+    around = pts[:, None] + np.concatenate((-offsets, [0.0], offsets))  # a pin at -0.0 as +0.0
+    return np.union1d(np.concatenate((-half[::-1], [0.0], half)), around)
 
 
 class _Table:
@@ -302,21 +295,22 @@ class _Table:
     function of x / sqrt(s), which the geometric |x| ladder resolves at
     every time, so one grid serves small and late times alike.  Every row
     comes from the one row rule :meth:`_row`.  On a symmetric pin law
-    (``PinningLaw.symmetric``) the conditional law of (length, pin) given
-    -x mirrors that given x, so the rule fills the nodes x >= 0 only, and
-    the nodes x < 0 take the reflection in place: the drift negated, each
-    band copied.  Reads are bilinear in (log s, x), and queries outside the
-    table, at +-inf too, read its clamped edge; a NaN time or value raises
-    ``ValueError``.  A read clamps with ``minimum``/``maximum``, places each
-    query in its time cell by a search on the interior nodes (a clamped
-    query needs no index clip) and in its space cell by a bucket table
-    built once (:meth:`_cell`), weights it by the node spacings kept from
-    the build, and sums the four corners in place.  :meth:`drift_on_grid`,
-    the read of :func:`innovation_path`, keeps the time half of the times
-    ``dt * k`` per ``dt``: at 940 queries along a path it takes about 50 us
-    on a 2-core Xeon host, against 71 us for the same read at ``(s, x)``.
-    The drift has a pole ``1/(sup - s)`` at a bounded support edge: there
-    the table holds ``sup - s`` times it, and :meth:`drift` divides on read.
+    (``PinningLaw.symmetric``) the grid is mirrored about its middle node 0
+    and the law of (length, pin) given -x mirrors that given x, so the rule
+    fills the nodes x >= 0 only, and the nodes x < 0 take the reflection in
+    place: the drift negated, each band copied.  Reads are bilinear in
+    (log s, x), and queries outside the table, at +-inf too, read its clamped
+    edge; a NaN time or value raises ``ValueError``.  A read clamps with
+    ``minimum``/``maximum``, places each query in its time cell by a search
+    on the interior nodes (a clamped query needs no index clip) and in its
+    space cell by a bucket table built once (:meth:`_cell`), weights it by
+    the node spacings kept from the build, and sums the four corners in
+    place.  :meth:`drift_on_grid`, the read of :func:`innovation_path`,
+    keeps the time half of the times ``dt * k`` per ``dt``: at 940 queries
+    along a path it takes about 50 us on a 2-core Xeon host, against 71 us
+    for the same read at ``(s, x)``.  The drift has a pole ``1/(sup - s)``
+    at a bounded support edge: there the table holds ``sup - s`` times it,
+    and :meth:`drift` divides on read.
     """
 
     def __init__(self, model, widths, s_min, s_max):

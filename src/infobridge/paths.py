@@ -27,6 +27,7 @@ of a one-path ensemble.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -217,18 +218,15 @@ def _stream_words(seed, first, n, leaf):
     for i in ``[first, first + n)``, as an (n, 4) uint64 array; with leaf None,
     the words of ``spawn(N)[i]`` itself.
 
-    Each row hashes the zero-padded run entropy of ``seed`` followed by the
-    spawn key ``(i, leaf)``.  The run words are the same in every row, so
-    they are hashed once as Python ints; the path index, the leaf and the
-    output words are mixed across the block in uint32 arithmetic.  A path
-    index of 2**32 or more would take two key words, so it is refused.
+    Each row hashes the run entropy of ``seed``, then the spawn key
+    ``(i, leaf)``.  The run words are the same in every row, and their hash
+    is ``SeedSequence(seed).pool``; the path index, the leaf and the output
+    words are mixed across the block in uint32 arithmetic.  A path index of
+    2**32 or more would take two key words, so it is refused.
     """
     seed = int(seed)
     if seed < 0 or first < 0 or first + n > 2**32:
         raise ValueError("need seed >= 0 and path indices in [0, 2**32)")
-    n_words = max(1, (seed.bit_length() + 31) // 32)
-    run = [(seed >> 32 * k) & 0xFFFFFFFF for k in range(n_words)]
-    run += [0] * (_POOL_SIZE - len(run))
 
     def hashmix(value, xor, mult):
         value = (value ^ xor) * mult & 0xFFFFFFFF
@@ -241,21 +239,15 @@ def _stream_words(seed, first, n, leaf):
     def columns(consts, k):  # the next k pairs as two (k, 1) uint32 columns
         return np.array([next(consts) for _ in range(k)], np.uint32).T[:, :, None]
 
-    consts = _hash_consts(_INIT_A, _MULT_A)
-    pool = [hashmix(word, *next(consts)) for word in run[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src], *next(consts)))
-    for word in run[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word, *next(consts)))
+    # past the pool's hash constants: four per run word, the run padded to four words
+    consts = itertools.islice(_hash_consts(_INIT_A, _MULT_A),
+                              4 * max((seed.bit_length() + 31) // 32, _POOL_SIZE), None)
     # the path index and the leaf differ by row: each mixes into the four
     # pool words, with a column of constants, across the block's row of indices
     keys = [np.arange(first, first + n, dtype=np.uint32)]
     if leaf is not None:
         keys.append(leaf)
-    pool = np.array(pool, dtype=np.uint32)[:, None]
+    pool = np.random.SeedSequence(seed).pool[:, None]
     for word in keys:
         pool = mix(pool, hashmix(word, *columns(consts, _POOL_SIZE)))
     state = hashmix(np.concatenate((pool, pool)),  # pool word k % 4

@@ -149,7 +149,7 @@ def ks_test_exponential(samples):
 # ---------------------------------------------------------------------------
 
 
-def martingale_expectation_test(name, values, times, target, seed=0):
+def martingale_expectation_test(name, values, times, target, seed):
     """Pass iff the ensemble mean matches the target within 3 standard
     errors at every listed time.
 
@@ -177,7 +177,7 @@ def martingale_expectation_test(name, values, times, target, seed=0):
                                "stderrs": summary.stderrs.tolist()})
 
 
-def refinement_report(name, labels, errors, seed=0, n=0):
+def refinement_report(name, labels, errors, seed, n):
     """Pass iff the error metric decreases strictly along the ladder
     (identically zero rungs may tie)."""
     errors = np.asarray(errors, dtype=float)

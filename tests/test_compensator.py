@@ -233,7 +233,7 @@ class TestCompensatorK:
     def test_martingale_identity(self, single_pin_exp, exp_bundle):
         report = martingale_expectation_test(
             "module_K", exp_bundle["K_probe"], EXP_PROBES,
-            lambda t: float(single_pin_exp.length.cdf(t)))
+            lambda t: float(single_pin_exp.length.cdf(t)), seed=0)
         assert report.passed, report.details
 
     def test_indicator_minus_compensator_is_centered(self, exp_bundle):
@@ -255,7 +255,7 @@ class TestCompensatorK:
     def test_corrupted_kernel_detected(self, single_pin_exp, exp_bundle):
         report = martingale_expectation_test(
             "module_K_corrupt", 1.1 * exp_bundle["K_probe"], EXP_PROBES,
-            lambda t: float(single_pin_exp.length.cdf(t)))
+            lambda t: float(single_pin_exp.length.cdf(t)), seed=0)
         assert not report.passed
 
     def test_constant_beyond_support(self):
@@ -431,7 +431,7 @@ class TestWeightedCompensator:
         ez = model.pinning.mean()
         report = martingale_expectation_test(
             "module_frak", prod["frak"], (0.8, 1.2, 1.8),
-            lambda t: ez * float(model.length.cdf(t)))
+            lambda t: ez * float(model.length.cdf(t)), seed=0)
         assert report.passed, report.details
 
 
@@ -534,5 +534,5 @@ class TestExponentialMartingales:
                                     seed=77, probe_times=times, weighted=True)
         absorbed = prod["absorbed"][:, None] <= [int(round(t / 2e-3)) for t in times]
         mart_m = exp_martingale(0.25, prod["frak"], absorbed, prod["X_probe"])
-        report = martingale_expectation_test("module_M", mart_m, times, lambda t: 1.0)
+        report = martingale_expectation_test("module_M", mart_m, times, lambda t: 1.0, seed=0)
         assert report.passed, report.details

@@ -1044,6 +1044,28 @@ class TestSpaceGrid:
         near = xs[np.abs(xs) <= 1e-12 * xs[-1]]
         assert near.tobytes() == np.zeros(1).tobytes()
 
+    @given(st.lists(st.integers(-60, 60), min_size=1, max_size=3, unique=True),
+           st.booleans(), st.booleans(), st.floats(1e-5, 1e-3), st.floats(0.1, 5.0))
+    @settings(max_examples=150)
+    def test_mirrored_by_construction_refined_at_the_pins(self, steps, mirror, negative_zero,
+                                                          s_min, s_max):
+        # pins on a grid of 0.05 with equal weights, so the law is symmetric
+        # exactly when its levels are; a pin at -0.0 is the origin too
+        pins = sorted({k / 20 for k in steps} | ({-k / 20 for k in steps} if mirror else set()))
+        pins = [-0.0 if negative_zero and p == 0.0 else p for p in pins]
+        model = ModelSpec(ExponentialLaw(1.0), PinningLaw(pins, [1.0 / len(pins)] * len(pins)))
+        xs = _space_grid(model, s_min, s_max)
+        assert np.all(np.diff(xs) > 0.0)
+        assert np.all(np.isin(pins, xs))
+        near = xs[np.abs(xs) <= 1e-12 * xs[-1]]
+        assert near.tobytes() == np.zeros(1).tobytes()
+        assert np.array_equal(xs, -xs[::-1]) == model.pinning.symmetric
+        # the start point takes no refinement of its own: below the ladder's
+        # first rung only a pin's offsets place nodes (at these ranges the
+        # linear base's first node lies above that rung)
+        if np.min(np.abs(pins)) > 0.6:
+            assert not np.any((xs > 0.0) & (xs < 0.25 * math.sqrt(s_min)))
+
 
 class TestInnovation:
     def test_brownian_statistics(self, single_pin_exp):

@@ -7,7 +7,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-MAX_SETTABLE = 36
+MAX_SETTABLE = 33
 
 
 def _is_dataclass(node):

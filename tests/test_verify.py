@@ -298,7 +298,7 @@ class TestMartingaleExpectation:
         rng = np.random.default_rng(1)
         target = np.array([0.3, 0.6, 0.9])
         values = target[None, :] + rng.standard_normal((5000, 3))
-        rep = martingale_expectation_test("t", values, [1.0, 2.0, 3.0], target)
+        rep = martingale_expectation_test("t", values, [1.0, 2.0, 3.0], target, seed=0)
         assert rep.passed
         assert rep.statistic <= 3.0
 
@@ -308,43 +308,43 @@ class TestMartingaleExpectation:
         rng = np.random.default_rng(2)
         target = np.array([0.5, 0.8])
         values = 1.1 * (target[None, :] + 0.5 * rng.standard_normal((5000, 2)))
-        rep = martingale_expectation_test("t", values, [1.0, 2.0], target)
+        rep = martingale_expectation_test("t", values, [1.0, 2.0], target, seed=0)
         assert not rep.passed
 
     def test_constant_ensemble_on_target_passes_with_zero_margin(self):
         values = np.full((100, 2), 0.7)
         rep = martingale_expectation_test("t", values, [1.0, 2.0],
-                                          np.array([0.7, 0.7]))
+                                          np.array([0.7, 0.7]), seed=0)
         assert rep.passed
         assert rep.statistic == 0.0
 
     def test_constant_ensemble_off_target_fails(self):
         values = np.full((100, 2), 0.7)
         rep = martingale_expectation_test("t", values, [1.0, 2.0],
-                                          np.array([0.7, 0.8]))
+                                          np.array([0.7, 0.8]), seed=0)
         assert not rep.passed
 
     def test_requires_two_times(self):
         with pytest.raises(ValueError):
-            martingale_expectation_test("t", np.ones((10, 1)), [1.0], lambda t: 1.0)
+            martingale_expectation_test("t", np.ones((10, 1)), [1.0], lambda t: 1.0, seed=0)
 
 
 class TestRefinementReport:
     def test_strictly_decreasing_passes(self):
-        rep = refinement_report("r", ["a", "b", "c"], [0.1, 0.03, 0.01])
+        rep = refinement_report("r", ["a", "b", "c"], [0.1, 0.03, 0.01], seed=0, n=0)
         assert rep.passed
 
     def test_non_monotone_fails(self):
-        rep = refinement_report("r", ["a", "b", "c"], [0.1, 0.12, 0.01])
+        rep = refinement_report("r", ["a", "b", "c"], [0.1, 0.12, 0.01], seed=0, n=0)
         assert not rep.passed
 
     def test_constant_zero_passes(self):
-        rep = refinement_report("r", ["a", "b", "c"], [0.0, 0.0, 0.0])
+        rep = refinement_report("r", ["a", "b", "c"], [0.0, 0.0, 0.0], seed=0, n=0)
         assert rep.passed
 
     def test_needs_three_rungs(self):
         with pytest.raises(ValueError):
-            refinement_report("r", ["a", "b"], [0.1, 0.01])
+            refinement_report("r", ["a", "b"], [0.1, 0.01], seed=0, n=0)
 
 
 class TestReportTypes:
